@@ -900,10 +900,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 chunk = [sketches[(index + j) % len(sketches)]
                          for j in range(take)]
                 try:
-                    if batch_size:
-                        results = service.retrieve_batch(chunk, k=args.k)
-                    else:
-                        results = [service.retrieve(chunk[0], k=args.k)]
+                    results = service.retrieve_batch(chunk, k=args.k)
                 except Exception as exc:
                     # Under chaos this is the invariant violation the
                     # smoke run exists to catch: no exception may

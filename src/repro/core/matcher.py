@@ -477,14 +477,7 @@ class GeometricSimilarityMatcher:
         storage experiments of Section 4 replay.  ``abort`` (polled per
         iteration) cancels the search cooperatively; see :meth:`_drive`.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self.base.num_entries == 0:
-            stats = MatchStats()
-            stats.exhausted = True
-            return [], stats
-        with self._scratch() as scratch:
-            return self._query_one(query, k, on_candidate, abort, scratch)
+        return self.query_batch([query], k, on_candidate, abort)[0]
 
     def query_batch(self, queries: Sequence[Shape], k: int = 1,
                     on_candidate: Optional[Callable[[ShapeEntry], None]]
@@ -493,25 +486,27 @@ class GeometricSimilarityMatcher:
                     ) -> List[Tuple[List[Match], MatchStats]]:
         """Answer several queries, amortizing the per-query setup.
 
-        Returns exactly ``[query(q, k) for q in queries]`` — one
-        normalization and schedule per query, but a single scratch
-        checkout shared (serially) across the whole batch.  The service
-        tier feeds cache misses through this path.
+        One normalization and schedule per query, but a single scratch
+        checkout shared (serially) across the whole batch; results are
+        in input order.  The service tier feeds cache misses through
+        this path.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        return self._each(queries, lambda query, scratch: self._query_one(
+            query, k, on_candidate, abort, scratch))
+
+    def _each(self, queries: Sequence[Shape],
+              run_one: Callable[[Shape, _QueryScratch],
+                                Tuple[List[Match], MatchStats]]
+              ) -> List[Tuple[List[Match], MatchStats]]:
+        """``run_one(query, scratch)`` per query on one clean scratch."""
         if self.base.num_entries == 0:
-            results = []
-            for _ in queries:
-                stats = MatchStats()
-                stats.exhausted = True
-                results.append(([], stats))
-            return results
+            return [([], MatchStats(exhausted=True)) for _ in queries]
         results = []
         with self._scratch() as scratch:
             for query in queries:
-                results.append(self._query_one(query, k, on_candidate,
-                                               abort, scratch))
+                results.append(run_one(query, scratch))
                 scratch.reset()
         return results
 
@@ -557,21 +552,16 @@ class GeometricSimilarityMatcher:
         qualifying copy a candidate.  The envelope is therefore grown to
         ``max(threshold / beta, paper threshold)``.
         """
-        if distance_threshold < 0:
-            raise ValueError("distance_threshold must be non-negative")
-        if self.base.num_entries == 0:
-            stats = MatchStats()
-            stats.exhausted = True
-            return [], stats
-        with self._scratch() as scratch:
-            return self._query_threshold_one(query, distance_threshold,
-                                             on_candidate, abort, scratch)
+        return self.query_threshold_batch([query], distance_threshold,
+                                          on_candidate, abort)[0]
 
     def query_threshold_batch(self, queries: Sequence[Shape],
                               distance_threshold: float,
+                              on_candidate: Optional[
+                                  Callable[[ShapeEntry], None]] = None,
                               abort: Optional[Callable[[], bool]] = None
                               ) -> List[Tuple[List[Match], MatchStats]]:
-        """``[query_threshold(q, t) for q in queries]``, one scratch.
+        """:meth:`query_threshold` for several queries, one scratch.
 
         The algebra engine's ``similar`` leaves arrive in groups (every
         distinct query shape of a composite plan); this amortizes the
@@ -580,20 +570,10 @@ class GeometricSimilarityMatcher:
         """
         if distance_threshold < 0:
             raise ValueError("distance_threshold must be non-negative")
-        if self.base.num_entries == 0:
-            results = []
-            for _ in queries:
-                stats = MatchStats()
-                stats.exhausted = True
-                results.append(([], stats))
-            return results
-        results = []
-        with self._scratch() as scratch:
-            for query in queries:
-                results.append(self._query_threshold_one(
-                    query, distance_threshold, None, abort, scratch))
-                scratch.reset()
-        return results
+        return self._each(queries, lambda query, scratch:
+                          self._query_threshold_one(
+                              query, distance_threshold, on_candidate,
+                              abort, scratch))
 
     def _query_threshold_one(self, query: Shape, distance_threshold: float,
                              on_candidate: Optional[Callable[[ShapeEntry],

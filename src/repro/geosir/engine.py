@@ -203,73 +203,43 @@ class GeoSIR:
     # Retrieval
     # ------------------------------------------------------------------
     def retrieve(self, sketch: Shape, k: int = 1) -> RetrievalResult:
-        """Best-match retrieval with automatic hashing fallback.
-
-        With a service enabled (:meth:`enable_service`) the query goes
-        through the sharded concurrent tier — same answers (shard
-        merging is exact), plus caching and graceful degradation.
-        """
-        if self._service is not None:
-            result = self._service.retrieve(sketch, k=k)
-            if result.overloaded:
-                raise RuntimeError("retrieval service overloaded; "
-                                   "retry or raise max_pending")
-            return RetrievalResult(matches=result.matches,
-                                   stats=result.stats,
-                                   method=result.method)
-        matches, stats = self.matcher.query(sketch, k=k)
-        good = [m for m in matches if m.distance <= self.match_threshold]
-        if good:
-            return RetrievalResult(matches=matches, stats=stats,
-                                   method="envelope")
-        approx = self.retriever.query(sketch, k=k)
-        if not approx:
-            # Nothing hashed either; return whatever the matcher had.
-            return RetrievalResult(matches=matches, stats=stats,
-                                   method="envelope")
-        return RetrievalResult(matches=approx, stats=stats, method="hashing")
+        """Best-match retrieval with automatic hashing fallback (a
+        batch of one through :meth:`retrieve_batch`)."""
+        return self.retrieve_batch([sketch], k=k)[0]
 
     def retrieve_batch(self, sketches: Sequence[Shape], k: int = 1
                        ) -> List[RetrievalResult]:
-        """Batched best-match retrieval; equals per-sketch `retrieve`.
+        """Batched best-match retrieval, one result per sketch.
 
-        With a service enabled the batch goes through its amortized
-        multi-query path (cache probes, coalescing, per-shard batched
-        matcher calls); without one, the matcher's ``query_batch``
-        amortizes the per-query scratch, with the same per-sketch
-        hashing fallback as :meth:`retrieve`.
+        With a service enabled (:meth:`enable_service`) the batch goes
+        through the sharded concurrent tier — same answers (shard
+        merging is exact), plus caching, coalescing and graceful
+        degradation.  Without one, the matcher's ``query_batch``
+        amortizes the per-query scratch and each sketch whose envelope
+        answer is not within ``match_threshold`` is handed to the
+        hashing retriever.
         """
         sketches = list(sketches)
         if self._service is not None:
-            service_results = self._service.retrieve_batch(sketches, k=k)
-            results: List[RetrievalResult] = []
-            for result in service_results:
-                if result.overloaded:
-                    raise RuntimeError("retrieval service overloaded; "
-                                       "retry or raise max_pending")
-                results.append(RetrievalResult(matches=result.matches,
-                                               stats=result.stats,
-                                               method=result.method))
-            return results
+            served = self._service.retrieve_batch(sketches, k=k)
+            if any(result.overloaded for result in served):
+                raise RuntimeError("retrieval service overloaded; "
+                                   "retry or raise max_pending")
+            return [RetrievalResult(matches=result.matches,
+                                    stats=result.stats,
+                                    method=result.method)
+                    for result in served]
         results = []
         for sketch, (matches, stats) in zip(
                 sketches, self.matcher.query_batch(sketches, k=k)):
-            good = [m for m in matches
-                    if m.distance <= self.match_threshold]
-            if good:
-                results.append(RetrievalResult(matches=matches,
-                                               stats=stats,
-                                               method="envelope"))
-                continue
-            approx = self.retriever.query(sketch, k=k)
-            if not approx:
-                results.append(RetrievalResult(matches=matches,
-                                               stats=stats,
-                                               method="envelope"))
-            else:
-                results.append(RetrievalResult(matches=approx,
-                                               stats=stats,
-                                               method="hashing"))
+            method = "envelope"
+            if not any(m.distance <= self.match_threshold
+                       for m in matches):
+                approx = self.retriever.query(sketch, k=k)
+                if approx:    # nothing hashed either: keep the matcher's
+                    matches, method = approx, "hashing"
+            results.append(RetrievalResult(matches=matches, stats=stats,
+                                           method=method))
         return results
 
     def retrieve_similar(self, sketch: Shape,

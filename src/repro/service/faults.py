@@ -37,6 +37,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Fault kinds.
@@ -46,12 +47,13 @@ CORRUPT = "corrupt"
 WRONG_SHARD = "wrong_shard"
 KINDS = (EXCEPTION, LATENCY, CORRUPT, WRONG_SHARD)
 
-#: Operation groups a spec can target.  ``MATCHER_OPS`` covers the
-#: exact envelope tier, ``ANN_OPS`` the LSH-pruned tier; the default
-#: chaos plan targets both (everything except the hash tier, which is
-#: each shard's last-resort fallback).
-MATCHER_OPS = ("query", "query_batch")
-ANN_OPS = ("ann_query", "ann_query_batch")
+#: Operation groups a spec can target (a shard has one sequence-form
+#: op per tier).  ``MATCHER_OPS`` covers the exact envelope tier — top-k
+#: and threshold — ``ANN_OPS`` the LSH-pruned tier; the default chaos
+#: plan targets both (everything except the hash tier, which is each
+#: shard's last-resort fallback).
+MATCHER_OPS = ("query_batch", "query_threshold_batch")
+ANN_OPS = ("ann_query_batch",)
 ALL_OPS = MATCHER_OPS + ANN_OPS + ("hash_query",)
 
 #: Shape-id offset used by ``wrong_shard`` faults — far outside any
@@ -219,9 +221,10 @@ def _mangle_matches(spec: FaultSpec, matches):
 class FaultyShard:
     """A shard proxy that injects the plan's faults into its operations.
 
-    Everything not overridden here (``index``, ``base``, ``warm``,
-    ``num_shapes``, ...) delegates to the wrapped shard, so the proxy
-    drops into any code path a real :class:`Shard` serves.
+    Every op in ``ALL_OPS`` goes through one wrapper (:meth:`_faulted`);
+    everything else (``index``, ``base``, ``warm``, ``num_shapes``, ...)
+    delegates to the wrapped shard, so the proxy drops into any code
+    path a real :class:`Shard` serves.
     """
 
     def __init__(self, shard, plan: FaultPlan):
@@ -229,6 +232,8 @@ class FaultyShard:
         self._plan = plan
 
     def __getattr__(self, name):
+        if name in ALL_OPS:
+            return partial(self._faulted, name)
         return getattr(self._shard, name)
 
     # ------------------------------------------------------------------
@@ -249,48 +254,22 @@ class FaultyShard:
                 time.sleep(step)
                 remaining -= step
 
-    # ------------------------------------------------------------------
-    def query(self, sketch, k, abort=None):
-        spec = self._plan.decide(self._shard.index, "query")
-        self._pre(spec, abort)
-        matches, stats = self._shard.query(sketch, k, abort=abort)
-        if spec is not None:
-            matches = _mangle_matches(spec, matches)
-        return matches, stats
+    def _faulted(self, op: str, *args, **kwargs):
+        """One faultable call: decide → pre-fault → call → mangle.
 
-    def query_batch(self, sketches, k, abort=None):
-        spec = self._plan.decide(self._shard.index, "query_batch")
-        self._pre(spec, abort)
-        results = self._shard.query_batch(sketches, k, abort=abort)
+        ``args`` are the op's own — ``(sketches, k | threshold,
+        abort=...)`` for the sequence-form matcher/ANN ops, ``(sketch,
+        k)`` for ``hash_query``.
+        """
+        spec = self._plan.decide(self._shard.index, op)
+        self._pre(spec, kwargs.get("abort"))
+        answer = getattr(self._shard, op)(*args, **kwargs)
         if spec is None:
-            return results
+            return answer
+        if op == "hash_query":          # the one op answering bare matches
+            return _mangle_matches(spec, answer)
         return [(_mangle_matches(spec, matches), stats)
-                for matches, stats in results]
-
-    def ann_query(self, sketch, k, abort=None):
-        spec = self._plan.decide(self._shard.index, "ann_query")
-        self._pre(spec, abort)
-        matches, stats = self._shard.ann_query(sketch, k, abort=abort)
-        if spec is not None:
-            matches = _mangle_matches(spec, matches)
-        return matches, stats
-
-    def ann_query_batch(self, sketches, k, abort=None):
-        spec = self._plan.decide(self._shard.index, "ann_query_batch")
-        self._pre(spec, abort)
-        results = self._shard.ann_query_batch(sketches, k, abort=abort)
-        if spec is None:
-            return results
-        return [(_mangle_matches(spec, matches), stats)
-                for matches, stats in results]
-
-    def hash_query(self, sketch, k):
-        spec = self._plan.decide(self._shard.index, "hash_query")
-        self._pre(spec, None)
-        matches = self._shard.hash_query(sketch, k)
-        if spec is not None:
-            matches = _mangle_matches(spec, matches)
-        return matches
+                for matches, stats in answer]
 
     def __repr__(self) -> str:
         return f"FaultyShard({self._shard!r}, plan={self._plan!r})"

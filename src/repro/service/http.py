@@ -240,23 +240,34 @@ class _Handler(BaseHTTPRequestHandler):
         ms = parse_deadline_ms(self.headers.get(DEADLINE_HEADER))
         return None if ms is None else ms / 1000.0
 
-    def _query(self) -> None:
-        app = self.app
-        started = time.perf_counter()
-        app.metrics.counter("http.queries").increment()
+    def _query_body(self) -> Optional[Tuple[dict, int, Optional[float]]]:
+        """Drain and parse a query body: ``(body, k, deadline)``.
+
+        ``None`` once the request has been shed.  The body must be
+        drained even when shedding: unread bytes would corrupt the next
+        request on this keep-alive connection.
+        """
         deadline = self._deadline_seconds()
-        # The body must be drained even when shedding: unread bytes
-        # would corrupt the next request on this keep-alive connection.
         body = self._read_body()
         if deadline is not None and deadline <= 0.0:
             # Already out of budget: queueing this query steals cycles
             # from ones that can still answer in time.
             self._shed("deadline already expired", "http.shed_deadline")
-            return
-        sketch = shape_from_dict(body["sketch"])
+            return None
         k = int(body.get("k", 1))
         if k < 1:
             raise ValueError("k must be at least 1")
+        return body, k, deadline
+
+    def _query(self) -> None:
+        app = self.app
+        started = time.perf_counter()
+        app.metrics.counter("http.queries").increment()
+        parsed = self._query_body()
+        if parsed is None:
+            return
+        body, k, deadline = parsed
+        sketch = shape_from_dict(body["sketch"])
 
         etag = query_etag(app.service.shards.version, sketch, k)
         candidates = self.headers.get("If-None-Match", "")
@@ -286,15 +297,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _query_batch(self) -> None:
         app = self.app
         started = time.perf_counter()
-        deadline = self._deadline_seconds()
-        body = self._read_body()      # drain before any early response
-        if deadline is not None and deadline <= 0.0:
-            self._shed("deadline already expired", "http.shed_deadline")
+        parsed = self._query_body()
+        if parsed is None:
             return
+        body, k, deadline = parsed
         sketches = [shape_from_dict(entry) for entry in body["sketches"]]
         if not sketches:
             raise ValueError("sketches must be non-empty")
-        k = int(body.get("k", 1))
         app.metrics.counter("http.queries").increment(len(sketches))
         results = app.service.retrieve_batch(sketches, k=k,
                                              deadline=deadline)

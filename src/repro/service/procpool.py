@@ -357,22 +357,13 @@ def _run_op(shard: Shard, op: str, payload: Dict[str, Any]) -> list:
     abort = None
     if remaining is not None:
         abort = Deadline(max(0.0, remaining)).expired
-    k = payload.get("k")
-    threshold = payload.get("threshold")
-    if op == "query":
-        pairs = [shard.query(sketches[0], k, abort=abort)]
-    elif op == "query_batch":
-        pairs = shard.query_batch(sketches, k, abort=abort)
-    elif op == "query_threshold":
-        pairs = [shard.query_threshold(sketches[0], threshold,
-                                       abort=abort)]
+    if op == "query_batch":
+        pairs = shard.query_batch(sketches, payload["k"], abort=abort)
     elif op == "query_threshold_batch":
-        pairs = shard.query_threshold_batch(sketches, threshold,
+        pairs = shard.query_threshold_batch(sketches, payload["threshold"],
                                             abort=abort)
-    elif op == "ann_query":
-        pairs = [shard.ann_query(sketches[0], k, abort=abort)]
     elif op == "ann_query_batch":
-        pairs = shard.ann_query_batch(sketches, k, abort=abort)
+        pairs = shard.ann_query_batch(sketches, payload["k"], abort=abort)
     else:
         raise ValueError(f"unknown op {op!r}")
     return [(_matches_to_wire(matches), _stats_to_wire(stats))
@@ -934,22 +925,12 @@ class ProcessShardView:
         return [(_matches_from_wire(matches), _stats_from_wire(stats))
                 for matches, stats in pairs]
 
-    def query(self, sketch, k, abort=None):
-        return self._remote("query", [sketch], abort, k=k)[0]
-
     def query_batch(self, sketches, k, abort=None):
         return self._remote("query_batch", sketches, abort, k=k)
-
-    def query_threshold(self, sketch, threshold, abort=None):
-        return self._remote("query_threshold", [sketch], abort,
-                            threshold=threshold)[0]
 
     def query_threshold_batch(self, sketches, threshold, abort=None):
         return self._remote("query_threshold_batch", sketches, abort,
                             threshold=threshold)
-
-    def ann_query(self, sketch, k, abort=None):
-        return self._remote("ann_query", [sketch], abort, k=k)[0]
 
     def ann_query_batch(self, sketches, k, abort=None):
         return self._remote("ann_query_batch", sketches, abort, k=k)

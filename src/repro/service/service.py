@@ -1,23 +1,30 @@
-"""The embeddable retrieval service: admission → cache → shards → merge.
+"""The embeddable retrieval service: one staged query pipeline.
 
-One query's path through :class:`RetrievalService`:
+The unit of query execution is a **batch** — :meth:`RetrievalService
+.retrieve` is ``retrieve_batch([sketch])[0]`` — and every batch runs
+the same stages, each a method of :class:`RetrievalService`:
 
-1. **admission** — take an in-flight slot from the bounded
-   :class:`~repro.service.pool.AdmissionQueue`; saturation sheds the
-   query with an explicit ``overloaded`` result (never blocks);
-2. **cache** — probe the :class:`~repro.service.cache.QueryResultCache`
-   under the sketch's canonical (similarity-invariant) signature;
-3. **fan-out** — run the envelope matcher on every shard, in parallel
-   on the worker pool, each with the query's deadline as its
-   cooperative abort;
-4. **merge** — per-shard top-k lists merge into the global top-k
-   (exact, because shards are disjoint and measures base-independent);
-5. **degrade** — if the deadline expired mid-search, or no match beat
+1. ``_admit`` — validate ``k``, then take one slot per sketch from the
+   bounded :class:`~repro.service.pool.AdmissionQueue`; saturation
+   sheds the tail with an explicit ``overloaded`` result (never blocks);
+2. ``_select_tier`` — the ladder rung (exact / ANN / hash) the
+   remaining budget can afford;
+3. ``_coalesce`` — probe the :class:`~repro.service.cache
+   .QueryResultCache` under each sketch's canonical (similarity-
+   invariant) signature; identical misses, inside the batch or in
+   flight on another thread, share one computation;
+4. ``_fan_out`` — one sequence-form matcher call per shard for all
+   unique misses, in parallel on the worker pool, the query's deadline
+   as its cooperative abort;
+5. ``_salvage`` — a failed shard's slice from the rungs below;
+6. ``_merge`` — per-shard top-k lists into the global top-k (exact,
+   because shards are disjoint and measures base-independent) — then
+   ``_hand_off``: if the deadline expired mid-search, or no match beat
    ``match_threshold``, answer from the geometric-hashing tier instead
-   (the paper's fallback, repurposed as graceful degradation).
-
-Every stage feeds the :class:`~repro.service.metrics.MetricsRegistry`;
-``snapshot()`` returns the whole picture as a plain dict.
+   (the paper's Section 3 rule, doubling as graceful degradation);
+7. ``_record`` — every answered sketch feeds the
+   :class:`~repro.service.metrics.MetricsRegistry` the same way;
+   ``snapshot()`` returns the whole picture as a plain dict.
 
 **Failure isolation.**  Each shard task runs behind a resilience
 wrapper: an exception, a corrupted answer (non-finite distance /
@@ -36,12 +43,15 @@ mode degrades the answer, never the availability.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import threading
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..ann import AnnConfig
 from ..core.matcher import Match, MatchStats
@@ -68,6 +78,30 @@ DEGRADED = "degraded"
 TIER_EXACT = "exact"
 TIER_ANN = "ann"
 TIER_HASH = "hash"
+
+
+class _Rung(NamedTuple):
+    """What the pipeline needs to know about one ladder rung."""
+
+    op: Optional[str]           # sequence-form shard op (None: no fan-out)
+    cache_kind: Optional[str]   # signature kind (None: never cached)
+    method: str                 # ``ServiceResult.method`` when it answers
+    latency: Optional[str]      # histogram timing the fan-out
+    salvage: Tuple[str, ...]    # rungs a failed shard's slice falls to
+
+
+#: ANN answers are cached under their own signature kind: they are not
+#: interchangeable with exact answers, so the tiers must never alias.
+#: The hash rung is taken when the budget cannot even fund candidate
+#: scoring: no matcher op, always flagged ``degraded``, never cached
+#: (the next, better-funded query should recompute).
+_LADDER = {
+    TIER_EXACT: _Rung("query_batch", "topk", "envelope",
+                      "latency.envelope", (TIER_HASH,)),
+    TIER_ANN: _Rung("ann_query_batch", "topk-ann", "ann", "latency.ann",
+                    (TIER_EXACT, TIER_HASH)),
+    TIER_HASH: _Rung(None, None, "none", None, ()),
+}
 
 
 @dataclass
@@ -239,6 +273,19 @@ class _ShardOutcome:
     error: Optional[str] = None
     attempts: int = 0
     breaker_skipped: bool = False
+
+
+@dataclass
+class _Batch:
+    """What the stages of one ``retrieve_batch`` call share."""
+
+    sketches: List[Shape]
+    k: int
+    budget: Deadline
+    tier: str
+    version: int                 # shard-set version answers are keyed on
+    start: float                 # perf_counter at admission
+    results: List[Optional[ServiceResult]]
 
 
 def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
@@ -501,12 +548,14 @@ class RetrievalService:
 
         The algebra engine's leaf primitive: each sketch's similarity
         set is the union of per-shard threshold queries (exact, shards
-        being disjoint).  Results are cached under the similarity-
-        invariant signature at the current shard version, identical
-        sketches within the batch coalesce, and the remaining misses
-        fan out with one batched resilient call per shard — a failed
-        shard drops out of the union (``failed_shards`` notes it) and
-        the partial answer is *not* cached.
+        being disjoint).  It runs the pipeline's :meth:`_coalesce` and
+        :meth:`_fan_out` stages under its own cache kind and shard op —
+        results are cached under the similarity-invariant signature at
+        the current shard version, identical sketches coalesce, and the
+        remaining misses fan out with one resilient call per shard — and
+        keeps its own union merge: a failed shard drops out of the
+        union (``failed_shards`` notes it) and the partial answer is
+        *not* cached.
         """
         if self._closed:
             raise RuntimeError(
@@ -521,63 +570,37 @@ class RetrievalService:
         self.metrics.counter("algebra.leaf_queries").increment(
             len(sketches))
 
+        def serve(position: int, hit: SimilarResult, waited: bool) -> None:
+            self.metrics.counter("algebra.leaf_cache_hits").increment()
+            results[position] = replace(hit, cached=True)
+
+        def compute(positions: List[int], keys: Dict[int, str]) -> None:
+            survivors, failed = self._fan_out(
+                self._shard_views(), budget, "query_threshold_batch",
+                [sketches[position] for position in positions], threshold)
+            failed_ids = sorted(o.shard_index for o in failed)
+            if failed_ids:
+                self.metrics.counter("algebra.leaf_degraded").increment(
+                    len(positions))
+            for offset, position in enumerate(positions):
+                ids: set = set()
+                candidates = 0
+                for outcome in survivors:
+                    matches, stats = outcome.value[offset]
+                    ids.update(m.shape_id for m in matches)
+                    candidates += stats.candidates_evaluated
+                leaf = SimilarResult(shape_ids=frozenset(ids),
+                                     candidates_evaluated=candidates,
+                                     failed_shards=list(failed_ids))
+                if not failed_ids and not budget.expired():
+                    self.cache.put(keys[position], version, leaf)
+                results[position] = leaf
+
         with self.metrics.timer("latency.algebra_leaf"):
-            keys = [sketch_signature(sketch, kind="similar",
-                                     parameter=f"{threshold:.12g}")
-                    for sketch in sketches]
-            unique: List[int] = []
-            leader_of: Dict[str, int] = {}
-            for position, key in enumerate(keys):
-                if key in leader_of:
-                    continue
-                if self.cache.enabled:
-                    hit = self.cache.get(key, version)
-                    if hit is not None:
-                        self.metrics.counter(
-                            "algebra.leaf_cache_hits").increment()
-                        results[position] = replace(hit, cached=True)
-                        continue
-                leader_of[key] = position
-                unique.append(position)
-
-            if unique:
-                miss_sketches = [sketches[position]
-                                 for position in unique]
-                shards = self._shard_views()
-                outcomes = self.pool.map_over(
-                    lambda shard: self._resilient_call(
-                        shard, budget,
-                        lambda abort, shard=shard:
-                            shard.query_threshold_batch(
-                                miss_sketches, threshold, abort=abort),
-                        lambda value, shard=shard: [
-                            self._validate_matches(shard, matches)
-                            for matches, _ in value]),
-                    shards)
-                survivors = [o for o in outcomes if not o.failed]
-                failed_ids = sorted(o.shard_index for o in outcomes
-                                    if o.failed)
-                if failed_ids:
-                    self.metrics.counter(
-                        "algebra.leaf_degraded").increment(len(unique))
-                for offset, position in enumerate(unique):
-                    ids: set = set()
-                    candidates = 0
-                    for outcome in survivors:
-                        matches, stats = outcome.value[offset]
-                        ids.update(m.shape_id for m in matches)
-                        candidates += stats.candidates_evaluated
-                    leaf = SimilarResult(shape_ids=frozenset(ids),
-                                         candidates_evaluated=candidates,
-                                         failed_shards=list(failed_ids))
-                    if not failed_ids and not budget.expired():
-                        self.cache.put(keys[position], version, leaf)
-                    results[position] = leaf
-
-            for position, key in enumerate(keys):
-                if results[position] is None:
-                    leader = results[leader_of[key]]
-                    results[position] = replace(leader, cached=True)
+            for position, leader in self._coalesce(
+                    sketches, range(len(sketches)), "similar",
+                    f"{threshold:.12g}", version, budget, serve, compute):
+                results[position] = replace(results[leader], cached=True)
         return results
 
     # ------------------------------------------------------------------
@@ -751,21 +774,6 @@ class RetrievalService:
             self.metrics.counter("shards.hash_failures").increment()
             return []
 
-    def _salvage_failed(self, failed: Sequence[_ShardOutcome],
-                        shard_by_index: Dict[int, Shard], sketch: Shape,
-                        k: int) -> List[List[Match]]:
-        """Hash-tier answers for the failed shards' slices (maybe [])."""
-        if not failed or not self.config.shard_hash_fallback:
-            return []
-        salvage: List[List[Match]] = []
-        for outcome in failed:
-            matches = self._guarded_hash(
-                shard_by_index[outcome.shard_index], sketch, k)
-            if matches:
-                self.metrics.counter("shards.hash_salvage").increment()
-                salvage.append(matches)
-        return salvage
-
     def _guarded_exact(self, shard: Shard, sketch: Shape, k: int,
                        budget: Deadline) -> Optional[List[Match]]:
         """One shard's envelope tier as a salvage path (None on failure).
@@ -777,36 +785,14 @@ class RetrievalService:
         constant-cost hash tier take over.
         """
         try:
-            matches, _ = shard.query(sketch, k, abort=budget.expired)
+            matches, _ = shard.query_batch([sketch], k,
+                                           abort=budget.expired)[0]
             self._validate_matches(shard, matches)
             return matches
         except Exception:
             self.metrics.counter("shards.exact_salvage_failures") \
                 .increment()
             return None
-
-    def _salvage_failed_ann(self, failed: Sequence[_ShardOutcome],
-                            shard_by_index: Dict[int, Shard],
-                            sketch: Shape, k: int, budget: Deadline
-                            ) -> List[List[Match]]:
-        """Failed-ANN shards degrade to exact, then hash-tier, scoring."""
-        if not failed or not self.config.shard_hash_fallback:
-            return []
-        salvage: List[List[Match]] = []
-        for outcome in failed:
-            shard = shard_by_index[outcome.shard_index]
-            matches = self._guarded_exact(shard, sketch, k, budget)
-            if matches is not None:
-                self.metrics.counter("shards.ann_exact_salvage") \
-                    .increment()
-            else:
-                matches = self._guarded_hash(shard, sketch, k)
-                if matches:
-                    self.metrics.counter("shards.hash_salvage") \
-                        .increment()
-            if matches:
-                salvage.append(matches)
-        return salvage
 
     # ------------------------------------------------------------------
     # Tier selection (the degradation ladder)
@@ -835,378 +821,310 @@ class RetrievalService:
             return TIER_ANN
         return TIER_HASH
 
-    def _hash_only(self, sketch: Shape, k: int, budget: Deadline,
-                   start: float) -> ServiceResult:
-        """Answer straight from the hash tier (the ladder's last rung).
-
-        Taken when the remaining budget cannot even fund candidate
-        scoring: constant-cost per shard, always approximate, flagged
-        ``degraded`` and never cached (the next, better-funded query
-        should recompute).
-        """
-        shards = self._shard_views()
-        stage = time.perf_counter()
-        fallback = merge_topk(self.pool.map_over(
-            lambda shard: self._guarded_hash(shard, sketch, k),
-            shards), k)
-        self.metrics.histogram("latency.fallback").observe(
-            time.perf_counter() - stage)
-        self.metrics.counter("queries.fallback").increment()
-        self.metrics.counter("queries.served").increment()
-        result = ServiceResult(
-            status=OK, matches=fallback,
-            method="hashing" if fallback else "none",
-            degraded=True, latency=time.perf_counter() - start)
-        self._observe_total(result)
-        return result
-
     # ------------------------------------------------------------------
-    # Retrieval
+    # Retrieval: one pipeline, the unit of execution is a batch
     # ------------------------------------------------------------------
     def retrieve(self, sketch: Shape, k: int = 1,
                  deadline: Optional[float] = None) -> ServiceResult:
-        """Serve one query end to end (admission included)."""
-        if self._closed:
-            raise RuntimeError(
-                "RetrievalService is closed; create a new service")
-        self._ensure_processes()
-        self.metrics.counter("queries.total").increment()
-        if not self.admission.try_admit():
-            self.metrics.counter("queries.shed").increment()
-            return ServiceResult(status=OVERLOADED)
-        try:
-            return self._admitted_retrieve(sketch, k, deadline)
-        finally:
-            self.admission.release()
+        """Serve one query end to end: a batch of one."""
+        return self.retrieve_batch([sketch], k, deadline)[0]
 
     def retrieve_batch(self, sketches: Sequence[Shape], k: int = 1,
                        deadline: Optional[float] = None
                        ) -> List[ServiceResult]:
-        """Serve many sketches through the amortized batch path.
+        """Serve sketches through the staged pipeline, in input order.
 
         Admission happens at *submission* time — the bounded queue is
         the backlog, so a batch larger than the remaining slots sheds
         its tail immediately rather than queueing it invisibly; the
         admitted sketches hold their slots until the batch completes.
-        Each admitted sketch gets one cache probe; identical misses
-        coalesce onto one computation, and the remaining unique misses
-        are answered by *batched* per-shard matcher calls pipelined on
-        the worker pool (one scratch checkout per shard for the whole
-        batch).  ``deadline`` budgets the batch as a whole.  Results
-        come back in input order, identical to per-sketch
-        :meth:`retrieve` calls.
+        One ladder rung is selected for the whole batch; each admitted
+        sketch gets one cache probe; identical misses — inside the
+        batch or in flight on another thread — coalesce onto one
+        computation, and the remaining unique misses are answered by
+        sequence-form per-shard matcher calls pipelined on the worker
+        pool (one scratch checkout per shard for the whole batch).
+        ``deadline`` budgets the batch as a whole.
         """
-        if self._closed:
-            raise RuntimeError(
-                "RetrievalService is closed; create a new service")
-        self._ensure_processes()
         sketches = list(sketches)
         results: List[Optional[ServiceResult]] = [None] * len(sketches)
-        admitted: List[int] = []
-        for position, _ in enumerate(sketches):
-            self.metrics.counter("queries.total").increment()
-            if not self.admission.try_admit():
-                self.metrics.counter("queries.shed").increment()
-                results[position] = ServiceResult(status=OVERLOADED)
-            else:
-                admitted.append(position)
+        admitted = self._admit(k, results)
         if not admitted:
             return results
         try:
-            self._retrieve_admitted_batch(sketches, k, deadline,
-                                          admitted, results)
+            budget = Deadline(self.config.deadline if deadline is None
+                              else deadline)
+            batch = _Batch(sketches, k, budget, self._select_tier(budget),
+                           self.shards.version, time.perf_counter(),
+                           results)
+            self.metrics.counter(f"queries.tier_{batch.tier}").increment(
+                len(admitted))
+
+            def serve(position: int, hit: ServiceResult,
+                      waited: bool) -> None:
+                results[position] = self._record(
+                    replace(hit, cached=True,
+                            latency=time.perf_counter() - batch.start),
+                    "queries.coalesced" if waited
+                    else "queries.cache_hits")
+
+            kind = _LADDER[batch.tier].cache_kind
+            if kind is None:
+                self._answer(batch, admitted, {})
+            else:
+                for position, leader in self._coalesce(
+                        sketches, admitted, kind, k, batch.version, budget,
+                        serve, partial(self._answer, batch)):
+                    serve(position, results[leader], True)
         finally:
             for _ in admitted:
                 self.admission.release()
         return results
 
-    def _retrieve_admitted_batch(self, sketches: List[Shape], k: int,
-                                 deadline: Optional[float],
-                                 admitted: List[int],
-                                 results: List[Optional[ServiceResult]]
-                                 ) -> None:
-        start = time.perf_counter()
-        if deadline is None:
-            deadline = self.config.deadline
-        budget = Deadline(deadline)
-        version = self.shards.version
+    def _admit(self, k: int,
+               results: List[Optional[ServiceResult]]) -> List[int]:
+        """Stage 1: validate the request, then admit it sketch by sketch.
 
-        # -- tier selection (one rung for the whole batch) --------------
-        tier = self._select_tier(budget)
-        self.metrics.counter(f"queries.tier_{tier}").increment(
-            len(admitted))
-        if tier == TIER_HASH:
-            for position in admitted:
-                results[position] = self._hash_only(
-                    sketches[position], k, budget, start)
-            return
-        cache_kind = "topk" if tier == TIER_EXACT else "topk-ann"
+        A malformed ``k`` raises before admission or any shard call —
+        inside a shard op it would be counted as a shard failure and
+        trip the breakers of perfectly healthy shards.  Returns the
+        admitted positions; shed ones get their ``overloaded`` result.
+        """
+        if self._closed:
+            raise RuntimeError(
+                "RetrievalService is closed; create a new service")
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        self._ensure_processes()
+        admitted: List[int] = []
+        for position in range(len(results)):
+            self.metrics.counter("queries.total").increment()
+            if self.admission.try_admit():
+                admitted.append(position)
+            else:
+                self.metrics.counter("queries.shed").increment()
+                results[position] = ServiceResult(status=OVERLOADED)
+        return admitted
 
-        # -- cache probe + intra-batch coalescing -----------------------
+    def _coalesce(self, sketches: Sequence[Shape],
+                  positions: Sequence[int], kind: str, parameter: Any,
+                  version: int, budget: Deadline,
+                  serve: Callable[[int, Any, bool], None],
+                  compute: Callable[[List[int], Dict[int, str]], None]
+                  ) -> List[Tuple[int, int]]:
+        """Stage 3: cache probe + single-flight around ``compute``.
+
+        Every position is probed under its sketch's canonical signature
+        (``kind``/``parameter`` keep tiers and query types from
+        aliasing); a hit goes to ``serve(position, answer, waited)``.
+        Identical misses inside the batch follow the first one: the
+        ``(follower, leader)`` pairs are returned for the caller to
+        copy, every leader having been answered by then.  Across
+        requests each unique miss is a *flight*: this request first has
+        ``compute(positions, keys)`` answer the keys nobody else is
+        computing and releases them, and only then waits (bounded by
+        ``budget``) on the keys led elsewhere — it never waits while
+        holding a flight, so two batches with crossed keys cannot
+        deadlock.  A key whose leader did not cache its answer
+        (degraded) or outlasted our budget is computed here after all.
+        """
         keys: Dict[int, str] = {}
-        unique: List[int] = []
-        followers: Dict[int, List[int]] = {}
         leader_of: Dict[str, int] = {}
-        for position in admitted:
-            if self.cache.enabled:
+        followers: List[Tuple[int, int]] = []
+        led: List[int] = []
+        claimed: List[Tuple[str, int]] = []
+        awaited: List[Tuple[int, threading.Event]] = []
+        try:
+            for position in positions:
                 stage = time.perf_counter()
-                key = sketch_signature(sketches[position],
-                                       kind=cache_kind, parameter=k)
-                hit = self.cache.get(key, version)
+                key = keys[position] = sketch_signature(
+                    sketches[position], kind=kind, parameter=parameter)
+                hit = self.cache.get(key, version) \
+                    if self.cache.enabled else None
                 self.metrics.histogram("latency.cache").observe(
                     time.perf_counter() - stage)
-                keys[position] = key
                 if hit is not None:
-                    self.metrics.counter("queries.cache_hits").increment()
-                    self.metrics.counter("queries.served").increment()
-                    result = replace(hit, cached=True,
-                                     latency=time.perf_counter() - start)
-                    self._observe_total(result)
-                    results[position] = result
-                    continue
-                leader = leader_of.get(key)
-                if leader is not None:
-                    followers.setdefault(leader, []).append(position)
-                    continue
-                leader_of[key] = position
-            unique.append(position)
-        if not unique:
-            return
+                    serve(position, hit, False)
+                elif key in leader_of:
+                    followers.append((position, leader_of[key]))
+                else:
+                    leader_of[key] = position
+                    flight = None
+                    # Without a cache a waiter could not pick the
+                    # answer up, so there are flights only with one.
+                    if self.cache.enabled:
+                        with self._inflight_lock:
+                            flight = self._inflight.get((key, version))
+                            if flight is None:
+                                self._inflight[(key, version)] = \
+                                    threading.Event()
+                                claimed.append((key, version))
+                    if flight is None:
+                        led.append(position)
+                    else:
+                        awaited.append((position, flight))
+            if led:
+                compute(led, keys)
+        finally:
+            with self._inflight_lock:
+                flights = [self._inflight.pop(flight_key)
+                           for flight_key in claimed]
+            for flight in flights:
+                flight.set()
+        missing: List[int] = []
+        for position, flight in awaited:
+            flight.wait(budget.remaining() if budget.bounded else None)
+            hit = self.cache.get(keys[position], version)
+            if hit is not None:
+                serve(position, hit, True)
+            else:
+                missing.append(position)
+        if missing:
+            compute(missing, keys)
+        return followers
 
-        # -- shard fan-out: one batched resilient call per shard --------
-        stage = time.perf_counter()
-        miss_sketches = [sketches[position] for position in unique]
-        shards = self._shard_views()
-        shard_by_index = {shard.index: shard for shard in shards}
-        if tier == TIER_ANN:
-            def shard_op(shard):
-                return lambda abort: shard.ann_query_batch(
-                    miss_sketches, k, abort=abort)
-        else:
-            def shard_op(shard):
-                return lambda abort: shard.query_batch(
-                    miss_sketches, k, abort=abort)
+    def _fan_out(self, shards: Sequence[Shard], budget: Deadline, op: str,
+                 sketches: Sequence[Shape], parameter: Any
+                 ) -> Tuple[List[_ShardOutcome], List[_ShardOutcome]]:
+        """Stage 4: one resilient sequence-form ``op`` call per shard.
+
+        Returns ``(survivors, failed)``; a survivor's ``value`` holds
+        one validated ``(matches, stats)`` pair per sketch.
+        """
         outcomes = self.pool.map_over(
             lambda shard: self._resilient_call(
-                shard, budget, shard_op(shard),
-                lambda value, shard=shard: [
-                    self._validate_matches(shard, matches)
-                    for matches, _ in value]),
+                shard, budget,
+                lambda abort: getattr(shard, op)(sketches, parameter,
+                                                 abort=abort),
+                lambda value: [self._validate_matches(shard, matches)
+                               for matches, _ in value]),
             shards)
-        self.metrics.histogram(
-            "latency.ann" if tier == TIER_ANN else "latency.envelope"
-        ).observe(time.perf_counter() - stage)
-        survivors = [o for o in outcomes if not o.failed]
-        failed = [o for o in outcomes if o.failed]
-        failed_ids = sorted(o.shard_index for o in failed)
-        if failed_ids:
-            self.metrics.counter("queries.degraded").increment(
-                len(unique))
-        if tier == TIER_ANN:
-            for outcome in survivors:
-                for _, per_stats in outcome.value:
-                    self.metrics.histogram("ann.candidates").observe(
-                        per_stats.candidates_evaluated)
+        return ([o for o in outcomes if not o.failed],
+                [o for o in outcomes if o.failed])
 
-        # -- per-sketch merge, degradation, caching ---------------------
-        for offset, position in enumerate(unique):
-            answers = [o.value[offset] for o in survivors]
+    def _answer(self, batch: _Batch, positions: Sequence[int],
+                keys: Dict[int, str]) -> None:
+        """Stages 4-7 for the unique misses at ``positions``: one
+        fan-out for all of them, then salvage, merge, hand-off and
+        record per sketch."""
+        rung = _LADDER[batch.tier]
+        shards = self._shard_views()
+        survivors: List[_ShardOutcome] = []
+        failed: List[_ShardOutcome] = []
+        if rung.op is not None:
             stage = time.perf_counter()
-            if tier == TIER_ANN:
-                salvage = self._salvage_failed_ann(
-                    failed, shard_by_index, sketches[position], k,
-                    budget)
-            else:
-                salvage = self._salvage_failed(failed, shard_by_index,
-                                               sketches[position], k)
-            merged = merge_topk([matches for matches, _ in answers]
-                                + salvage, k)
-            stats = _merge_stats([s for _, s in answers])
+            survivors, failed = self._fan_out(
+                shards, batch.budget, rung.op,
+                [batch.sketches[position] for position in positions],
+                batch.k)
+            self.metrics.histogram(rung.latency).observe(
+                time.perf_counter() - stage)
+        if batch.tier == TIER_ANN:
+            for outcome in survivors:
+                for _, stats in outcome.value:
+                    self.metrics.histogram("ann.candidates").observe(
+                        stats.candidates_evaluated)
+        failed_ids = sorted(o.shard_index for o in failed)
+        broken = [shard for shard in shards if shard.index in failed_ids]
+        for offset, position in enumerate(positions):
+            sketch = batch.sketches[position]
+            stage = time.perf_counter()
+            merged, stats = self._merge(
+                [o.value[offset] for o in survivors],
+                self._salvage(batch, broken, sketch), batch.k)
             self.metrics.histogram("latency.merge").observe(
                 time.perf_counter() - stage)
-            degraded = budget.bounded and budget.expired() and \
-                stats.exhausted
-            good = [m for m in merged
-                    if m.distance <= self.config.match_threshold]
-            method = "envelope" if tier == TIER_EXACT else "ann"
-            if degraded or not good:
-                stage = time.perf_counter()
-                sketch = sketches[position]
-                fallback = merge_topk(self.pool.map_over(
-                    lambda shard: self._guarded_hash(shard, sketch, k),
-                    shards), k)
-                self.metrics.histogram("latency.fallback").observe(
-                    time.perf_counter() - stage)
-                self.metrics.counter("queries.fallback").increment()
-                if fallback:
-                    merged = fallback
-                    method = "hashing"
-            result = ServiceResult(status=DEGRADED if failed_ids else OK,
-                                   matches=merged,
-                                   method=method, stats=stats,
-                                   degraded=degraded,
-                                   failed_shards=list(failed_ids),
-                                   latency=time.perf_counter() - start)
-            key = keys.get(position)
-            if key is not None and not degraded and not failed_ids:
-                self.cache.put(key, version, result)
-            self.metrics.counter("queries.served").increment()
-            self._observe_total(result)
-            results[position] = result
-            for follower in followers.get(position, ()):
-                dup = replace(result, cached=True,
-                              latency=time.perf_counter() - start)
-                self.metrics.counter("queries.coalesced").increment()
-                self.metrics.counter("queries.served").increment()
-                self._observe_total(dup)
-                results[follower] = dup
+            result = self._hand_off(batch, shards, sketch, merged, stats,
+                                    failed_ids)
+            # Deadline-truncated and shard-degraded answers would keep
+            # serving the degraded answer after the trouble subsides.
+            if position in keys and not result.degraded \
+                    and not failed_ids:
+                self.cache.put(keys[position], batch.version, result)
+            batch.results[position] = self._record(result)
 
-    # ------------------------------------------------------------------
-    def _admitted_retrieve(self, sketch: Shape, k: int,
-                           deadline_seconds: Optional[float]
-                           ) -> ServiceResult:
-        start = time.perf_counter()
-        if deadline_seconds is None:
-            deadline_seconds = self.config.deadline
-        budget = Deadline(deadline_seconds)
+    def _salvage(self, batch: _Batch, broken: Sequence[Shard],
+                 sketch: Shape) -> List[List[Match]]:
+        """Stage 5: the failed shards' slices from the rungs below.
 
-        # -- tier selection (degradation ladder) ------------------------
-        tier = self._select_tier(budget)
-        self.metrics.counter(f"queries.tier_{tier}").increment()
-        if tier == TIER_HASH:
-            return self._hash_only(sketch, k, budget, start)
+        Each broken shard walks the tier's salvage rungs in order —
+        ``[hash]`` after an exact-tier failure, ``[exact, hash]`` after
+        an ANN-tier failure — and the first rung that yields matches
+        answers for its slice (nothing, when every rung comes up empty).
+        """
+        salvage: List[List[Match]] = []
+        if not self.config.shard_hash_fallback:
+            return salvage
+        for shard in broken:
+            for rung in _LADDER[batch.tier].salvage:
+                if rung == TIER_EXACT:
+                    matches = self._guarded_exact(shard, sketch, batch.k,
+                                                  batch.budget)
+                    counter = "shards.ann_exact_salvage"
+                else:
+                    matches = self._guarded_hash(shard, sketch, batch.k)
+                    counter = "shards.hash_salvage"
+                if matches:
+                    self.metrics.counter(counter).increment()
+                    salvage.append(matches)
+                    break
+        return salvage
 
-        # -- cache probe (with single-flight coalescing) ----------------
-        # ANN answers are cached under their own signature kind: they
-        # are *not* interchangeable with exact answers, so the two
-        # tiers must never alias in the cache.
-        cache_kind = "topk" if tier == TIER_EXACT else "topk-ann"
-        key = None
-        flight = None
-        flight_key = None
-        if self.cache.enabled:
-            stage = time.perf_counter()
-            key = sketch_signature(sketch, kind=cache_kind, parameter=k)
-            hit = self.cache.get(key, self.shards.version)
-            self.metrics.histogram("latency.cache").observe(
-                time.perf_counter() - stage)
-            if hit is not None:
-                self.metrics.counter("queries.cache_hits").increment()
-                self.metrics.counter("queries.served").increment()
-                result = replace(hit, cached=True,
-                                 latency=time.perf_counter() - start)
-                self._observe_total(result)
-                return result
-            flight_key = (key, self.shards.version)
-            with self._inflight_lock:
-                leader_event = self._inflight.get(flight_key)
-                if leader_event is None:
-                    flight = threading.Event()
-                    self._inflight[flight_key] = flight
-            if flight is None and leader_event is not None:
-                # Follower: an identical query is already being
-                # computed — wait for it (within our own deadline) and
-                # take its cached answer instead of repeating the work.
-                leader_event.wait(timeout=budget.remaining()
-                                  if budget.bounded else None)
-                hit = self.cache.get(key, self.shards.version)
-                if hit is not None:
-                    self.metrics.counter("queries.coalesced").increment()
-                    self.metrics.counter("queries.served").increment()
-                    result = replace(hit, cached=True,
-                                     latency=time.perf_counter() - start)
-                    self._observe_total(result)
-                    return result
-                # Leader failed to cache (degraded) or we timed out:
-                # fall through and compute for ourselves.
+    @staticmethod
+    def _merge(answers: Sequence[Tuple[List[Match], MatchStats]],
+               salvage: List[List[Match]], k: int
+               ) -> Tuple[List[Match], MatchStats]:
+        """Stage 6: global top-k over the surviving shards' answers plus
+        salvage, and their summed work accounting."""
+        return (merge_topk([matches for matches, _ in answers] + salvage,
+                           k),
+                _merge_stats([stats for _, stats in answers]))
 
-        try:
-            return self._compute(sketch, k, budget, key, start, tier)
-        finally:
-            if flight is not None:
-                with self._inflight_lock:
-                    self._inflight.pop(flight_key, None)
-                flight.set()
+    def _hand_off(self, batch: _Batch, shards: Sequence[Shard],
+                  sketch: Shape, merged: List[Match], stats: MatchStats,
+                  failed_ids: List[int]) -> ServiceResult:
+        """Stage 6, continued: the paper's Section 3 hand-off to hashing.
 
-    def _compute(self, sketch: Shape, k: int, budget: Deadline,
-                 key: Optional[str], start: float,
-                 tier: str = TIER_EXACT) -> ServiceResult:
-        # -- shard fan-out (selected tier, isolated per shard) ----------
-        stage = time.perf_counter()
-        version = self.shards.version
-        shards = self._shard_views()
-        shard_by_index = {shard.index: shard for shard in shards}
-        if tier == TIER_ANN:
-            def shard_op(shard):
-                return lambda abort: shard.ann_query(sketch, k,
-                                                     abort=abort)
-        else:
-            def shard_op(shard):
-                return lambda abort: shard.query(sketch, k, abort=abort)
-        outcomes = self.pool.map_over(
-            lambda shard: self._resilient_call(
-                shard, budget, shard_op(shard),
-                lambda value, shard=shard: self._validate_matches(
-                    shard, value[0])),
-            shards)
-        self.metrics.histogram(
-            "latency.ann" if tier == TIER_ANN else "latency.envelope"
-        ).observe(time.perf_counter() - stage)
-        survivors = [o for o in outcomes if not o.failed]
-        failed = [o for o in outcomes if o.failed]
-        failed_ids = sorted(o.shard_index for o in failed)
-        if failed_ids:
-            self.metrics.counter("queries.degraded").increment()
-        if tier == TIER_ANN:
-            for outcome in survivors:
-                self.metrics.histogram("ann.candidates").observe(
-                    outcome.value[1].candidates_evaluated)
-
-        # -- merge (plus salvage for failed shards) ---------------------
-        stage = time.perf_counter()
-        if tier == TIER_ANN:
-            salvage = self._salvage_failed_ann(failed, shard_by_index,
-                                               sketch, k, budget)
-        else:
-            salvage = self._salvage_failed(failed, shard_by_index,
-                                           sketch, k)
-        merged = merge_topk([o.value[0] for o in survivors] + salvage, k)
-        stats = _merge_stats([o.value[1] for o in survivors])
-        self.metrics.histogram("latency.merge").observe(
-            time.perf_counter() - stage)
-
-        # -- degradation decision ---------------------------------------
-        degraded = budget.bounded and budget.expired() and stats.exhausted
-        good = [m for m in merged
-                if m.distance <= self.config.match_threshold]
-        method = "envelope" if tier == TIER_EXACT else "ann"
-        if degraded or not good:
+        When the envelope search ran out of budget (always, on the hash
+        rung) or found nothing within ``match_threshold``, the merged
+        per-shard hash tiers answer instead — if they have anything.
+        """
+        rung = _LADDER[batch.tier]
+        degraded = rung.op is None or (
+            batch.budget.bounded and batch.budget.expired()
+            and stats.exhausted)
+        method = rung.method
+        if degraded or not any(m.distance <= self.config.match_threshold
+                               for m in merged):
             stage = time.perf_counter()
             fallback = merge_topk(self.pool.map_over(
-                lambda shard: self._guarded_hash(shard, sketch, k),
-                shards), k)
+                lambda shard: self._guarded_hash(shard, sketch, batch.k),
+                shards), batch.k)
             self.metrics.histogram("latency.fallback").observe(
                 time.perf_counter() - stage)
             self.metrics.counter("queries.fallback").increment()
             if fallback:
-                merged = fallback
-                method = "hashing"
+                merged, method = fallback, "hashing"
+        return ServiceResult(status=DEGRADED if failed_ids else OK,
+                             matches=merged, method=method, stats=stats,
+                             degraded=degraded,
+                             failed_shards=list(failed_ids),
+                             latency=time.perf_counter() - batch.start)
 
-        result = ServiceResult(status=DEGRADED if failed_ids else OK,
-                               matches=merged, method=method,
-                               stats=stats, degraded=degraded,
-                               failed_shards=list(failed_ids),
-                               latency=time.perf_counter() - start)
-        # Deadline-truncated and shard-degraded answers would keep
-        # serving the degraded answer after the trouble subsides.
-        if key is not None and not degraded and not failed_ids:
-            self.cache.put(key, version, result)
+    def _record(self, result: ServiceResult,
+                saved: Optional[str] = None) -> ServiceResult:
+        """Stage 7: count one answered sketch — every exit takes this.
+
+        ``saved`` names the counter (``queries.cache_hits`` /
+        ``queries.coalesced``) of an answer that skipped the work.
+        """
         self.metrics.counter("queries.served").increment()
-        self._observe_total(result)
-        return result
-
-    def _observe_total(self, result: ServiceResult) -> None:
+        if saved is not None:
+            self.metrics.counter(saved).increment()
+        if result.failed_shards:
+            self.metrics.counter("queries.degraded").increment()
         self.metrics.histogram("latency.total").observe(result.latency)
+        return result
 
     # ------------------------------------------------------------------
     # Introspection

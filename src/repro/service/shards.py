@@ -293,53 +293,35 @@ class Shard:
                 return [], False
             return [e for e in self._delta_log if e[0] >= cursor], True
 
-    # -- retrieval ------------------------------------------------------
-    def query(self, sketch: Shape, k: int,
-              abort: Optional[Callable[[], bool]] = None
-              ) -> Tuple[List[Match], MatchStats]:
-        """Envelope-matcher top-k within this shard."""
-        return self.matcher.query(sketch, k=k, abort=abort)
-
+    # -- retrieval: one sequence-form op per tier ------------------------
     def query_batch(self, sketches: Sequence[Shape], k: int,
                     abort: Optional[Callable[[], bool]] = None
                     ) -> List[Tuple[List[Match], MatchStats]]:
-        """Envelope-matcher top-k for many sketches in one call.
+        """Envelope-matcher top-k for a sequence of sketches.
 
         Delegates to the matcher's amortized multi-query path (one
-        scratch checkout for the whole batch); results are in input
-        order and identical to per-sketch :meth:`query` calls.
+        scratch checkout for the whole sequence); results are in input
+        order, one ``(matches, stats)`` pair per sketch.
         """
         return self.matcher.query_batch(sketches, k=k, abort=abort)
-
-    def query_threshold(self, sketch: Shape, threshold: float,
-                        abort: Optional[Callable[[], bool]] = None
-                        ) -> Tuple[List[Match], MatchStats]:
-        """All shard shapes within ``threshold`` of the sketch."""
-        return self.matcher.query_threshold(sketch, threshold, abort=abort)
 
     def query_threshold_batch(self, sketches: Sequence[Shape],
                               threshold: float,
                               abort: Optional[Callable[[], bool]] = None
                               ) -> List[Tuple[List[Match], MatchStats]]:
-        """Threshold queries for many sketches in one scratch checkout.
+        """All shard shapes within ``threshold`` of each sketch.
 
         The algebra engine's ``similar`` leaves arrive through this
-        path; results are in input order and identical to per-sketch
-        :meth:`query_threshold` calls.
+        path; one scratch checkout, results in input order.
         """
         return self.matcher.query_threshold_batch(sketches, threshold,
                                                   abort=abort)
 
-    def ann_query(self, sketch: Shape, k: int,
-                  abort: Optional[Callable[[], bool]] = None
-                  ) -> Tuple[List[Match], MatchStats]:
-        """LSH-pruned exact top-k within this shard (middle tier)."""
-        return self.ann.query(sketch, k=k, abort=abort)
-
     def ann_query_batch(self, sketches: Sequence[Shape], k: int,
                         abort: Optional[Callable[[], bool]] = None
                         ) -> List[Tuple[List[Match], MatchStats]]:
-        """LSH-pruned top-k for many sketches in one call."""
+        """LSH-pruned exact top-k for a sequence of sketches (the
+        middle tier)."""
         return self.ann.query_batch(sketches, k=k, abort=abort)
 
     def hash_query(self, sketch: Shape, k: int) -> List[Match]:

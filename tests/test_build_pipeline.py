@@ -264,8 +264,8 @@ class TestParallelShardBuild:
             assert (seq_shard.base.shape_ids() ==
                     par_shard.base.shape_ids())
             for sketch in shapes[:3]:
-                seq_matches, _ = seq_shard.query(sketch, k=2)
-                par_matches, _ = par_shard.query(sketch, k=2)
+                seq_matches, _ = seq_shard.query_batch([sketch], k=2)[0]
+                par_matches, _ = par_shard.query_batch([sketch], k=2)[0]
                 assert ([(m.shape_id, m.distance) for m in seq_matches] ==
                         [(m.shape_id, m.distance) for m in par_matches])
 

@@ -231,9 +231,9 @@ class TestFaultPlan:
                  FaultSpec(1, "latency", probability=0.4, latency=0.01)]
         a = FaultPlan(specs, seed=99)
         b = FaultPlan(specs, seed=99)
-        decisions_a = [[a.decide(s, "query") for _ in range(50)]
+        decisions_a = [[a.decide(s, "query_batch") for _ in range(50)]
                        for s in (0, 1)]
-        decisions_b = [[b.decide(s, "query") for _ in range(50)]
+        decisions_b = [[b.decide(s, "query_batch") for _ in range(50)]
                        for s in (0, 1)]
         assert decisions_a == decisions_b
         assert a.counts() == b.counts()
@@ -242,30 +242,30 @@ class TestFaultPlan:
     def test_replay_resets_schedule(self):
         plan = FaultPlan([FaultSpec(0, "exception", probability=0.5)],
                          seed=3)
-        first = [plan.decide(0, "query") for _ in range(30)]
+        first = [plan.decide(0, "query_batch") for _ in range(30)]
         fresh = plan.replay()
-        assert [fresh.decide(0, "query") for _ in range(30)] == first
+        assert [fresh.decide(0, "query_batch") for _ in range(30)] == first
 
     def test_shard_streams_independent_of_interleaving(self):
         specs = [FaultSpec(0, "exception", probability=0.5),
                  FaultSpec(1, "exception", probability=0.5)]
         a, b = FaultPlan(specs, seed=5), FaultPlan(specs, seed=5)
-        seq_a = [a.decide(0, "query") for _ in range(20)]
+        seq_a = [a.decide(0, "query_batch") for _ in range(20)]
         # Interleave shard 1 calls between shard 0 calls on plan b.
         seq_b = []
         for _ in range(20):
-            b.decide(1, "query")
-            seq_b.append(b.decide(0, "query"))
+            b.decide(1, "query_batch")
+            seq_b.append(b.decide(0, "query_batch"))
         assert seq_a == seq_b
 
     def test_ops_filter(self):
         plan = total_failure_plan(0, ops=MATCHER_OPS)
-        assert plan.decide(0, "query") is not None
+        assert plan.decide(0, "query_batch") is not None
         assert plan.decide(0, "hash_query") is None
 
     def test_unfaulted_shard_untouched(self):
         plan = total_failure_plan(1)
-        assert all(plan.decide(0, "query") is None for _ in range(10))
+        assert all(plan.decide(0, "query_batch") is None for _ in range(10))
 
     def test_default_plan_reproducible(self):
         a = FaultPlan.default(7, 4)
@@ -288,8 +288,8 @@ class TestFaultPlan:
         assert proxy.index == shard.index
         assert proxy.num_shapes == shard.num_shapes
         sketch = next(iter(base.shapes.values()))
-        assert ranked(proxy.query(sketch, 2)[0]) == \
-            ranked(shard.query(sketch, 2)[0])
+        assert ranked(proxy.query_batch([sketch], 2)[0][0]) == \
+            ranked(shard.query_batch([sketch], 2)[0][0])
 
     def test_faulty_shard_raises_on_exception_fault(self, corpus):
         base, _ = corpus
@@ -297,7 +297,7 @@ class TestFaultPlan:
         proxy = FaultyShard(shard_set.shards[0], total_failure_plan(0))
         sketch = next(iter(base.shapes.values()))
         with pytest.raises(FaultError):
-            proxy.query(sketch, 1)
+            proxy.query_batch([sketch], 1)
 
 
 # ----------------------------------------------------------------------
@@ -471,6 +471,54 @@ class TestChaosInvariant:
             service.close()
 
 
+    def test_similar_leaf_survives_a_haunted_shard(self, corpus):
+        """The algebra leaf under a failing shard: the union over the
+        surviving shards, flagged partial, counted, and never cached."""
+        base, queries = corpus
+        broken = 1
+        plan = total_failure_plan(broken, ops=MATCHER_OPS)
+        service = RetrievalService.from_base(base, ServiceConfig(
+            num_shards=NUM_SHARDS, workers=2, cache_capacity=16,
+            retry_attempts=1, retry_seed=0, fault_plan=plan,
+            breaker=None))
+        reference = GeometricSimilarityMatcher(
+            surviving_base(base, broken), beta=0.25)
+        try:
+            expected, _ = reference.query_threshold(queries[0], 0.05)
+            assert expected, "seeded corpus must leave survivors to find"
+            for _ in range(2):       # the repeat must recompute
+                leaf = service.similar_shapes_batch([queries[0]],
+                                                    threshold=0.05)[0]
+                assert leaf.shape_ids == {m.shape_id for m in expected}
+                assert leaf.failed_shards == [broken]
+                assert leaf.partial and not leaf.cached
+            degraded = service.metrics.counter("algebra.leaf_degraded")
+            assert degraded.value == 2
+        finally:
+            service.close()
+
+    def test_every_answered_sketch_is_recorded_alike(self, corpus):
+        """A coalesced follower of a degraded leader is served — and
+        counted as — a degraded answer too."""
+        base, queries = corpus
+        plan = total_failure_plan(1, ops=ALL_OPS)
+        service = RetrievalService.from_base(base, ServiceConfig(
+            num_shards=NUM_SHARDS, workers=2, cache_capacity=16,
+            retry_attempts=1, retry_seed=0, fault_plan=plan,
+            breaker=None))
+        try:
+            results = service.retrieve_batch([queries[0], queries[0]], k=2)
+            assert [r.status for r in results] == ["degraded"] * 2
+            assert results[1].cached and not results[0].cached
+            counters = service.snapshot()["counters"]
+            assert counters["queries.served"] == \
+                counters["queries.total"] - counters.get("queries.shed", 0)
+            assert counters["queries.coalesced"] == 1
+            assert counters["queries.degraded"] == 2
+        finally:
+            service.close()
+
+
 # ----------------------------------------------------------------------
 # ANN-tier faults degrade to exact (or hash) scoring, never fail
 # ----------------------------------------------------------------------
@@ -534,7 +582,7 @@ class TestAnswerValidation:
         shard_set = ShardSet.from_base(base, num_shards=NUM_SHARDS)
         shard = shard_set.shards[0]
         proxy = FaultyShard(shard, total_failure_plan(0, kind="corrupt"))
-        matches, _ = proxy.query(queries[0], 3)
+        matches, _ = proxy.query_batch([queries[0]], 3)[0]
         with pytest.raises(CorruptShardAnswer):
             RetrievalService._validate_matches(shard, matches)
 
@@ -544,7 +592,7 @@ class TestAnswerValidation:
         shard = shard_set.shards[0]
         proxy = FaultyShard(shard,
                             total_failure_plan(0, kind="wrong_shard"))
-        matches, _ = proxy.query(queries[0], 3)
+        matches, _ = proxy.query_batch([queries[0]], 3)[0]
         with pytest.raises(CorruptShardAnswer):
             RetrievalService._validate_matches(shard, matches)
 
@@ -552,8 +600,29 @@ class TestAnswerValidation:
         base, queries = corpus
         shard_set = ShardSet.from_base(base, num_shards=NUM_SHARDS)
         shard = shard_set.shards[0]
-        matches, _ = shard.query(queries[0], 3)
+        matches, _ = shard.query_batch([queries[0]], 3)[0]
         RetrievalService._validate_matches(shard, matches)
+
+
+class TestQueryValidation:
+    def test_malformed_k_raises_before_any_shard_call(self, corpus):
+        """A bad ``k`` is the caller's error, not the shards': it must
+        not be counted as shard failures and open healthy breakers."""
+        base, queries = corpus
+        with RetrievalService.from_base(base, ServiceConfig(
+                num_shards=2, workers=2, cache_capacity=0)) as service:
+            for bad_k in (0, 0, 0, 0, -1, 1.5, "3", None):
+                with pytest.raises(ValueError):
+                    service.retrieve_batch([queries[0]], k=bad_k)
+                with pytest.raises(ValueError):
+                    service.retrieve(queries[0], k=bad_k)
+            counters = service.snapshot()["counters"]
+            assert counters.get("shards.failures", 0) == 0
+            assert counters.get("queries.total", 0) == 0
+            honest = service.retrieve(queries[0], k=1)
+            assert honest.status == "ok" and honest.failed_shards == []
+            assert all(breaker["state"] == "closed" for breaker
+                       in service.snapshot()["breakers"].values())
 
 
 # ----------------------------------------------------------------------

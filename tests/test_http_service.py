@@ -280,6 +280,28 @@ class TestHttpServer:
         status, _, _ = request(server.address, "GET", "/nowhere")
         assert status == 404
 
+    def test_malformed_k_is_400_on_both_query_endpoints(self, server,
+                                                        corpus):
+        """``k`` is parsed once for ``/query`` and ``/query_batch``: a
+        bad one never reaches a shard, so the next honest query is ok."""
+        _, queries = corpus
+        failures = server.service.metrics.counter("shards.failures")
+        before = failures.value
+        sketch = shape_to_dict(queries[0])
+        for path, body in (("/query", {"sketch": sketch, "k": 0}),
+                           ("/query_batch", {"sketches": [sketch],
+                                             "k": 0}),
+                           ("/query_batch", {"sketches": [sketch],
+                                             "k": "many"})):
+            status, _, payload = request(server.address, "POST", path,
+                                         body)
+            assert status == 400
+            assert "bad request" in payload["error"]
+        assert failures.value == before
+        status, _, payload = request(server.address, "POST", "/query",
+                                     {"sketch": sketch, "k": 1})
+        assert status == 200 and payload["status"] == "ok"
+
     def test_stats_surface(self, server, corpus):
         _, queries = corpus
         request(server.address, "POST", "/query",

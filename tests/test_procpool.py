@@ -376,8 +376,9 @@ class TestPoolLifecycle:
             assert view.index == 0
             assert view.base is service.shards.shards[0].base
             assert view.num_shapes == service.shards.shards[0].num_shapes
-            matches, stats = view.query(queries[0], 3)
-            direct, _ = service.shards.shards[0].query(queries[0], 3)
+            matches, stats = view.query_batch([queries[0]], 3)[0]
+            direct, _ = service.shards.shards[0].query_batch(
+                [queries[0]], 3)[0]
             assert exact(matches) == exact(direct)
 
 

@@ -9,6 +9,7 @@ degradation to the hashing tier, bounded-admission load shedding,
 and the metrics registry (including buffer-pool window resets).
 """
 
+import sys
 import threading
 import time
 
@@ -244,8 +245,10 @@ class TestQueryCache:
         assert not cache.enabled
         assert cache.get("a", 0) is None
 
-    def test_coalescing_counts(self, corpus):
-        """Concurrent identical queries collapse onto one computation."""
+    @pytest.mark.parametrize("entry", ["retrieve", "retrieve_batch"])
+    def test_coalescing_counts(self, corpus, entry):
+        """Concurrent identical queries collapse onto one computation,
+        whichever entry point submits them."""
         base, _, queries = corpus
         with RetrievalService.from_base(
                 base, ServiceConfig(num_shards=2, workers=4)) as svc:
@@ -255,7 +258,10 @@ class TestQueryCache:
 
             def fire():
                 barrier.wait()
-                results.append(svc.retrieve(sketch, k=1))
+                if entry == "retrieve":
+                    results.append(svc.retrieve(sketch, k=1))
+                else:
+                    results.extend(svc.retrieve_batch([sketch], k=1))
 
             clients = [threading.Thread(target=fire) for _ in range(3)]
             for thread in clients:
@@ -269,6 +275,52 @@ class TestQueryCache:
             saved = counters.get("queries.cache_hits", 0) + \
                 counters.get("queries.coalesced", 0)
             assert saved >= 1        # at least one client skipped the work
+
+    def test_crossed_batches_coalesce_without_deadlock(self, corpus):
+        """Batches that each lead keys the others need ([a, b, c], its
+        rotations and their reversals, more threads than cores): a
+        request releases the keys it leads before it waits on anyone
+        else's, so with no deadline at all every batch still finishes,
+        work is shared, and no flight is left behind."""
+        base, _, queries = corpus
+        trio = queries[:3]
+        batches = [trio[i:] + trio[:i] for i in range(3)]
+        batches += [batch[::-1] for batch in batches]
+        interval = sys.getswitchinterval()
+        with RetrievalService.from_base(
+                base, ServiceConfig(num_shards=2, workers=4)) as svc:
+            barrier = threading.Barrier(len(batches))
+            answers = {}
+
+            def fire(index):
+                barrier.wait()
+                answers[index] = svc.retrieve_batch(batches[index], k=1)
+
+            clients = [threading.Thread(target=fire, args=(index,),
+                                        daemon=True)
+                       for index in range(len(batches))]
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in clients), \
+                "crossed single-flight keys deadlocked"
+            assert not svc._inflight
+            by_sketch = {}
+            for index, batch in enumerate(batches):
+                for sketch, result in zip(batch, answers[index]):
+                    assert result.ok
+                    by_sketch.setdefault(id(sketch), set()).add(
+                        tuple(ranked(result.matches)))
+            assert all(len(seen) == 1 for seen in by_sketch.values())
+            counters = svc.snapshot()["counters"]
+            assert counters["queries.served"] == counters["queries.total"]
+            assert counters.get("queries.coalesced", 0) + \
+                counters.get("queries.cache_hits", 0) >= 1
 
 
 # ----------------------------------------------------------------------
