@@ -41,7 +41,9 @@ def record_trajectory(result) -> None:
         "rows": [{"n": int(row[0]),
                   "per_query_ms": round(float(row[1]), 3),
                   "vertices_processed": round(float(row[2]), 1),
-                  "iterations": round(float(row[3]), 2)}
+                  "iterations": round(float(row[3]), 2),
+                  "triangles_queried": round(float(row[4]), 1),
+                  "range_queries": round(float(row[5]), 2)}
                  for row in result.rows],
     })
     BENCH_JSON.write_text(json.dumps(history, indent=2) + "\n")

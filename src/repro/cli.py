@@ -216,6 +216,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                         for rank, match in enumerate(matches, start=1)],
             "stats": {"iterations": stats.iterations,
                       "triangles_queried": stats.triangles_queried,
+                      "range_queries": stats.range_queries,
                       "vertices_reported": stats.vertices_reported,
                       "vertices_processed": stats.vertices_processed,
                       "candidates_evaluated": stats.candidates_evaluated,
@@ -232,6 +233,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
               f"(image {match.image_id}) distance {match.distance:.6f}")
     if args.profile:
         _print_profile(stats.timings)
+        print(f"index work: triangles_queried={stats.triangles_queried} "
+              f"range_queries={stats.range_queries} "
+              f"vertices_reported={stats.vertices_reported}")
     return 0
 
 

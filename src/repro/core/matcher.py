@@ -6,11 +6,15 @@ Given a query shape Q the matcher:
    normalized about its alpha-diameters, both endpoint orders, so one
    canonical query copy suffices);
 2. grows a sequence of epsilon-envelopes around the normalized query;
-3. per iteration, decomposes the envelope difference into O(m)
-   triangles and asks the simplex range-search index for the base
-   vertices inside them, re-checking each report against the exact
-   distance predicate and a visited set so every vertex is processed
-   exactly once;
+3. decomposes envelope differences into O(m) triangles and asks the
+   simplex range-search index for the base vertices near them.  A
+   vertex's distance to the query boundary depends on the query alone,
+   so it is computed once, when the index first hands the vertex back,
+   and kept in a pool sorted by distance: every vertex is processed
+   exactly once, and an iteration is a threshold on numbers already
+   known.  The index is asked again only when an iteration's width
+   passes the width up to which every vertex is known, and then for as
+   wide a band as it resolves at the same cost (its ``resolution``);
 4. bumps a counter per normalized copy; a copy with a fraction
    ``>= 1 - beta`` of its (indexed) vertices inside the current
    envelope becomes a *candidate* and gets its exact measure evaluated;
@@ -68,7 +72,8 @@ class MatchStats:
     iterations: int = 0
     epsilons: List[float] = field(default_factory=list)
     triangles_queried: int = 0
-    vertices_reported: int = 0
+    range_queries: int = 0        # index queries issued (<= iterations)
+    vertices_reported: int = 0    # ids the index handed back
     vertices_processed: int = 0
     candidates_evaluated: int = 0
     guaranteed: bool = False      # early-terminated with a guarantee
@@ -144,9 +149,11 @@ class _TopK:
 class _QueryScratch:
     """Reusable per-query buffers for the fattening driver.
 
-    One query's worth of visited/inside-count/evaluated state plus the
+    One query's worth of known/inside-count/evaluated state plus the
     (read-only, shared) candidate thresholds.  Pooled by the matcher so
     repeated queries stop paying the O(n + entries) allocations.
+    ``known`` flags the vertices whose boundary distance has been
+    computed for this query, whatever it turned out to be.
 
     A scratch additionally pins the epoch it was checked out against:
     ``index``/``points``/``owner`` are the consistent base view captured
@@ -155,12 +162,12 @@ class _QueryScratch:
     without the query ever mixing generations.
     """
 
-    __slots__ = ("visited", "inside_counts", "evaluated", "thresholds",
+    __slots__ = ("known", "inside_counts", "evaluated", "thresholds",
                  "index", "points", "owner")
 
     def __init__(self, num_points: int, num_entries: int,
                  thresholds: np.ndarray):
-        self.visited = np.zeros(num_points, dtype=bool)
+        self.known = np.zeros(num_points, dtype=bool)
         self.inside_counts = np.zeros(num_entries, dtype=np.int64)
         self.evaluated = np.zeros(num_entries, dtype=bool)
         self.thresholds = thresholds
@@ -169,7 +176,7 @@ class _QueryScratch:
         self.owner = None
 
     def reset(self) -> None:
-        self.visited[:] = False
+        self.known[:] = False
         self.inside_counts[:] = 0
         self.evaluated[:] = False
 
@@ -237,12 +244,14 @@ class GeometricSimilarityMatcher:
     # ------------------------------------------------------------------
     @contextmanager
     def _scratch(self) -> Iterator[_QueryScratch]:
-        """Check a clean scratch object out of the pool (thread-safe).
+        """Check a scratch object out of the pool (thread-safe).
 
-        Safe across ``fork``: a child process detects the inherited
-        pool via the pid stamp and starts from an empty pool, so two
-        processes never hand out (or mutate) the same scratch buffers
-        even though they began life as the same object.
+        The buffers hold whatever the last query left; :meth:`_each`
+        resets them before every query.  Safe across ``fork``: a child
+        process detects the inherited pool via the pid stamp and starts
+        from an empty pool, so two processes never hand out (or mutate)
+        the same scratch buffers even though they began life as the
+        same object.
         """
         # One consistent capture per checkout: the index is read before
         # the arrays (the writer publishes it after them), so every id
@@ -277,7 +286,6 @@ class GeometricSimilarityMatcher:
         try:
             yield scratch
         finally:
-            scratch.reset()
             scratch.index = scratch.points = scratch.owner = None
             with self._scratch_lock:
                 if self._scratch_key == key:
@@ -368,18 +376,27 @@ class GeometricSimilarityMatcher:
                schedule: EpsilonSchedule, stats: MatchStats,
                on_candidate: Optional[Callable[[ShapeEntry], None]],
                should_stop: Callable[[float, BestByShape], bool],
+               scratch: _QueryScratch,
                abort: Optional[Callable[[], bool]] = None,
-               scratch: Optional[_QueryScratch] = None,
                on_improved: Optional[Callable[[int, float], None]] = None
                ) -> BestByShape:
         """Grow envelopes until ``should_stop(eps, best)`` or exhaustion.
 
         Maintains the per-copy inside counters, promotes candidates and
         evaluates their exact measures; sets ``stats.guaranteed`` or
-        ``stats.exhausted`` according to how the loop ended.  Each
-        iteration issues *one* batched range-search call for the whole
-        cover-triangle ring and *one* distance-engine call over the
-        concatenated candidate vertices (discrete measure).
+        ``stats.exhausted`` according to how the loop ended.
+
+        The schedule is *replayed* from a memo.  ``complete_to`` is the
+        width up to which every base vertex is known (has its boundary
+        distance in the pool).  An iteration whose width exceeds it
+        issues one index query for the band from ``complete_to`` to the
+        furthest scheduled width within one ``index.resolution`` (at
+        least its own width), evaluates the distances of the ids not
+        yet known in one engine call and merges them into the pool;
+        every iteration then consumes the pool prefix with distance
+        ``<= eps`` — the vertices a per-band range search plus exact
+        filter would hand it — and proceeds as the paper's step 3-5.
+        No vertex's distance is computed twice.
 
         ``abort`` is a cooperative cancellation hook (e.g. a deadline):
         it is polled once per envelope iteration, and a ``True`` return
@@ -387,21 +404,14 @@ class GeometricSimilarityMatcher:
         ``stats.exhausted`` is set, exactly as if the epsilon budget had
         run out, so callers fall back to geometric hashing.
 
-        ``scratch`` is a clean checked-out :class:`_QueryScratch`
-        (allocated ad hoc when omitted); ``on_improved(shape_id,
-        value)`` fires whenever a shape's best value improves — the
-        top-k tracker's feed.
+        ``scratch`` is a clean checked-out :class:`_QueryScratch`;
+        ``on_improved(shape_id, value)`` fires whenever a shape's best
+        value improves — the top-k tracker's feed.
         """
-        if scratch is None:
-            with self._scratch() as owned:
-                return self._drive(normalized_query, engine, schedule,
-                                   stats, on_candidate, should_stop,
-                                   abort=abort, scratch=owned,
-                                   on_improved=on_improved)
         points = scratch.points
         owner = scratch.owner
         index = scratch.index
-        visited = scratch.visited
+        known = scratch.known
         inside_counts = scratch.inside_counts
         evaluated = scratch.evaluated
         thresholds = scratch.thresholds
@@ -411,32 +421,50 @@ class GeometricSimilarityMatcher:
         timings.setdefault("filter", 0.0)
         timings.setdefault("exact_measures", 0.0)
 
-        eps_prev = 0.0
-        for eps in schedule.widths():
+        widths = np.fromiter(schedule.widths(), dtype=np.float64)
+        resolution = index.resolution
+        complete_to = 0.0
+        # Known, not yet consumed vertices, ascending by distance.
+        pool_ids = np.zeros(0, dtype=np.int64)
+        pool_distances = np.zeros(0)
+        for step, eps in enumerate(widths.tolist()):
             if abort is not None and abort():
                 stats.exhausted = True
                 return best_by_shape
             stats.iterations += 1
             stats.epsilons.append(eps)
             started = perf_counter()
-            triangles = band_cover_triangles(normalized_query, eps_prev,
-                                             eps, self.cap_sectors)
-            stats.triangles_queried += len(triangles)
-            ids = index.report_triangles(triangles)
-            timings["range_search"] += perf_counter() - started
-            started = perf_counter()
-            stats.vertices_reported += int(ids.size)
-            ids = ids[~visited[ids]]
-            if len(ids):
-                distances = engine.distances(points[ids])
-                inside = ids[distances <= eps + EPSILON]
-                visited[inside] = True
-                stats.vertices_processed += len(inside)
-                np.add.at(inside_counts, owner[inside], 1)
-                touched = np.unique(owner[inside])
-            else:
-                touched = np.zeros(0, dtype=np.int64)
-
+            if eps > complete_to:
+                furthest = int(np.searchsorted(
+                    widths, complete_to + resolution, side="right")) - 1
+                outer = float(widths[max(step, furthest)])
+                triangles = band_cover_triangles(
+                    normalized_query, complete_to, outer, self.cap_sectors)
+                stats.triangles_queried += len(triangles)
+                stats.range_queries += 1
+                ids = index.candidates(triangles)
+                complete_to = outer
+                stats.vertices_reported += int(ids.size)
+                now = perf_counter()
+                timings["range_search"] += now - started
+                started = now
+                ids = ids[~known[ids]]
+                if len(ids):
+                    known[ids] = True
+                    pool_ids = np.concatenate([pool_ids, ids])
+                    pool_distances = np.concatenate(
+                        [pool_distances, engine.distances(points[ids])])
+                    order = np.argsort(pool_distances, kind="stable")
+                    pool_ids = pool_ids[order]
+                    pool_distances = pool_distances[order]
+            cut = int(np.searchsorted(pool_distances, eps + EPSILON,
+                                      side="right"))
+            inside = pool_ids[:cut]
+            pool_ids = pool_ids[cut:]
+            pool_distances = pool_distances[cut:]
+            stats.vertices_processed += cut
+            np.add.at(inside_counts, owner[inside], 1)
+            touched = np.unique(owner[inside])
             fresh = touched[(inside_counts[touched] >= thresholds[touched])
                             & ~evaluated[touched]]
             timings["filter"] += perf_counter() - started
@@ -461,7 +489,6 @@ class GeometricSimilarityMatcher:
             if should_stop(eps, best_by_shape):
                 stats.guaranteed = True
                 return best_by_shape
-            eps_prev = eps
         stats.exhausted = True
         return best_by_shape
 
@@ -500,14 +527,15 @@ class GeometricSimilarityMatcher:
               run_one: Callable[[Shape, _QueryScratch],
                                 Tuple[List[Match], MatchStats]]
               ) -> List[Tuple[List[Match], MatchStats]]:
-        """``run_one(query, scratch)`` per query on one clean scratch."""
+        """``run_one(query, scratch)`` per query, on one scratch reset
+        before each."""
         if self.base.num_entries == 0:
             return [([], MatchStats(exhausted=True)) for _ in queries]
         results = []
         with self._scratch() as scratch:
             for query in queries:
-                results.append(run_one(query, scratch))
                 scratch.reset()
+                results.append(run_one(query, scratch))
         return results
 
     def _query_one(self, query: Shape, k: int,

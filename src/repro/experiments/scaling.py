@@ -38,6 +38,7 @@ def matching_scaling(sizes: Sequence[int] = (15, 30, 60, 120),
                    .scaled(float(query_rng.uniform(0.5, 2.0)))
                    for sid in shape_ids]
         times, processed, iterations = [], [], []
+        triangles, range_queries = [], []
         for query in queries:
             start = time.perf_counter()
             matcher.query(query, k=1)
@@ -45,6 +46,8 @@ def matching_scaling(sizes: Sequence[int] = (15, 30, 60, 120),
             _, stats = matcher.query(query, k=1)
             processed.append(stats.vertices_processed)
             iterations.append(stats.iterations)
+            triangles.append(stats.triangles_queried)
+            range_queries.append(stats.range_queries)
         n = base.total_vertices
         point = {"n": n, "time": float(np.mean(times)),
                  "K": float(np.mean(processed)),
@@ -52,7 +55,8 @@ def matching_scaling(sizes: Sequence[int] = (15, 30, 60, 120),
         if first is None:
             first = point
         rows.append([n, point["time"] * 1e3, point["K"],
-                     point["iterations"]])
+                     point["iterations"], float(np.mean(triangles)),
+                     float(np.mean(range_queries))])
         series_time.append((float(n), point["time"] * 1e3))
         series_k.append((float(n), point["K"]))
         metrics[f"time_at_{n}"] = point["time"]
@@ -64,7 +68,8 @@ def matching_scaling(sizes: Sequence[int] = (15, 30, 60, 120),
     return ExperimentResult(
         name="scaling",
         title="Section 2.5: per-query cost vs total vertices n",
-        headers=["n", "ms/query", "K (vertices processed)", "iterations"],
+        headers=["n", "ms/query", "K (vertices processed)", "iterations",
+                 "triangles queried", "range queries"],
         rows=rows, metrics=metrics,
         series=[("query ms", series_time), ("K", series_k)],
         notes=[f"n grew {metrics['n_ratio']:.1f}x; time "

@@ -12,8 +12,9 @@ We reproduce exactly that decomposition:
 
 * per edge, one strip on each side between the ``eps_inner`` and
   ``eps_outer`` offset lines (a trapezoid -> two triangles), and
-* per vertex, a fan of triangles circumscribing the vertex disk of
-  radius ``eps_outer`` (the joins/caps the straight strips miss).
+* per vertex, a fan of triangles circumscribing the part of the vertex
+  disk of radius ``eps_outer`` that the straight strips miss: the
+  vertex's normal cone, on the convex side of the turn.
 
 The triangle set is a *conservative cover*: its union contains the
 envelope difference and may slightly overshoot near joints, so vertices
@@ -25,7 +26,6 @@ distance predicate.  Overshoot only costs extra reported candidates
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
@@ -33,71 +33,102 @@ from .nearest import BoundaryDistance
 from .polyline import Shape
 from .primitives import EPSILON, as_points
 
-Triangle = np.ndarray        # (3, 2) array
-
-
-def _edge_strip_triangles(a: np.ndarray, b: np.ndarray, inner: float,
-                          outer: float) -> List[Triangle]:
-    """Triangles covering the two side strips of one edge.
-
-    Each strip is the set of points whose perpendicular foot falls on the
-    edge and whose perpendicular distance lies in ``[inner, outer]``.
-    """
-    direction = b - a
-    length = math.hypot(direction[0], direction[1])
-    if length < EPSILON:
-        return []
-    normal = np.array([-direction[1], direction[0]]) / length
-    triangles: List[Triangle] = []
-    for side in (1.0, -1.0):
-        lo = a + side * inner * normal, b + side * inner * normal
-        hi = a + side * outer * normal, b + side * outer * normal
-        quad = np.array([lo[0], lo[1], hi[1], hi[0]])
-        triangles.append(quad[[0, 1, 2]].copy())
-        triangles.append(quad[[0, 2, 3]].copy())
-    return triangles
-
-
-def _vertex_fan_triangles(center: np.ndarray, radius: float,
-                          sectors: int) -> List[Triangle]:
-    """Fan of ``sectors`` triangles whose union contains the disk.
-
-    The fan circumscribes the circle: the outer chord is pushed out to
-    radius ``radius / cos(pi / sectors)`` so no circular cap is missed.
-    """
-    if radius <= 0:
-        return []
-    circumradius = radius / math.cos(math.pi / sectors)
-    angles = np.linspace(0.0, 2.0 * math.pi, sectors + 1)
-    ring = center + circumradius * np.column_stack([np.cos(angles),
-                                                    np.sin(angles)])
-    return [np.array([center, ring[i], ring[i + 1]])
-            for i in range(sectors)]
+#: Angular margin (radians) added on both sides of every vertex's normal
+#: cone, so rounding in the edge directions cannot open a gap between a
+#: cone and the strips of the two adjacent edges.
+_CONE_MARGIN = 1e-3
 
 
 def band_cover_triangles(shape: Shape, eps_inner: float, eps_outer: float,
-                         cap_sectors: int = 8) -> List[Triangle]:
+                         cap_sectors: int = 8) -> np.ndarray:
     """Conservative triangle cover of the envelope difference.
 
-    The union of the returned triangles contains every point ``p`` with
-    ``eps_inner <= dist(p, boundary(shape)) <= eps_outer``.  The count is
-    ``4 * num_edges + cap_sectors * num_vertices`` = O(m), matching the
-    paper's per-iteration O(m) triangle budget.
+    The union of the returned ``(T, 3, 2)`` float64 triangles contains
+    every point ``p`` with ``eps_inner <= dist(p, boundary(shape)) <=
+    eps_outer``:
+
+    * a point whose nearest boundary point lies inside an edge is in one
+      of that edge's two side strips (foot on the edge, perpendicular
+      distance in ``[eps_inner, eps_outer]``; a trapezoid -> two
+      triangles per side);
+    * a point whose nearest boundary point is the vertex ``v`` satisfies
+      ``(p - v) . d_in >= 0`` and ``(p - v) . d_out <= 0`` for the unit
+      directions of the edges into and out of ``v`` — the *normal cone*
+      of ``v``: the arc of width ``|turning angle|`` between the two
+      edge normals on the convex side of the turn, a half disk at each
+      end of an open polyline.  The cone is covered out to ``eps_outer``
+      by circumscribed sectors of at most ``2 pi / cap_sectors`` each
+      (``cap_sectors`` is the number of sectors per full turn); a vertex
+      next to a zero-length edge has no cone and gets the full disk.
+
+    ``T <= 4 * num_edges + cap_sectors * num_vertices`` = O(m), the
+    paper's per-iteration triangle budget.  Sectors start at the vertex
+    (not at ``eps_inner``), so points inside the inner envelope may be
+    covered too; callers filter them with the exact distance.
     """
     if eps_outer < eps_inner:
         raise ValueError("eps_outer must be >= eps_inner")
+    if cap_sectors < 3:
+        raise ValueError("cap_sectors must be >= 3")
     if eps_outer <= 0:
-        return []
-    triangles: List[Triangle] = []
+        return np.zeros((0, 3, 2))
     starts, ends = shape.edges()
-    for a, b in zip(starts, ends):
-        triangles.extend(_edge_strip_triangles(a, b, eps_inner, eps_outer))
-    for vertex in shape.vertices:
-        # The full disk (not just the ring) keeps the fan simple; points
-        # inside the inner envelope are rejected by the exact filter and
-        # by the matcher's visited set.
-        triangles.extend(_vertex_fan_triangles(vertex, eps_outer, cap_sectors))
-    return triangles
+    delta = ends - starts
+    length = np.hypot(delta[:, 0], delta[:, 1])
+    solid = length >= EPSILON
+    unit = np.zeros_like(delta)
+    unit[solid] = delta[solid] / length[solid, None]
+
+    # Edge strips: quad (lo_a, lo_b, hi_b, hi_a) on each side, split
+    # along the lo_a - hi_b diagonal.
+    a, b = starts[solid], ends[solid]
+    normal = np.column_stack([-unit[solid, 1], unit[solid, 0]])
+    side = np.array([1.0, -1.0])[:, None, None] * normal       # (2, e, 2)
+    lo_a, lo_b = a + eps_inner * side, b + eps_inner * side
+    hi_a, hi_b = a + eps_outer * side, b + eps_outer * side
+    strips = np.stack([np.stack([lo_a, lo_b, hi_b], axis=2),
+                       np.stack([lo_a, hi_b, hi_a], axis=2)],
+                      axis=2).reshape(-1, 3, 2)
+
+    # Vertex cones.  Edge i leaves vertex i; the edge into vertex i is
+    # edge i - 1.  The missing neighbour at an open end is the reversed
+    # other edge, which turns the cone into the end's half disk.
+    vertices = shape.vertices
+    if shape.closed:
+        d_in, d_out = np.roll(unit, 1, axis=0), unit
+        has_cone = np.roll(solid, 1) & solid
+    else:
+        d_in = np.concatenate([-unit[:1], unit])
+        d_out = np.concatenate([unit, -unit[-1:]])
+        has_cone = np.concatenate([solid[:1], solid]) & \
+            np.concatenate([solid, solid[-1:]])
+    turn = np.arctan2(d_in[:, 0] * d_out[:, 1] - d_in[:, 1] * d_out[:, 0],
+                      d_in[:, 0] * d_out[:, 0] + d_in[:, 1] * d_out[:, 1])
+    # Counter-clockwise, a left turn's cone runs from the right normal
+    # of d_in to the right normal of d_out, a right turn's from the left
+    # normal of d_out to the left normal of d_in.
+    first = np.where(turn >= 0.0,
+                     np.arctan2(d_in[:, 1], d_in[:, 0]) - 0.5 * math.pi,
+                     np.arctan2(d_out[:, 1], d_out[:, 0]) + 0.5 * math.pi)
+    width = np.abs(turn)
+    sector = 2.0 * math.pi / cap_sectors
+    count = np.maximum(1, np.ceil(width / sector)).astype(np.int64)
+    first = np.where(has_cone, first - _CONE_MARGIN, 0.0)
+    span = np.where(has_cone, width + 2.0 * _CONE_MARGIN, 2.0 * math.pi)
+    count = np.where(has_cone, count, cap_sectors)
+    step = span / count
+    owner = np.repeat(np.arange(len(vertices)), count)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    angle = first[owner] + rank * step[owner]
+    reach = (eps_outer / np.cos(0.5 * step))[owner, None]
+    center = vertices[owner]
+
+    def rim(theta: np.ndarray) -> np.ndarray:
+        return center + reach * np.column_stack([np.cos(theta),
+                                                 np.sin(theta)])
+
+    fans = np.stack([center, rim(angle), rim(angle + step[owner])], axis=1)
+    return np.concatenate([strips, fans])
 
 
 class EpsilonEnvelope:
@@ -120,7 +151,7 @@ class EpsilonEnvelope:
     def contains_point(self, point) -> bool:
         return self._distance.distance(point) <= self.epsilon + EPSILON
 
-    def cover_triangles(self, cap_sectors: int = 8) -> List[Triangle]:
+    def cover_triangles(self, cap_sectors: int = 8) -> np.ndarray:
         """Conservative triangle cover of the whole envelope."""
         return band_cover_triangles(self.shape, 0.0, self.epsilon,
                                     cap_sectors)

@@ -166,6 +166,7 @@ class QueryEngine:
         self._similar_cache = QueryResultCache(cache_capacity)
         self.plan_cache = QueryResultCache(cache_capacity)
         self._engine_cache: Dict[Shape, BoundaryDistance] = {}
+        self._signature_cache: Dict[Tuple[Shape, float], str] = {}
         self._tls = threading.local()
 
     # ------------------------------------------------------------------
@@ -231,10 +232,17 @@ class QueryEngine:
         return engine
 
     def _leaf_signature(self, query: Shape) -> str:
-        from ..service.cache import sketch_signature
-        return sketch_signature(
-            query, kind="algebra-similar",
-            parameter=f"{self.similarity_threshold:.12g}")
+        # Memoized like the distance engines: restricted filters probe
+        # the leaf caches once per image, and normalizing + hashing the
+        # query shape each time cost more than the probe itself.
+        key = (query, self.similarity_threshold)
+        signature = self._signature_cache.get(key)
+        if signature is None:
+            from ..service.cache import sketch_signature
+            signature = self._signature_cache[key] = sketch_signature(
+                query, kind="algebra-similar",
+                parameter=f"{self.similarity_threshold:.12g}")
+        return signature
 
     def _ctx(self) -> Optional[Dict[str, Set[int]]]:
         """Per-execution leaf memo (thread-local, see :meth:`execute`)."""
@@ -322,7 +330,10 @@ class QueryEngine:
         similarity set.  On a leaf-cache hit the membership test is
         free; otherwise the shape's entries are measured directly (same
         qualification rule as the matcher: best average distance
-        ``<= t + EPSILON``).
+        ``<= t + EPSILON``) — all of them in one distance-engine call,
+        the matcher's batched exact-measure idiom: per-row distances
+        are independent of the other rows, so the per-entry slice means
+        equal the per-entry calls bit for bit.
         """
         self.counters.add(similarity_checks=1)
         cached = self._leaf_cached(query)
@@ -330,12 +341,12 @@ class QueryEngine:
             return shape_id in cached
         engine = self._query_engine(query)
         corpus = self._base_of(shape_id)
-        for entry_id in corpus.entries_of_shape(shape_id):
-            vertices = corpus.entry_vertices(entry_id)
-            if float(engine.distances(vertices).mean()) <= \
-                    self.similarity_threshold + EPSILON:
-                return True
-        return False
+        stacked, offsets = corpus.entry_vertices_batch(
+            corpus.entries_of_shape(shape_id))
+        distances = engine.distances(stacked)
+        return any(float(distances[offsets[i]:offsets[i + 1]].mean())
+                   <= self.similarity_threshold + EPSILON
+                   for i in range(len(offsets) - 1))
 
     def similar(self, query: Shape) -> Set[int]:
         """``similar(Q)``: the images containing a similar shape."""

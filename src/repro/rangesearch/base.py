@@ -13,7 +13,10 @@ every backend also answers the *batch* forms:
 
 * ``report_triangles(triangles)`` — the deduplicated union of the
   per-triangle reports, and
-* ``count_triangles(triangles)`` — the per-triangle counts.
+* ``count_triangles(triangles)`` — the per-triangle counts, and
+* ``candidates(triangles)`` — unique ids that include every reported
+  one, at whatever granularity (``resolution``) the backend resolves
+  without testing single points; the matcher refines them itself.
 
 The defaults here loop over the scalar methods (exact by construction);
 backends with a fused traversal (the kd-tree, the brute scan) override
@@ -41,9 +44,10 @@ Point = Sequence[float]
 def as_triangle_array(triangles) -> np.ndarray:
     """Normalize a batch of triangles to a float64 ``(m, 3, 2)`` array.
 
-    Accepts a sequence of ``(3, 2)`` array-likes (the output of
-    :func:`repro.geometry.envelope.band_cover_triangles`) or an already
-    stacked ``(m, 3, 2)`` array; zero-copy for the latter.
+    Accepts a sequence of ``(3, 2)`` array-likes or an already stacked
+    ``(m, 3, 2)`` array (the output of
+    :func:`repro.geometry.envelope.band_cover_triangles`); zero-copy
+    for the latter.
     """
     if isinstance(triangles, np.ndarray) and triangles.ndim == 3 and \
             triangles.shape[1:] == (3, 2) and triangles.dtype == np.float64:
@@ -89,6 +93,27 @@ class TriangleRangeIndex:
         if not chunks:
             return np.zeros(0, dtype=np.int64)
         return np.unique(np.concatenate(chunks))
+
+    @property
+    def resolution(self) -> float:
+        """Width below which :meth:`candidates` stops discriminating.
+
+        A band thinner than this costs the same :meth:`candidates` call
+        as one this wide, so a caller growing a region step by step may
+        as well ask for this much at once.  ``0.0`` (the default) means
+        candidates are exact reports; a property of the built structure,
+        never a setting, and never something correctness depends on.
+        """
+        return 0.0
+
+    def candidates(self, triangles) -> np.ndarray:
+        """Unique indices, a superset of :meth:`report_triangles`.
+
+        The filter half of filter-and-refine: the index answers at the
+        granularity it resolves cheaply and the caller refines with its
+        own exact predicate.  The default is the exact report.
+        """
+        return self.report_triangles(triangles)
 
     def count_triangles(self, triangles) -> np.ndarray:
         """Per-triangle point counts, as an ``(m,)`` int64 array.

@@ -33,6 +33,14 @@ class BruteForceIndex(TriangleRangeIndex):
             mask |= points_in_triangle(self.points, t[0], t[1], t[2])
         return np.nonzero(mask)[0]
 
+    @property
+    def resolution(self) -> float:
+        return float("inf")
+
+    def candidates(self, triangles) -> np.ndarray:
+        """Every id: a scan resolves nothing without testing points."""
+        return np.arange(len(self.points))
+
     def report_box(self, xmin: float, ymin: float, xmax: float,
                    ymax: float) -> np.ndarray:
         p = self.points

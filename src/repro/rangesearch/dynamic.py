@@ -131,6 +131,15 @@ class IncrementalIndex(TriangleRangeIndex):
             return core_hits
         return np.concatenate([core_hits, tail_hits + self._offset])
 
+    @property
+    def resolution(self) -> float:
+        return self._core.resolution
+
+    def candidates(self, triangles) -> np.ndarray:
+        return np.concatenate([self._core.candidates(triangles),
+                               self._tail.candidates(triangles) +
+                               self._offset])
+
     def count_triangles(self, triangles) -> np.ndarray:
         return (self._core.count_triangles(triangles) +
                 self._tail.count_triangles(triangles))

@@ -18,7 +18,9 @@ single vectorized separating-axis pass (:class:`_TriangleBatch`).  A
 node fully inside *some* triangle is emitted once as a slice and all
 pairs on it retire — the union over triangles is what the matcher
 consumes, so fused reporting stays exact while the per-triangle,
-per-node Python loop disappears.
+per-node Python loop disappears.  ``candidates`` is that traversal
+stopped at the leaves: partially overlapped leaves are emitted whole
+and the caller refines them, which is all the fattening matcher needs.
 """
 
 from __future__ import annotations
@@ -222,6 +224,10 @@ class KdTreeIndex(TriangleRangeIndex):
         # Point count at the last full build; removed() rebuilds once
         # fewer than half of those points survive.
         self._built_n = n
+        leaves = self._boxes[self._lefts < 0]
+        self._resolution = float(np.median(np.hypot(
+            leaves[:, 2] - leaves[:, 0],
+            leaves[:, 3] - leaves[:, 1]))) if n else 0.0
 
     def removed(self, keep_mask: np.ndarray) -> "KdTreeIndex":
         """Shrink the tree to ``points[keep_mask]`` without rebuilding.
@@ -258,7 +264,14 @@ class KdTreeIndex(TriangleRangeIndex):
         clone._boxes = self._boxes
         clone._box_tuples = self._box_tuples
         clone._built_n = self._built_n
+        clone._resolution = self._resolution
         return clone
+
+    @property
+    def resolution(self) -> float:
+        """Median leaf-box diagonal: bands thinner than a leaf cross the
+        same leaves and cost the same :meth:`candidates` traversal."""
+        return self._resolution
 
     # ------------------------------------------------------------------
     def report_triangle(self, a: Point, b: Point, c: Point) -> np.ndarray:
@@ -324,135 +337,124 @@ class KdTreeIndex(TriangleRangeIndex):
     # ------------------------------------------------------------------
     # Batch queries: one flat traversal for a whole triangle batch.
     # ------------------------------------------------------------------
-    def report_triangles(self, triangles) -> np.ndarray:
-        tris = as_triangle_array(triangles)
-        m = len(tris)
-        if len(self.points) == 0 or m == 0:
-            return np.zeros(0, dtype=np.int64)
-        batch = _TriangleBatch(tris)
-        starts, ends = self._starts, self._ends
+    def _descend(self, batch: _TriangleBatch, union: bool):
+        """The flat traversal every batch query shares.
+
+        The frontier of live ``(node, triangle)`` pairs starts as every
+        triangle on the root and advances one tree level at a time, so
+        a level costs O(1) vectorized passes.  Returns the pairs that
+        left it other than by being disjoint, as four arrays
+        ``(inside_nodes, inside_tris, leaf_nodes, leaf_tris)``: pairs
+        whose node box lies inside their triangle, and leaf pairs whose
+        box the triangle only partially overlaps.  With ``union`` a
+        node inside *any* triangle retires every pair on it — reporting
+        emits such a node once, so no emitted node has an emitted
+        ancestor and no leaf pair sits on one; without it the pairs
+        stay independent, which is what per-triangle counting needs.
+        """
         lefts, rights = self._lefts, self._rights
-        num_nodes = len(starts)
-        # Frontier of live (node, triangle) pairs, advanced level by
-        # level so each level costs O(1) vectorized passes.
-        nodes = np.zeros(m, dtype=np.int64)
-        tri_ids = np.arange(m, dtype=np.int64)
-        chunks: List[np.ndarray] = []
+        covered = np.zeros(len(lefts), dtype=bool)
+        nodes = np.zeros(len(batch.tris), dtype=np.int64)
+        tri_ids = np.arange(len(batch.tris), dtype=np.int64)
+        inside_nodes: List[np.ndarray] = []
+        inside_tris: List[np.ndarray] = []
         leaf_nodes: List[np.ndarray] = []
         leaf_tris: List[np.ndarray] = []
-        covered = np.zeros(num_nodes, dtype=bool)
         while len(nodes):
             disjoint, inside = batch.classify_pairs(self._boxes[nodes],
                                                     tri_ids)
-            if inside.any():
-                # Union semantics: a node inside *any* triangle is
-                # emitted once and every pair on it retires.
-                covered[:] = False
-                covered[nodes[inside]] = True
-                for node in np.unique(nodes[inside]):
-                    chunks.append(self._perm[starts[node]:ends[node]])
+            inside_nodes.append(nodes[inside])
+            inside_tris.append(tri_ids[inside])
+            if union:
+                covered[inside_nodes[-1]] = True
                 live = ~(disjoint | covered[nodes])
             else:
-                live = ~disjoint
+                live = ~(disjoint | inside)
             nodes, tri_ids = nodes[live], tri_ids[live]
-            if not len(nodes):
-                break
             is_leaf = lefts[nodes] < 0
-            if is_leaf.any():
-                leaf_nodes.append(nodes[is_leaf])
-                leaf_tris.append(tri_ids[is_leaf])
-                nodes, tri_ids = nodes[~is_leaf], tri_ids[~is_leaf]
-            if len(nodes):
-                tri_ids = np.concatenate([tri_ids, tri_ids])
-                nodes = np.concatenate([lefts[nodes], rights[nodes]])
-        if leaf_nodes:
-            hits = self._batch_leaf_hits(batch, np.concatenate(leaf_nodes),
-                                         np.concatenate(leaf_tris))
-            if len(hits):
-                chunks.append(hits)
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        # Emitted subtree slices are pairwise disjoint (each node emitted
-        # once, never both an ancestor and its descendant) and disjoint
-        # from leaf hits, so a plain sort suffices after the leaf dedup.
-        out = np.concatenate(chunks)
-        out.sort()
-        return out
+            leaf_nodes.append(nodes[is_leaf])
+            leaf_tris.append(tri_ids[is_leaf])
+            nodes, tri_ids = nodes[~is_leaf], tri_ids[~is_leaf]
+            tri_ids = np.concatenate([tri_ids, tri_ids])
+            nodes = np.concatenate([lefts[nodes], rights[nodes]])
+        return (np.concatenate(inside_nodes), np.concatenate(inside_tris),
+                np.concatenate(leaf_nodes), np.concatenate(leaf_tris))
+
+    def _node_points(self, nodes: np.ndarray):
+        """Point ids under each of ``nodes``, concatenated in node order.
+
+        Returns ``(point_ids, lengths)``: one gather through the
+        permutation for all the nodes' slices, and each node's span so
+        callers can ``np.repeat`` per-node data alongside.
+        """
+        starts = self._starts[nodes]
+        lengths = self._ends[nodes] - starts
+        total = int(lengths.sum())
+        first = np.cumsum(lengths) - lengths
+        pos = np.arange(total, dtype=np.int64) - np.repeat(first, lengths)
+        return self._perm[np.repeat(starts, lengths) + pos], lengths
 
     def _batch_leaf_hits(self, batch: _TriangleBatch, nodes: np.ndarray,
-                         tri_ids: np.ndarray) -> np.ndarray:
-        """Resolve all partially-overlapped leaf pairs in one pass.
+                         tri_ids: np.ndarray):
+        """Resolve partially-overlapped leaf pairs in one pass.
 
         Expands every (leaf, triangle) pair into its point instances and
         applies the exact point-in-triangle predicate elementwise;
-        returns unique hit point ids.
+        returns ``(point_ids, tri_ids)`` of the instances that hit.
         """
-        starts = self._starts[nodes]
-        lengths = (self._ends[nodes] - starts)
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        first = np.zeros(len(nodes), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=first[1:])
-        pos = np.arange(total, dtype=np.int64) - np.repeat(first, lengths)
-        point_idx = self._perm[np.repeat(starts, lengths) + pos]
+        point_idx, lengths = self._node_points(nodes)
         t = np.repeat(tri_ids, lengths)
         pts = self.points[point_idx]
         mask = batch.points_in_any(pts[:, 0], pts[:, 1], t)
-        return np.unique(point_idx[mask])
+        return point_idx[mask], t[mask]
+
+    def report_triangles(self, triangles) -> np.ndarray:
+        tris = as_triangle_array(triangles)
+        if len(self.points) == 0 or len(tris) == 0:
+            return np.zeros(0, dtype=np.int64)
+        batch = _TriangleBatch(tris)
+        inside_nodes, _, leaf_nodes, leaf_tris = self._descend(batch, True)
+        # Emitted subtrees are pairwise disjoint and disjoint from the
+        # leaf hits, so a plain sort suffices after the leaf dedup.
+        hits, _ = self._batch_leaf_hits(batch, leaf_nodes, leaf_tris)
+        out = np.concatenate([
+            self._node_points(np.unique(inside_nodes))[0], np.unique(hits)])
+        out.sort()
+        return out
+
+    def candidates(self, triangles) -> np.ndarray:
+        """:meth:`report_triangles` at leaf resolution.
+
+        The same traversal with the leaf stage removed: a subtree
+        inside some triangle and a leaf partially overlapped by some
+        triangle are both emitted whole, so no point is tested against
+        a triangle.  Emitted nodes are never nested, which makes the
+        ids unique.
+        """
+        tris = as_triangle_array(triangles)
+        if len(self.points) == 0 or len(tris) == 0:
+            return np.zeros(0, dtype=np.int64)
+        inside_nodes, _, leaf_nodes, _ = self._descend(
+            _TriangleBatch(tris), True)
+        return self._node_points(
+            np.unique(np.concatenate([inside_nodes, leaf_nodes])))[0]
 
     def count_triangles(self, triangles) -> np.ndarray:
         tris = as_triangle_array(triangles)
         m = len(tris)
-        counts = np.zeros(m, dtype=np.int64)
         if len(self.points) == 0 or m == 0:
-            return counts
+            return np.zeros(m, dtype=np.int64)
         batch = _TriangleBatch(tris)
-        starts, ends = self._starts, self._ends
-        lefts, rights = self._lefts, self._rights
-        nodes = np.zeros(m, dtype=np.int64)
-        tri_ids = np.arange(m, dtype=np.int64)
-        leaf_nodes: List[np.ndarray] = []
-        leaf_tris: List[np.ndarray] = []
-        while len(nodes):
-            disjoint, inside = batch.classify_pairs(self._boxes[nodes],
-                                                    tri_ids)
-            if inside.any():
-                # Per-triangle semantics: a covered subtree credits its
-                # span to that pair's triangle only — no cross-triangle
-                # pruning here, unlike the union report.
-                spans = (ends[nodes[inside]] -
-                         starts[nodes[inside]]).astype(np.float64)
-                counts += np.bincount(tri_ids[inside], weights=spans,
-                                      minlength=m).astype(np.int64)
-            live = ~(disjoint | inside)
-            nodes, tri_ids = nodes[live], tri_ids[live]
-            if not len(nodes):
-                break
-            is_leaf = lefts[nodes] < 0
-            if is_leaf.any():
-                leaf_nodes.append(nodes[is_leaf])
-                leaf_tris.append(tri_ids[is_leaf])
-                nodes, tri_ids = nodes[~is_leaf], tri_ids[~is_leaf]
-            if len(nodes):
-                tri_ids = np.concatenate([tri_ids, tri_ids])
-                nodes = np.concatenate([lefts[nodes], rights[nodes]])
-        if leaf_nodes:
-            nodes = np.concatenate(leaf_nodes)
-            tri_ids = np.concatenate(leaf_tris)
-            starts_l = self._starts[nodes]
-            lengths = self._ends[nodes] - starts_l
-            total = int(lengths.sum())
-            if total:
-                first = np.zeros(len(nodes), dtype=np.int64)
-                np.cumsum(lengths[:-1], out=first[1:])
-                pos = (np.arange(total, dtype=np.int64) -
-                       np.repeat(first, lengths))
-                point_idx = self._perm[np.repeat(starts_l, lengths) + pos]
-                t = np.repeat(tri_ids, lengths)
-                pts = self.points[point_idx]
-                mask = batch.points_in_any(pts[:, 0], pts[:, 1], t)
-                counts += np.bincount(t[mask], minlength=m)
+        # Per-triangle semantics: a covered subtree credits its span to
+        # that pair's triangle only — no cross-triangle pruning here,
+        # unlike the union report.
+        inside_nodes, inside_tris, leaf_nodes, leaf_tris = self._descend(
+            batch, False)
+        spans = self._ends[inside_nodes] - self._starts[inside_nodes]
+        counts = np.bincount(inside_tris, weights=spans.astype(np.float64),
+                             minlength=m).astype(np.int64)
+        _, hit_tris = self._batch_leaf_hits(batch, leaf_nodes, leaf_tris)
+        counts += np.bincount(hit_tris, minlength=m)
         return counts
 
     # ------------------------------------------------------------------

@@ -135,6 +135,7 @@ def _stats_to_wire(stats: MatchStats) -> Dict[str, Any]:
     return {"iterations": stats.iterations,
             "epsilons": list(stats.epsilons),
             "triangles_queried": stats.triangles_queried,
+            "range_queries": stats.range_queries,
             "vertices_reported": stats.vertices_reported,
             "vertices_processed": stats.vertices_processed,
             "candidates_evaluated": stats.candidates_evaluated,
@@ -752,10 +753,14 @@ class ProcessWorkerPool(WorkerPool):
 
         Deliberately does *not* mark the worker dead — detection is
         the service's job (liveness checks, broken pipes, breakers).
+        Returns once the process has exited (the signal is delivered
+        asynchronously), so a :meth:`revive_workers` call right after
+        sees it dead instead of skipping it.
         """
         worker = self._proc_workers[index % len(self._proc_workers)]
         pid = worker.process.pid
         worker.process.kill()
+        worker.process.join(timeout=5.0)
         return pid
 
     def revive_workers(self) -> List[int]:

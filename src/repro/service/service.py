@@ -294,6 +294,7 @@ def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
     for stats in per_shard:
         merged.iterations += stats.iterations
         merged.triangles_queried += stats.triangles_queried
+        merged.range_queries += stats.range_queries
         merged.vertices_reported += stats.vertices_reported
         merged.vertices_processed += stats.vertices_processed
         merged.candidates_evaluated += stats.candidates_evaluated

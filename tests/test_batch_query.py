@@ -98,7 +98,8 @@ class TestBatchRangeSearch:
                               np.zeros(5, dtype=np.int64))
 
     def test_list_and_array_inputs_agree(self, rng):
-        """band_cover_triangles hands over a list of (3, 2) arrays."""
+        """A list of (3, 2) arrays and the stacked array (what
+        band_cover_triangles hands over) are the same batch."""
         points = rng.uniform(-1.0, 1.0, size=(120, 2))
         index = make_index(points, "kdtree")
         tris = [rng.uniform(-1.0, 1.0, size=(3, 2)) for _ in range(6)]
@@ -151,7 +152,12 @@ class TestQueryBatch:
             matcher.query_batch([], k=0)
 
     def test_backends_agree_on_matches_and_work(self, rng):
-        """kd-tree fused traversal == brute scan, work counters too."""
+        """kd-tree == brute scan on matches and vertices processed.
+
+        ``vertices_reported`` (ids the index handed back) is not
+        compared: it depends on each backend's ``resolution`` — the
+        kd-tree answers whole leaves, the scan every id at once.
+        """
         shapes = [star_shaped_polygon(rng, int(rng.integers(8, 14)))
                   for _ in range(16)]
         bases = {}
@@ -171,8 +177,6 @@ class TestQueryBatch:
             assert _match_tuples(kd_matches) == _match_tuples(brute_matches)
             assert kd_stats.vertices_processed == \
                 brute_stats.vertices_processed
-            assert kd_stats.vertices_reported == \
-                brute_stats.vertices_reported
 
     def test_timings_recorded(self, small_base, rng):
         matcher = GeometricSimilarityMatcher(small_base)

@@ -183,3 +183,53 @@ class TestValidation:
     def test_threshold_validation(self, small_base):
         with pytest.raises(ValueError):
             QueryEngine(small_base, similarity_threshold=-1.0)
+
+
+class TestProbeWork:
+    """A restricted-filter probe stays cheap — gated without a clock.
+
+    The planner trades threshold queries for per-shape ``is_similar``
+    probes; that only pays while a probe costs a small fraction of a
+    threshold query (``benchmarks/bench_algebra.py`` gates the wall
+    time, this gates the work behind it).
+    """
+
+    def test_one_engine_call_per_probe_one_signature_per_query(
+            self, topo_setup, monkeypatch):
+        from repro.geometry.nearest import BoundaryDistance
+        from repro.geometry.primitives import EPSILON
+        from repro.service import cache
+        shared, a, b, c, kinds = topo_setup
+        base = shared.base
+        engine = QueryEngine(base, similarity_threshold=0.04,
+                             cache_capacity=0)    # every probe is direct
+        reference = BoundaryDistance(engine.matcher.normalize_query(a))
+        expected = {
+            shape_id: any(
+                float(reference.distances(
+                    base.entry_vertices(entry_id)).mean()) <= 0.04 + EPSILON
+                for entry_id in base.entries_of_shape(shape_id))
+            for shape_id in base.shape_ids()}
+        assert any(expected.values()) and not all(expected.values())
+
+        calls = {"distances": 0, "signatures": 0}
+        distances = BoundaryDistance.distances
+        signature = cache.sketch_signature
+
+        def counted_distances(self, points):
+            calls["distances"] += 1
+            return distances(self, points)
+
+        def counted_signature(*args, **kwargs):
+            calls["signatures"] += 1
+            return signature(*args, **kwargs)
+
+        monkeypatch.setattr(BoundaryDistance, "distances", counted_distances)
+        monkeypatch.setattr(cache, "sketch_signature", counted_signature)
+        answers = {shape_id: engine.is_similar(shape_id, a)
+                   for shape_id in base.shape_ids()}
+        assert answers == expected
+        assert calls["distances"] == len(expected)
+        assert calls["signatures"] == 1
+        assert engine.counters.as_dict()["similarity_checks"] == \
+            len(expected)

@@ -1,0 +1,293 @@
+"""The fattening driver against a per-band reference, and its work budget.
+
+The matcher replays the paper's epsilon schedule from a per-query memo
+of boundary distances (``core/matcher.py``).  This module keeps the
+loop it replaced — one triangle cover, one exact range report and one
+distance check per epsilon step, with a visited set — as the
+*reference*, built only from public pieces (``band_cover_triangles``,
+``report_triangles``, ``BoundaryDistance``), and checks three things
+without a clock:
+
+* **answers**: the matcher and the reference agree on matches and on
+  every schedule-level counter, on every backend;
+* **memo**: no vertex's distance is computed twice in one query;
+* **work gate**: summed over a fixed query list the matcher issues at
+  most a third as many index queries as it runs iterations, and a
+  quarter of the reference's triangles — so a change that quietly
+  reintroduces per-step traversals fails here, not in a timer.
+"""
+
+import numpy as np
+import pytest
+
+from repro import GeometricSimilarityMatcher, ShapeBase
+from repro.core.epsilon import EpsilonSchedule
+from repro.geometry.envelope import band_cover_triangles
+from repro.geometry.nearest import BoundaryDistance
+from repro.geometry.primitives import EPSILON
+from repro.imaging.synthesis import (generate_workload, make_query_set,
+                                     random_blob)
+
+COUNTERS = ("iterations", "epsilons", "vertices_processed",
+            "candidates_evaluated", "guaranteed", "exhausted")
+
+
+# ----------------------------------------------------------------------
+# The per-band reference driver (the loop the memo replaced)
+# ----------------------------------------------------------------------
+def per_band_reference(matcher, query, k=None, threshold=None, abort=None):
+    """Top-k (``k``) or threshold query, one range search per step.
+
+    Returns ``(matches, work)``: ``(shape_id, entry_id, distance)``
+    triples in rank order and a dict of the :data:`COUNTERS` plus
+    ``triangles_queried``.
+    """
+    base = matcher.base
+    index, points, owner, sizes, _ = base.reader_view()
+    thresholds = np.maximum(
+        np.ceil((1.0 - matcher.beta) * sizes).astype(np.int64), 1)
+    normalized = matcher.normalize_query(query)
+    engine = BoundaryDistance(normalized)
+    schedule = matcher.make_schedule(normalized)
+    if threshold is not None:
+        needed = threshold / matcher.beta
+        schedule = EpsilonSchedule(
+            initial=schedule.initial, growth=schedule.growth,
+            maximum=max(schedule.maximum, needed, schedule.initial))
+    visited = np.zeros(len(points), dtype=bool)
+    inside_counts = np.zeros(len(sizes), dtype=np.int64)
+    evaluated = np.zeros(len(sizes), dtype=bool)
+    best = {}
+    work = dict(iterations=0, epsilons=[], vertices_processed=0,
+                candidates_evaluated=0, guaranteed=False, exhausted=True,
+                triangles_queried=0)
+    eps_prev = 0.0
+    for eps in schedule.widths():
+        if abort is not None and abort():
+            break
+        work["iterations"] += 1
+        work["epsilons"].append(eps)
+        triangles = band_cover_triangles(normalized, eps_prev, eps,
+                                         matcher.cap_sectors)
+        work["triangles_queried"] += len(triangles)
+        ids = index.report_triangles(triangles)
+        ids = ids[~visited[ids]]
+        inside = ids[engine.distances(points[ids]) <= eps + EPSILON]
+        visited[inside] = True
+        work["vertices_processed"] += len(inside)
+        np.add.at(inside_counts, owner[inside], 1)
+        touched = np.unique(owner[inside])
+        fresh = touched[(inside_counts[touched] >= thresholds[touched])
+                        & ~evaluated[touched]]
+        evaluated[fresh] = True
+        entries = [base.entry(int(e)) for e in fresh]
+        values = matcher._entry_measures(entries, fresh, engine, normalized)
+        work["candidates_evaluated"] += len(fresh)
+        for entry, value in zip(entries, values):
+            current = best.get(entry.shape_id)
+            if current is None or value < current[0]:
+                best[entry.shape_id] = (value, entry.entry_id)
+        if threshold is None:
+            ranked = sorted(value for value, _ in best.values())
+            stop = len(ranked) >= k and \
+                ranked[k - 1] <= matcher.beta * eps + EPSILON
+        else:
+            stop = eps >= needed
+        if stop:
+            work["guaranteed"], work["exhausted"] = True, False
+            break
+        eps_prev = eps
+    if threshold is not None:
+        best = {sid: bv for sid, bv in best.items()
+                if bv[0] <= threshold + EPSILON}
+        k = len(best)
+    ranked = sorted(best.items(), key=lambda kv: kv[1][0])[:k]
+    return [(sid, entry_id, value)
+            for sid, (value, entry_id) in ranked], work
+
+
+def match_triples(matches):
+    return [(m.shape_id, m.entry_id, m.distance) for m in matches]
+
+
+def assert_agree(answer, reference):
+    (matches, stats), (expected, work) = answer, reference
+    assert match_triples(matches) == expected
+    for counter in COUNTERS:
+        assert getattr(stats, counter) == work[counter], counter
+    assert stats.range_queries <= stats.iterations
+
+
+class AbortAfter:
+    """An ``abort`` hook that fires on its ``polls``-th poll."""
+
+    def __init__(self, polls):
+        self.remaining = polls
+
+    def __call__(self):
+        self.remaining -= 1
+        return self.remaining <= 0
+
+
+# ----------------------------------------------------------------------
+# Corpus: 24 synthetic images behind three index backends
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def corpus():
+    """``(bases by backend, queries)`` over one seeded 24-image corpus."""
+    rng = np.random.default_rng(20260118)
+    workload = generate_workload(24, rng, shapes_per_image=4.0, noise=0.01)
+    shapes = [(shape, image.image_id) for image in workload.images
+              for shape in image.shapes]
+    bases = {}
+    for name in ("kdtree", "brute", "incremental"):
+        base = ShapeBase(alpha=0.05, backend="brute" if name == "brute"
+                         else "kdtree")
+        head = len(shapes) - 6 if name == "incremental" else len(shapes)
+        for shape, image_id in shapes[:head]:
+            base.add_shape(shape, image_id=image_id)
+        if name == "incremental":
+            base.index                  # build the core before appending
+            base.auto_fold = False
+            for shape, image_id in shapes[head:]:
+                base.add_shape(shape, image_id=image_id)
+            assert base.index_delta_size > 0
+        bases[name] = base
+    queries = [query for query, _ in make_query_set(workload, 10, rng)]
+    queries += [random_blob(rng), random_blob(rng)]       # no close match
+    return bases, queries
+
+
+@pytest.fixture(params=["kdtree", "brute", "incremental"])
+def base(request, corpus):
+    return corpus[0][request.param]
+
+
+# ----------------------------------------------------------------------
+# Answers: replayed schedule == per-band loop
+# ----------------------------------------------------------------------
+class TestAgreesWithPerBandReference:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("measure",
+                             ["discrete", "continuous", "symmetric"])
+    def test_top_k(self, base, corpus, k, measure):
+        """One batch, so the memo is also reset between queries."""
+        matcher = GeometricSimilarityMatcher(base, measure=measure)
+        queries = corpus[1][6:11] if measure == "discrete" \
+            else corpus[1][8:10]
+        for answer, query in zip(matcher.query_batch(queries, k=k),
+                                 queries):
+            assert_agree(answer, per_band_reference(matcher, query, k=k))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.02, 0.3])
+    def test_threshold(self, base, corpus, threshold):
+        matcher = GeometricSimilarityMatcher(base)
+        for query in corpus[1][::3]:
+            assert_agree(
+                matcher.query_threshold(query, threshold),
+                per_band_reference(matcher, query, threshold=threshold))
+
+    @pytest.mark.parametrize("polls", [1, 2, 5, 9])
+    def test_abort_mid_schedule(self, base, corpus, polls):
+        matcher = GeometricSimilarityMatcher(base)
+        for query in corpus[1][::3]:
+            answer = matcher.query(query, k=3, abort=AbortAfter(polls))
+            assert_agree(answer, per_band_reference(
+                matcher, query, k=3, abort=AbortAfter(polls)))
+            assert answer[1].iterations < polls
+
+
+# ----------------------------------------------------------------------
+# Memo and work budget
+# ----------------------------------------------------------------------
+class Probe:
+    """Counts what one matcher asks of its index and distance engine.
+
+    ``reported`` holds the id array of every ``index.candidates`` call;
+    ``evaluated`` the point rows of every distance call the *driver*
+    made (calls made while scoring candidates' exact measures are not
+    the memo's and are left out).
+    """
+
+    def __init__(self, monkeypatch, matcher):
+        self.reported = []
+        self.evaluated = []
+        probe = self
+        scoring = []
+        index = matcher.base.index
+        candidates = index.candidates
+        entry_measures = matcher._entry_measures
+
+        def recording_candidates(triangles):
+            ids = candidates(triangles)
+            probe.reported.append(ids)
+            return ids
+
+        def flagged_measures(*args):
+            scoring.append(True)
+            try:
+                return entry_measures(*args)
+            finally:
+                scoring.pop()
+
+        class CountingDistance(BoundaryDistance):
+            def distances(self, points):
+                if not scoring:
+                    probe.evaluated.append(np.array(points))
+                return super().distances(points)
+
+        monkeypatch.setattr(index, "candidates", recording_candidates)
+        monkeypatch.setattr(matcher, "_entry_measures", flagged_measures)
+        monkeypatch.setattr("repro.core.matcher.BoundaryDistance",
+                            CountingDistance)
+
+    def drain(self):
+        """``(distinct ids reported, rows evaluated)`` since last drain."""
+        reported = np.unique(np.concatenate(self.reported)) \
+            if self.reported else np.zeros(0, dtype=np.int64)
+        rows = np.concatenate(self.evaluated) if self.evaluated \
+            else np.zeros((0, 2))
+        self.reported, self.evaluated = [], []
+        return reported, rows
+
+
+class TestMemo:
+    def test_no_vertex_evaluated_twice(self, base, corpus, monkeypatch):
+        points = base.vertex_points
+        assert len(np.unique(points, axis=0)) == len(points)
+        matcher = GeometricSimilarityMatcher(base)
+        probe = Probe(monkeypatch, matcher)
+        for query in corpus[1]:
+            _, stats = matcher.query(query, k=3)
+            calls = len(probe.reported)
+            reported, rows = probe.drain()
+            assert stats.range_queries == calls <= stats.iterations
+            assert stats.vertices_reported >= len(reported)
+            # Distinct rows are distinct ids (the points are distinct),
+            # and every id the index handed back was evaluated once.
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert len(rows) == len(reported)
+
+
+class TestWorkGate:
+    def test_index_work_stays_a_fraction_of_per_band(self, corpus,
+                                                     monkeypatch):
+        bases, queries = corpus
+        matcher = GeometricSimilarityMatcher(bases["kdtree"])
+        reference_triangles = sum(
+            per_band_reference(matcher, query, k=3)[1]["triangles_queried"]
+            for query in queries)
+        probe = Probe(monkeypatch, matcher)
+        iterations = range_queries = triangles = 0
+        evaluations = distinct_reported = 0
+        for query in queries:
+            _, stats = matcher.query(query, k=3)
+            reported, rows = probe.drain()
+            iterations += stats.iterations
+            range_queries += stats.range_queries
+            triangles += stats.triangles_queried
+            evaluations += len(rows)
+            distinct_reported += len(reported)
+        assert range_queries <= iterations / 3
+        assert triangles <= 0.25 * reference_triangles
+        assert evaluations <= distinct_reported

@@ -316,6 +316,23 @@ class TestDeadWorkerDegradation:
             counters = service.snapshot()["counters"]
             assert counters.get("shards.breaker_skipped", 0) > 0
 
+    def test_revive_right_after_kill_respawns_the_victim(self, corpus):
+        """``kill_worker`` returns only once the process has exited, so
+        an immediate ``revive_workers`` never skips it as still alive."""
+        workload, queries = corpus
+        with RetrievalService.from_base(build_base(workload),
+                                        service_config()) as threads:
+            expected = exact(threads.retrieve(queries[0], k=5).matches)
+        with RetrievalService.from_base(build_base(workload),
+                                        process_config()) as service:
+            for round_index in range(10):
+                victim = round_index % PROCESSES
+                service.pool.kill_worker(victim)
+                assert service.pool.revive_workers() == [victim]
+                result = service.retrieve(queries[0], k=5)
+                assert result.status == "ok"
+                assert exact(result.matches) == expected
+
     def test_alive_workers_reflects_the_kill(self, corpus):
         workload, queries = corpus
         with RetrievalService.from_base(build_base(workload),

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rangesearch import (BruteForceIndex, KdTreeIndex,
-                               LayeredRangeTreeIndex, make_index)
+from repro.rangesearch import (BruteForceIndex, IncrementalIndex,
+                               KdTreeIndex, LayeredRangeTreeIndex,
+                               make_index)
 
 BACKENDS = ["brute", "kdtree", "rangetree"]
 
@@ -145,3 +146,74 @@ class TestKdTreeInternals:
         index = KdTreeIndex(rng.uniform(0, 1, (8, 2)))
         with pytest.raises(ValueError):
             index.points[0, 0] = 5.0
+
+
+# ----------------------------------------------------------------------
+# candidates(): the filter half of filter-and-refine
+# ----------------------------------------------------------------------
+def _removed_kdtree(points):
+    keep = np.ones(len(points), dtype=bool)
+    keep[::3] = False
+    return KdTreeIndex(points).removed(keep)
+
+
+CANDIDATE_INDEXES = {
+    "brute": lambda points: make_index(points, "brute"),
+    "kdtree": lambda points: make_index(points, "kdtree"),
+    "rangetree": lambda points: make_index(points, "rangetree"),
+    "external": lambda points: make_index(points, "external"),
+    "incremental-with-tail": lambda points: IncrementalIndex(
+        KdTreeIndex(points[:-40]), points[-40:]),
+    "kdtree-after-removed": _removed_kdtree,
+}
+
+
+class TestCandidates:
+    @pytest.fixture(params=sorted(CANDIDATE_INDEXES))
+    def build(self, request):
+        return CANDIDATE_INDEXES[request.param]
+
+    @pytest.fixture
+    def index(self, build, cloud):
+        return build(cloud)
+
+    def test_unique_in_range_superset_of_report(self, index, rng):
+        for count in (1, 7, 40):
+            centers = rng.uniform(-5, 5, (count, 1, 2))
+            # From slivers to triangles wider than the whole cloud.
+            sizes = 10.0 ** rng.uniform(-3, 1.3, (count, 1, 1))
+            tris = centers + sizes * rng.uniform(-1, 1, (count, 3, 2))
+            ids = index.candidates(tris)
+            assert ids.dtype.kind == "i" and ids.ndim == 1
+            assert len(np.unique(ids)) == len(ids)
+            assert len(ids) == 0 or \
+                (ids.min() >= 0 and ids.max() < len(index))
+            assert set(index.report_triangles(tris)) <= set(ids)
+
+    def test_empty_inputs(self, build, index):
+        ids = index.candidates(np.zeros((0, 3, 2)))
+        assert len(np.unique(ids)) == len(ids)     # "every id" is allowed
+        tri = np.array([[[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]])
+        assert len(build(np.zeros((0, 2))).candidates(tri)) == 0
+
+    def test_resolution(self, index):
+        assert index.resolution >= 0.0
+        if isinstance(index, KdTreeIndex):
+            # A leaf of a 500-point tree is far smaller than the cloud.
+            assert 0.0 < index.resolution < 10.0
+
+    def test_removed_kdtree_carries_resolution(self, cloud):
+        assert _removed_kdtree(cloud).resolution == \
+            KdTreeIndex(cloud).resolution
+
+    def test_kdtree_candidates_test_no_point(self, cloud, monkeypatch):
+        """Leaf resolution means whole leaves, never point tests."""
+        from repro.rangesearch import kdtree
+
+        def fail(*args, **kwargs):
+            raise AssertionError("candidates() tested a point")
+
+        monkeypatch.setattr(kdtree._TriangleBatch, "points_in_any", fail)
+        monkeypatch.setattr(kdtree, "points_in_triangle", fail)
+        tri = np.array([[[-2.0, -2.0], [2.0, -1.0], [0.0, 3.0]]])
+        assert len(KdTreeIndex(cloud).candidates(tri)) > 0
