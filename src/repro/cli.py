@@ -217,6 +217,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "stats": {"iterations": stats.iterations,
                       "triangles_queried": stats.triangles_queried,
                       "range_queries": stats.range_queries,
+                      "prior_stops": stats.prior_stops,
                       "vertices_reported": stats.vertices_reported,
                       "vertices_processed": stats.vertices_processed,
                       "candidates_evaluated": stats.candidates_evaluated,
@@ -235,6 +236,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         _print_profile(stats.timings)
         print(f"index work: triangles_queried={stats.triangles_queried} "
               f"range_queries={stats.range_queries} "
+              f"prior_stops={stats.prior_stops} "
               f"vertices_reported={stats.vertices_reported}")
     return 0
 

@@ -30,12 +30,14 @@ Given a query shape Q the matcher:
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import numpy as np
 
@@ -78,6 +80,10 @@ class MatchStats:
     candidates_evaluated: int = 0
     guaranteed: bool = False      # early-terminated with a guarantee
     exhausted: bool = False       # hit the termination envelope
+    #: Stops owed to ``priors`` (0/1 per shard-level query, summed by
+    #: the service): the stop test fired while the base's own evaluated
+    #: shapes alone would not have satisfied it.
+    prior_stops: int = 0
     #: Per-stage wall time in seconds (``normalize``, ``calibrate``,
     #: ``range_search``, ``filter``, ``exact_measures``) — the source
     #: of the CLI's ``--profile`` breakdown.
@@ -90,6 +96,8 @@ class MatchStats:
 
 #: Per-shape best: shape id -> (measure value, entry id).
 BestByShape = Dict[int, Tuple[float, int]]
+
+T = TypeVar("T")
 
 
 class _TopK:
@@ -509,7 +517,8 @@ class GeometricSimilarityMatcher:
     def query_batch(self, queries: Sequence[Shape], k: int = 1,
                     on_candidate: Optional[Callable[[ShapeEntry], None]]
                     = None,
-                    abort: Optional[Callable[[], bool]] = None
+                    abort: Optional[Callable[[], bool]] = None,
+                    priors: Optional[Sequence[Sequence[float]]] = None
                     ) -> List[Tuple[List[Match], MatchStats]]:
         """Answer several queries, amortizing the per-query setup.
 
@@ -517,33 +526,68 @@ class GeometricSimilarityMatcher:
         checkout shared (serially) across the whole batch; results are
         in input order.  The service tier feeds cache misses through
         this path.
+
+        ``priors[i]`` holds exact distances from ``queries[i]`` to
+        shapes held *elsewhere* (another shard of the same corpus):
+        finite, non-negative, the k smallest are used.  They count
+        towards the stopping test only — the query stops as soon as the
+        k-th best of (own evaluated shapes ∪ priors) is ``<= beta *
+        eps`` — and never appear in the answer, which is still this
+        base's own shapes at their own exact distances: every own shape
+        that belongs to the top-k of the union is returned.  ``None``
+        means no priors for any query.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._each(queries, lambda query, scratch: self._query_one(
-            query, k, on_candidate, abort, scratch))
+        seeds = self._checked_priors(priors, len(queries), k)
+        return self._each(
+            list(zip(queries, seeds)),
+            lambda item, scratch: self._query_one(
+                item[0], k, on_candidate, abort, scratch, item[1]))
 
-    def _each(self, queries: Sequence[Shape],
-              run_one: Callable[[Shape, _QueryScratch],
+    @staticmethod
+    def _checked_priors(priors: Optional[Sequence[Sequence[float]]],
+                        num_queries: int, k: int) -> List[List[float]]:
+        """Per query, the (at most) k smallest priors, validated."""
+        if priors is None:
+            return [[] for _ in range(num_queries)]
+        if len(priors) != num_queries:
+            raise ValueError(f"priors must hold one sequence per query "
+                             f"({num_queries}), got {len(priors)}")
+        seeds = []
+        for values in priors:
+            values = [float(value) for value in values]
+            if not all(math.isfinite(value) and value >= 0.0
+                       for value in values):
+                raise ValueError("priors must be finite non-negative "
+                                 "distances")
+            seeds.append(sorted(values)[:k])
+        return seeds
+
+    def _each(self, items: Sequence[T],
+              run_one: Callable[[T, _QueryScratch],
                                 Tuple[List[Match], MatchStats]]
               ) -> List[Tuple[List[Match], MatchStats]]:
-        """``run_one(query, scratch)`` per query, on one scratch reset
-        before each."""
+        """``run_one(item, scratch)`` per query item, on one scratch
+        reset before each."""
         if self.base.num_entries == 0:
-            return [([], MatchStats(exhausted=True)) for _ in queries]
+            # Nothing unseen could beat anything: the (empty) answer is
+            # complete, not cut short.
+            return [([], MatchStats(guaranteed=True)) for _ in items]
         results = []
         with self._scratch() as scratch:
-            for query in queries:
+            for item in items:
                 scratch.reset()
-                results.append(run_one(query, scratch))
+                results.append(run_one(item, scratch))
         return results
 
     def _query_one(self, query: Shape, k: int,
                    on_candidate: Optional[Callable[[ShapeEntry], None]],
                    abort: Optional[Callable[[], bool]],
-                   scratch: _QueryScratch
+                   scratch: _QueryScratch, priors: Sequence[float]
                    ) -> Tuple[List[Match], MatchStats]:
-        """One top-k query against a clean checked-out scratch."""
+        """One top-k query against a clean checked-out scratch;
+        ``priors`` as :meth:`_checked_priors` left them."""
         stats = MatchStats()
         started = perf_counter()
         normalized_query = self.normalize_query(query)
@@ -551,6 +595,10 @@ class GeometricSimilarityMatcher:
         schedule = self.make_schedule(normalized_query)
         stats.timings["normalize"] = perf_counter() - started
         tracker = _TopK(k)
+        # Priors sit in the tracker under keys no shape can have, so
+        # they bound the k-th best without ever being ranked.
+        for position, value in enumerate(priors):
+            tracker.offer(-1 - position, value)
         beta = self.beta
 
         def kth_best_guaranteed(eps: float, best: BestByShape) -> bool:
@@ -563,6 +611,12 @@ class GeometricSimilarityMatcher:
                                     kth_best_guaranteed, abort=abort,
                                     scratch=scratch,
                                     on_improved=tracker.offer)
+        if priors and stats.guaranteed:
+            own = heapq.nsmallest(
+                k, (value for value, _ in best_by_shape.values()))
+            if len(own) < k or \
+                    own[-1] > beta * stats.epsilons[-1] + EPSILON:
+                stats.prior_stops = 1
         return self._rank(best_by_shape, k), stats
 
     # ------------------------------------------------------------------

@@ -258,8 +258,9 @@ class FaultyShard:
         """One faultable call: decide → pre-fault → call → mangle.
 
         ``args`` are the op's own — ``(sketches, k | threshold,
-        abort=...)`` for the sequence-form matcher/ANN ops, ``(sketch,
-        k)`` for ``hash_query``.
+        abort=...)`` for the sequence-form matcher/ANN ops (plus
+        ``priors=...`` on ``query_batch``), ``(sketch, k)`` for
+        ``hash_query``.
         """
         spec = self._plan.decide(self._shard.index, op)
         self._pre(spec, kwargs.get("abort"))

@@ -4,13 +4,21 @@ Two small pieces of machinery:
 
 * :class:`WorkerPool` — a thin wrapper over
   :class:`concurrent.futures.ThreadPoolExecutor` (threads, not
-  processes: the matcher's hot loops are numpy kernels that release
-  the GIL, and shards share large read-only index structures that
-  would be expensive to pickle across processes).  It knows how to fan
-  one callable across all shards and gather the results in shard
-  order, and it degrades to inline execution for ``workers=1`` or when
-  called from one of its own threads (nested fan-out from a batch task
-  would otherwise deadlock a saturated pool).
+  processes: shards share large read-only index structures that would
+  be expensive to pickle across processes).  It knows how to fan one
+  callable across a list of shards and gather the results in shard
+  order, and it degrades to inline execution for ``workers=1``, for a
+  one-item list, or when called from one of its own threads (nested
+  fan-out from a batch task would otherwise deadlock a saturated
+  pool).  The pool is for *overlapping* the shards of one fan-out wave
+  — pipe waits in process execution, the numpy kernels that release
+  the GIL — not for making small queries faster: measured on the
+  ``BENCHMARK.json`` corpus (2 cores, planted sketches, k = 3), the
+  four quarter-size shard queries of one sketch cost 35 ms fanned out
+  on two threads and 27 ms run back to back on the caller's thread,
+  because most of a small query is Python bookkeeping under the GIL.
+  That is why the one-shard waves of the exact fan-out stay on the
+  calling thread.
 
 * :class:`AdmissionQueue` — a bounded in-flight counter.  Admission is
   *non-blocking*: a query that cannot be admitted is shed immediately

@@ -141,6 +141,7 @@ def _stats_to_wire(stats: MatchStats) -> Dict[str, Any]:
             "candidates_evaluated": stats.candidates_evaluated,
             "guaranteed": stats.guaranteed,
             "exhausted": stats.exhausted,
+            "prior_stops": stats.prior_stops,
             "timings": dict(stats.timings)}
 
 
@@ -359,7 +360,8 @@ def _run_op(shard: Shard, op: str, payload: Dict[str, Any]) -> list:
     if remaining is not None:
         abort = Deadline(max(0.0, remaining)).expired
     if op == "query_batch":
-        pairs = shard.query_batch(sketches, payload["k"], abort=abort)
+        pairs = shard.query_batch(sketches, payload["k"], abort=abort,
+                                  priors=payload.get("priors"))
     elif op == "query_threshold_batch":
         pairs = shard.query_threshold_batch(sketches, payload["threshold"],
                                             abort=abort)
@@ -930,8 +932,9 @@ class ProcessShardView:
         return [(_matches_from_wire(matches), _stats_from_wire(stats))
                 for matches, stats in pairs]
 
-    def query_batch(self, sketches, k, abort=None):
-        return self._remote("query_batch", sketches, abort, k=k)
+    def query_batch(self, sketches, k, abort=None, priors=None):
+        return self._remote("query_batch", sketches, abort, k=k,
+                            priors=priors)
 
     def query_threshold_batch(self, sketches, threshold, abort=None):
         return self._remote("query_threshold_batch", sketches, abort,

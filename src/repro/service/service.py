@@ -298,6 +298,7 @@ def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
         merged.vertices_reported += stats.vertices_reported
         merged.vertices_processed += stats.vertices_processed
         merged.candidates_evaluated += stats.candidates_evaluated
+        merged.prior_stops += stats.prior_stops
         merged.epsilons.extend(stats.epsilons)
         for key, seconds in stats.timings.items():
             merged.timings[key] = merged.timings.get(key, 0.0) + seconds
@@ -991,15 +992,55 @@ class RetrievalService:
 
         Returns ``(survivors, failed)``; a survivor's ``value`` holds
         one validated ``(matches, stats)`` pair per sketch.
+
+        The exact top-k op has a stopping test — the k-th best measure
+        is ``<= beta * eps`` — and the k-th best is a property of the
+        query, not of the slice a shard was dealt.  Its shards are
+        therefore visited in waves of 1, 1, 2, 4, ... (each as large as
+        everything before it, shards of one wave in parallel), and each
+        wave is handed, per sketch, the k smallest exact distances the
+        *validated* answers so far contain (``priors``): a shard with
+        fewer than k close copies stops on the bound another shard
+        established instead of scoring nearly everything it holds.
+        Every prior is the distance of a shape that is in the merge, so
+        the merged answer is unchanged.  The wave a shard is in depends
+        on the shard count alone, so the work counters repeat between
+        runs and between thread and process execution.  The other ops
+        have no such test and fan out in one wave.
         """
-        outcomes = self.pool.map_over(
-            lambda shard: self._resilient_call(
+        def call(shard: Shard, **handed) -> _ShardOutcome:
+            return self._resilient_call(
                 shard, budget,
                 lambda abort: getattr(shard, op)(sketches, parameter,
-                                                 abort=abort),
+                                                 abort=abort, **handed),
                 lambda value: [self._validate_matches(shard, matches)
-                               for matches, _ in value]),
-            shards)
+                               for matches, _ in value])
+
+        if op != "query_batch":
+            outcomes = self.pool.map_over(call, shards)
+        else:
+            outcomes = []
+            priors: List[List[float]] = [[] for _ in sketches]
+            prior_stops = 0
+            while len(outcomes) < len(shards):
+                done = len(outcomes)
+                wave = self.pool.map_over(
+                    lambda shard: call(shard, priors=priors),
+                    shards[done:done + max(1, done)])
+                self.metrics.counter("shards.waves").increment()
+                for outcome in wave:
+                    if outcome.failed:
+                        continue
+                    for offset, (matches, stats) in enumerate(
+                            outcome.value):
+                        priors[offset] = sorted(
+                            priors[offset] +
+                            [match.distance for match in matches]
+                        )[:parameter]
+                        prior_stops += stats.prior_stops
+                outcomes += wave
+            self.metrics.counter("shards.prior_stops").increment(
+                prior_stops)
         return ([o for o in outcomes if not o.failed],
                 [o for o in outcomes if o.failed])
 

@@ -295,15 +295,20 @@ class Shard:
 
     # -- retrieval: one sequence-form op per tier ------------------------
     def query_batch(self, sketches: Sequence[Shape], k: int,
-                    abort: Optional[Callable[[], bool]] = None
+                    abort: Optional[Callable[[], bool]] = None,
+                    priors: Optional[Sequence[Sequence[float]]] = None
                     ) -> List[Tuple[List[Match], MatchStats]]:
         """Envelope-matcher top-k for a sequence of sketches.
 
         Delegates to the matcher's amortized multi-query path (one
         scratch checkout for the whole sequence); results are in input
-        order, one ``(matches, stats)`` pair per sketch.
+        order, one ``(matches, stats)`` pair per sketch.  ``priors``
+        are, per sketch, exact distances other shards already found
+        (see :meth:`GeometricSimilarityMatcher.query_batch`): they let
+        this shard stop on the corpus-wide k-th best instead of its own.
         """
-        return self.matcher.query_batch(sketches, k=k, abort=abort)
+        return self.matcher.query_batch(sketches, k=k, abort=abort,
+                                        priors=priors)
 
     def query_threshold_batch(self, sketches: Sequence[Shape],
                               threshold: float,

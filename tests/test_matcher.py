@@ -120,7 +120,8 @@ class TestEdgeCases:
         matcher = GeometricSimilarityMatcher(ShapeBase())
         matches, stats = matcher.query(Shape.rectangle(0, 0, 1, 1))
         assert matches == []
-        assert stats.exhausted
+        # Complete, not cut short: nothing unseen could beat anything.
+        assert stats.guaranteed and not stats.exhausted
 
     def test_dissimilar_query_exhausts(self, rng):
         """A query wildly unlike anything stored should run out of
@@ -197,7 +198,7 @@ class TestThresholdQuery:
         matches, stats = matcher.query_threshold(
             Shape.rectangle(0, 0, 1, 1), 0.1)
         assert matches == []
-        assert stats.exhausted
+        assert stats.guaranteed and not stats.exhausted
 
 
 class TestBackendEquivalence:

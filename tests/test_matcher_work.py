@@ -15,10 +15,18 @@ without a clock:
   most a third as many index queries as it runs iterations, and a
   quarter of the reference's triangles — so a change that quietly
   reintroduces per-step traversals fails here, not in a timer.
+
+The last section covers ``priors`` — exact distances of shapes held
+elsewhere, which only ever move the stopping test: an empty prior is
+today's query counter for counter, and with real ones every own shape
+that belongs to the top-k of (own ∪ elsewhere) still comes back at its
+own distance.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import GeometricSimilarityMatcher, ShapeBase
 from repro.core.epsilon import EpsilonSchedule
@@ -291,3 +299,171 @@ class TestWorkGate:
         assert range_queries <= iterations / 3
         assert triangles <= 0.25 * reference_triangles
         assert evaluations <= distinct_reported
+
+
+# ----------------------------------------------------------------------
+# Priors: distances found elsewhere move the stopping test, nothing else
+# ----------------------------------------------------------------------
+MEASURES = ("discrete", "continuous", "symmetric")
+
+
+def true_distances(base, query, measure):
+    """Brute force: every shape's best measure over all of its copies."""
+    matcher = GeometricSimilarityMatcher(base, measure=measure)
+    normalized = matcher.normalize_query(query)
+    engine = BoundaryDistance(normalized)
+    best = {}
+    for entry_id in range(base.num_entries):
+        entry = base.entry(entry_id)
+        value = matcher._entry_measure(entry, engine, normalized)
+        best[entry.shape_id] = min(value, best.get(entry.shape_id, value))
+    return best
+
+
+class SplitCorpus:
+    """Half of a seeded corpus behind three backends (*local*), the
+    other half held out as the place priors come from."""
+
+    def __init__(self):
+        rng = np.random.default_rng(20261002)
+        workload = generate_workload(12, rng, shapes_per_image=4.0,
+                                     noise=0.01)
+        shapes = [(shape, image.image_id) for image in workload.images
+                  for shape in image.shapes]
+        local, held = shapes[0::2], shapes[1::2]
+        self.bases = {}
+        for name in ("kdtree", "brute", "incremental"):
+            base = ShapeBase(alpha=0.05, backend="brute" if name == "brute"
+                             else "kdtree")
+            head = len(local) - 4 if name == "incremental" else len(local)
+            for shape, image_id in local[:head]:
+                base.add_shape(shape, image_id=image_id)
+            if name == "incremental":
+                base.index
+                base.auto_fold = False
+                for shape, image_id in local[head:]:
+                    base.add_shape(shape, image_id=image_id)
+                assert base.index_delta_size > 0
+            self.bases[name] = base
+        self.held = ShapeBase(alpha=0.05)
+        for shape, image_id in held:
+            self.held.add_shape(shape, image_id=image_id)
+        self.queries = [query for query, _ in
+                        make_query_set(workload, 3, rng)]
+        self.queries.append(random_blob(rng))             # no close match
+        self._truth = {}
+
+    def truth(self, query_index, measure):
+        """``(local, held out)`` true distances, ascending lists for the
+        held-out half and a dict by shape id for the local one (the
+        three local bases hold the same shapes under the same ids)."""
+        key = (query_index, measure)
+        if key not in self._truth:
+            query = self.queries[query_index]
+            self._truth[key] = (
+                true_distances(self.bases["kdtree"], query, measure),
+                sorted(true_distances(self.held, query, measure).values()))
+        return self._truth[key]
+
+    def check(self, backend, measure, k, query_index, priors):
+        """The contract of ``priors`` for one query."""
+        matcher = GeometricSimilarityMatcher(self.bases[backend],
+                                             measure=measure)
+        query = self.queries[query_index]
+        local, _ = self.truth(query_index, measure)
+        (matches, stats), = matcher.query_batch([query], k=k,
+                                                priors=[priors])
+        _, alone = matcher.query(query, k=k)
+        assert stats.iterations <= alone.iterations
+        assert stats.candidates_evaluated <= alone.candidates_evaluated
+        assert len(matches) <= k
+        returned = {m.shape_id: m.distance for m in matches}
+        assert all(local[sid] <= value for sid, value in returned.items())
+        kth = sorted(list(local.values()) + list(priors))[k - 1]
+        for sid, value in local.items():
+            if value < kth - EPSILON:
+                assert returned.get(sid) == value, (sid, value)
+        if stats.prior_stops:
+            own = sorted(returned.values())
+            assert stats.guaranteed and priors
+            assert len(own) < k or \
+                own[k - 1] > matcher.beta * stats.epsilons[-1] + EPSILON
+
+
+@pytest.fixture(scope="module")
+def split():
+    return SplitCorpus()
+
+
+class TestPriors:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_no_priors_is_todays_query(self, base, corpus, k):
+        matcher = GeometricSimilarityMatcher(base)
+        queries = corpus[1][5:9]
+        for priors in (None, [[] for _ in queries]):
+            for answer, query in zip(
+                    matcher.query_batch(queries, k=k, priors=priors),
+                    queries):
+                assert_agree(answer,
+                             per_band_reference(matcher, query, k=k))
+                assert answer[1].prior_stops == 0
+
+    @pytest.mark.parametrize("backend", ["kdtree", "brute", "incremental"])
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_held_out_distances_as_priors(self, split, backend, measure,
+                                          k):
+        """The k best held-out distances, the next k, and all of them
+        (the refined measures cost ~10x per query: two queries each)."""
+        indices = range(4) if measure == "discrete" else (1, 3)
+        for query_index in indices:
+            _, held = split.truth(query_index, measure)
+            for priors in (held[:k], held[k:2 * k], held):
+                split.check(backend, measure, k, query_index, priors)
+
+    @given(st.sampled_from(["kdtree", "brute", "incremental"]),
+           st.sampled_from(MEASURES), st.sampled_from([1, 3, 10]),
+           st.integers(0, 3), st.sets(st.integers(0, 23), max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_any_subset_of_held_out_distances(self, split, backend,
+                                              measure, k, query_index,
+                                              chosen):
+        _, held = split.truth(query_index, measure)
+        split.check(backend, measure, k, query_index,
+                    [held[i] for i in sorted(chosen)])
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_k_zeros_stop_at_the_first_step(self, base, corpus, k):
+        """The bound is already met: one step, and what that step's
+        envelope happened to promote is all that is scored."""
+        matcher = GeometricSimilarityMatcher(base)
+        queries = corpus[1][::4]
+        for (matches, stats), query in zip(
+                matcher.query_batch(queries, k=k,
+                                    priors=[[0.0] * k] * len(queries)),
+                queries):
+            assert stats.iterations == 1 and stats.guaranteed
+            own_would_do = len(matches) == k and matches[-1].distance <= \
+                matcher.beta * stats.epsilons[0] + EPSILON
+            assert stats.prior_stops == (0 if own_would_do else 1)
+
+    def test_more_than_k_priors_use_the_k_smallest(self, base, corpus):
+        matcher = GeometricSimilarityMatcher(base)
+        query = corpus[1][0]
+        few = matcher.query_batch([query], k=2, priors=[[0.0, 0.0]])[0]
+        many = matcher.query_batch([query], k=2,
+                                   priors=[[5.0, 0.0, 9.0, 0.0]])[0]
+        assert match_triples(few[0]) == match_triples(many[0])
+        assert few[1].iterations == many[1].iterations == 1
+
+    @pytest.mark.parametrize("priors", [
+        [], [[], [], []], [[float("nan")], []], [[-1.0], []],
+        [[0.1, float("inf")], []]])
+    def test_malformed_priors_raise_before_any_work(self, base, corpus,
+                                                    priors):
+        matcher = GeometricSimilarityMatcher(base)
+        polled = []
+        with pytest.raises(ValueError):
+            matcher.query_batch(corpus[1][:2], k=3, priors=priors,
+                                abort=lambda: polled.append(1))
+        assert not polled

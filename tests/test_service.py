@@ -146,6 +146,29 @@ class TestShardMergeCorrectness:
             result = svc.retrieve(queries[0], k=2)
             assert ranked(result.matches) == ranked(unsharded)
 
+    @pytest.mark.parametrize("deadline", [None, 30.0])
+    def test_empty_shards_do_not_change_the_flags(self, corpus, deadline):
+        """Two shapes over four shards leave two of them empty; an
+        empty shard has nothing unseen that could beat anything, so the
+        answer is as complete as the one-shard service's."""
+        base, _, _ = corpus
+        small = base.subset(base.shape_ids()[:2])
+        sketch = small.shapes[small.shape_ids()[0]]
+        answers = []
+        for num_shards in (1, 4):
+            with RetrievalService.from_base(small, ServiceConfig(
+                    num_shards=num_shards, cache_capacity=0)) as svc:
+                if num_shards == 4:
+                    assert sorted(svc.shards.shape_counts())[:2] == [0, 0]
+                result = svc.retrieve(sketch, k=1, deadline=deadline)
+                answers.append((result.status, result.method,
+                                result.degraded, result.stats.guaranteed,
+                                result.stats.exhausted,
+                                [(m.shape_id, m.distance)
+                                 for m in result.matches]))
+        assert answers[0] == answers[1]
+        assert answers[0][:5] == ("ok", "envelope", False, True, False)
+
     def test_merge_topk_orders_by_distance(self):
         from repro.core.matcher import Match
         a = [Match(1, 0, 0.5, 0), Match(2, 0, 0.1, 1)]
