@@ -259,9 +259,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     workload = generate_workload(args.images, rng, shapes_per_image=4.0,
                                  noise=0.01)
     base = ShapeBase(alpha=0.1)
-    for image in workload.images:
-        for shape in image.shapes:
-            base.add_shape(shape, image_id=image.image_id)
+    workload.add_to(base)
     print(f"demo base: {base.num_shapes} shapes, "
           f"{base.num_entries} copies")
     matcher = GeometricSimilarityMatcher(base)
@@ -800,9 +798,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         workload = generate_workload(args.images, rng,
                                      shapes_per_image=4.0, noise=0.01)
         base = ShapeBase(alpha=0.1)
-        for image in workload.images:
-            for shape in image.shapes:
-                base.add_shape(shape, image_id=image.image_id)
+        workload.add_to(base)
         sketches = [query for query, _ in
                     make_query_set(workload, args.distinct,
                                    np.random.default_rng(args.seed + 1),
@@ -1118,9 +1114,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workload = generate_workload(args.images, rng,
                                      shapes_per_image=4.0, noise=0.01)
         base = ShapeBase(alpha=0.1)
-        for image in workload.images:
-            for shape in image.shapes:
-                base.add_shape(shape, image_id=image.image_id)
+        workload.add_to(base)
         tempdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
         snapshot_path = os.path.join(tempdir.name, "serve.gsb")
         save_base(base, snapshot_path,

@@ -19,8 +19,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from ..geometry.polyline import Shape
-from ..geometry.transform import (NormalizedCopy, batch_normalized_copies,
-                                  normalized_copies)
+from ..geometry.transform import NormalizedCopy, batch_normalized_copies
 from ..rangesearch import IncrementalIndex, TriangleRangeIndex, make_index
 
 
@@ -60,6 +59,23 @@ def _has_three_distinct(vertices: np.ndarray) -> bool:
     second = vertices[second_pos]
     not_second = (vertices[:, 0] != second[0]) | (vertices[:, 1] != second[1])
     return bool(np.any(not_first & not_second))
+
+
+#: A block of copies as three columns: the row-wise concatenation of
+#: their vertices, their vertex counts and their ``(E, 2)`` anchor
+#: pairs (int64).  A snapshot stores exactly these; a block of live
+#: entries yields them through :func:`_copy_columns`.
+CopyColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _copy_columns(entries: Sequence["ShapeEntry"]) -> CopyColumns:
+    flat = (np.concatenate([e.shape.vertices for e in entries], axis=0)
+            if entries else np.zeros((0, 2)))
+    counts = np.array([e.shape.num_vertices for e in entries],
+                      dtype=np.int64)
+    pairs = np.array([e.copy.pair for e in entries],
+                     dtype=np.int64).reshape(-1, 2)
+    return flat, counts, pairs
 
 
 class ShapeEntry:
@@ -130,8 +146,8 @@ class ShapeBase:
         self._entry_offsets: Optional[np.ndarray] = None
         # Cached per-entry hashing signatures: ``(num_curves, (E, 4)
         # int16 array)`` aligned with ``entries``.  Populated by the
-        # hashing layer or a v3 snapshot; invalidated/patched alongside
-        # the vertex arrays so it can never go stale.
+        # hashing layer or a snapshot; extended/compacted alongside the
+        # vertex arrays so it can never go stale.
         self._signature_cache: Optional[Tuple[int, np.ndarray]] = None
         # Cached per-entry ANN MinHash sketches: ``((num_hashes, grid,
         # seed), (E, num_hashes) int64 array)`` aligned with
@@ -154,36 +170,14 @@ class ShapeBase:
                   shape_id: Optional[int] = None) -> int:
         """Add one original shape; returns its shape id.
 
-        The shape is normalized about all its alpha-diameters (both
-        orders) and each copy becomes an entry.  Invalidates the
-        range-search index, which is rebuilt lazily.  Shapes with
-        non-finite coordinates or fewer than 3 distinct vertices are
-        rejected (:func:`validate_shape`).
+        A batch of one through :meth:`add_shapes`: normalized about all
+        its alpha-diameters (both orders), one entry per copy; rejected
+        (:func:`validate_shape`) if it has non-finite coordinates or
+        fewer than 3 distinct vertices.
         """
-        validate_shape(shape)
-        with self._build_lock:
-            if shape_id is None:
-                shape_id = self._next_shape_id
-            if shape_id in self.shapes:
-                raise ValueError(f"shape id {shape_id} already present")
-            self._next_shape_id = max(self._next_shape_id, shape_id + 1)
-            self.shapes[shape_id] = shape
-            self.shape_image[shape_id] = image_id
-            entry_ids: List[int] = []
-            new_entries: List[ShapeEntry] = []
-            for copy in normalized_copies(shape, self.alpha):
-                entry_id = len(self.entries)
-                entry = ShapeEntry(entry_id, shape_id, image_id, copy)
-                self.entries.append(entry)
-                entry_ids.append(entry_id)
-                new_entries.append(entry)
-            self._entries_by_shape[shape_id] = entry_ids
-            if image_id is not None:
-                self._shapes_by_image.setdefault(image_id,
-                                                 []).append(shape_id)
-            self._register_new_entries(new_entries)
-            self.version += 1
-        return shape_id
+        return self.add_shapes(
+            [shape], image_id,
+            shape_ids=None if shape_id is None else [shape_id])[0]
 
     def add_shapes(self, shapes: Sequence[Shape],
                    image_id: Optional[int] = None, *,
@@ -194,15 +188,17 @@ class ShapeBase:
         Validation, alpha-diameter computation and all normalized-copy
         coordinates run as stacked numpy passes over every shape at
         once (:func:`repro.geometry.batch_normalized_copies`), producing
-        entries bit-for-bit identical to a loop of :meth:`add_shape`
-        calls in the same order.
+        entries bit-for-bit identical to the paper-§2.4 scalar reference
+        :func:`repro.geometry.transform.normalized_copies` applied shape
+        by shape in the same order.
 
         ``image_id`` assigns every shape to one image (the legacy
         signature); ``image_ids`` gives one image per shape and wins
-        over ``image_id``.  ``shape_ids`` pins explicit ids (same
-        semantics as :meth:`add_shape`'s).  Unlike the scalar loop, the
-        bulk path validates everything *before* mutating, so a rejected
-        shape leaves the base untouched.
+        over ``image_id``.  ``shape_ids`` pins explicit ids (each must
+        be new to the base).  Everything is validated *before* the
+        first mutation, so a rejected shape leaves the base untouched.
+        A live range index is extended incrementally, a cold one is
+        built lazily on next use.
         """
         shapes = list(shapes)
         if not shapes:
@@ -228,25 +224,8 @@ class ShapeBase:
                 if sid in self.shapes or sid in seen:
                     raise ValueError(f"shape id {sid} already present")
                 seen.add(sid)
-            copies_per_shape = batch_normalized_copies(shapes, self.alpha)
-            new_entries: List[ShapeEntry] = []
-            for shape, sid, iid, copies in zip(shapes, ids, per_image,
-                                               copies_per_shape):
-                self._next_shape_id = max(self._next_shape_id, sid + 1)
-                self.shapes[sid] = shape
-                self.shape_image[sid] = iid
-                entry_ids: List[int] = []
-                for copy in copies:
-                    entry_id = len(self.entries)
-                    entry = ShapeEntry(entry_id, sid, iid, copy)
-                    self.entries.append(entry)
-                    entry_ids.append(entry_id)
-                    new_entries.append(entry)
-                self._entries_by_shape[sid] = entry_ids
-                if iid is not None:
-                    self._shapes_by_image.setdefault(iid, []).append(sid)
-            self._register_new_entries(new_entries)
-            self.version += 1
+            self._absorb(ids, shapes, per_image,
+                         batch_normalized_copies(shapes, self.alpha))
         return ids
 
     def _validate_batch(self, shapes: Sequence[Shape]) -> None:
@@ -260,20 +239,69 @@ class ShapeBase:
                 raise ValueError(
                     "shape must have at least 3 distinct vertices")
 
+    def _absorb(self, ids: Sequence[int], shapes: Sequence[Shape],
+                image_ids: Sequence[Optional[int]],
+                copies_per_shape: Sequence[Sequence[NormalizedCopy]], *,
+                signatures: Optional[Tuple[int, np.ndarray]] = None,
+                sketches: Optional[
+                    Tuple[Tuple[int, int, int], np.ndarray]] = None,
+                columns: Optional[CopyColumns] = None) -> int:
+        """The one way shapes and their copies enter the base; returns
+        the first new entry id.
+
+        ``ids`` / ``shapes`` / ``image_ids`` name the originals and
+        ``copies_per_shape`` holds each one's ready normalized copies —
+        fresh from :func:`batch_normalized_copies` (ingest), carried
+        over from another base (:meth:`subset`) or rebuilt from stored
+        columns (snapshot load, delta apply; ``repro.storage.persist``).
+        Sources that already hold per-entry cache rows pass them with
+        their family — ``signatures=(num_curves, rows)``,
+        ``sketches=(key, rows)`` — and sources that hold the copies as
+        flat columns pass ``columns`` so nothing is re-concatenated.
+
+        The caller has checked that ``ids`` are distinct and new to the
+        base, and holds ``_build_lock`` unless no other thread can see
+        the base yet.
+        """
+        first_entry = len(self.entries)
+        if not ids:
+            return first_entry
+        new_entries: List[ShapeEntry] = []
+        for sid, shape, iid, copies in zip(ids, shapes, image_ids,
+                                           copies_per_shape):
+            self._next_shape_id = max(self._next_shape_id, sid + 1)
+            self.shapes[sid] = shape
+            self.shape_image[sid] = iid
+            entry_ids: List[int] = []
+            for copy in copies:
+                entry = ShapeEntry(len(self.entries), sid, iid, copy)
+                self.entries.append(entry)
+                entry_ids.append(entry.entry_id)
+                new_entries.append(entry)
+            self._entries_by_shape[sid] = entry_ids
+            if iid is not None:
+                self._shapes_by_image.setdefault(iid, []).append(sid)
+        self._register_new_entries(new_entries, signatures, sketches,
+                                   columns)
+        self.version += 1
+        return first_entry
+
     def _register_new_entries(self, new_entries: List[ShapeEntry],
-                              sig_rows: Optional[np.ndarray] = None,
-                              sketch_rows: Optional[np.ndarray] = None
+                              signatures=None, sketches=None,
+                              columns: Optional[CopyColumns] = None
                               ) -> None:
         """Absorb freshly appended entries into the derived structures.
 
-        With cold caches this just leaves everything to the next lazy
-        build.  With live flat arrays the new entries' non-anchor
-        vertices are appended in place and the range index is extended
-        incrementally (:meth:`IncrementalIndex.extended`) instead of
-        being thrown away — the single-shape ingest fast path.  Warm
-        signature/sketch caches are likewise patched by appending the
-        new entries' rows (computed here, or passed in by a snapshot
-        delta that already carries them) rather than invalidated.
+        With live flat arrays the new entries' non-anchor vertices are
+        appended and the range index is extended incrementally
+        (:meth:`IncrementalIndex.extended`) instead of being thrown
+        away — the single-shape ingest fast path.  With cold arrays
+        everything is left to the next lazy build, except when the
+        first entries of a base arrive as ready ``columns`` (a snapshot
+        load): the flat arrays are then pure slicing of the stored
+        vertex block, so they are installed now and only the index
+        stays lazy.  Signature/sketch caches are patched, not
+        invalidated (:meth:`_patch_entry_caches`).
 
         Publication order matters for lock-free readers: every array is
         replaced (never written in place) with its old contents as a
@@ -284,66 +312,94 @@ class ShapeBase:
         """
         if not new_entries:
             return
-        self._patch_entry_caches(new_entries, sig_rows, sketch_rows)
-        if self._vertex_points is None or self._index is None:
+        first_new = len(self.entries) - len(new_entries)
+        self._patch_entry_caches(new_entries, first_new, signatures,
+                                 sketches)
+        live = self._vertex_points is not None and self._index is not None
+        if not live and (first_new or columns is None):
             self._index = None
             self._vertex_points = None
             return
-        counts = np.array([e.shape.num_vertices for e in new_entries],
-                          dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        flat = np.concatenate([e.shape.vertices for e in new_entries],
-                              axis=0)
-        pairs = np.array([e.copy.pair for e in new_entries], dtype=np.int64)
+        new_points = self._extend_flat_arrays(
+            columns or _copy_columns(new_entries), first_new)
+        if live:
+            self._index = IncrementalIndex.extended(self._index, new_points,
+                                                    self.backend,
+                                                    fold=self.auto_fold)
+
+    def _extend_flat_arrays(self, columns: CopyColumns,
+                            first_new: int) -> np.ndarray:
+        """Append a block of copies (entry ids from ``first_new``) to
+        the flat arrays, minus each copy's two anchor rows (see
+        ``_ensure_arrays`` for why those stay out of the index);
+        returns the block's indexed points."""
+        flat, counts, pairs = columns
+        if np.any(pairs < 0) or np.any(pairs >= counts[:, None]):
+            raise IndexError("entry anchor pair out of range")
+        starts = np.cumsum(counts) - counts
         mask = np.ones(len(flat), dtype=bool)
-        mask[offsets[:-1] + pairs[:, 0]] = False
-        mask[offsets[:-1] + pairs[:, 1]] = False
-        new_points = flat[mask]
-        new_sizes = counts - 2
-        first_new = len(self.entries) - len(new_entries)
-        self._vertex_points = np.concatenate(
-            [self._vertex_points, new_points], axis=0)
-        self._entry_sizes = np.concatenate([self._entry_sizes, new_sizes])
-        offsets_all = np.zeros(len(self._entry_sizes) + 1, dtype=np.int64)
-        np.cumsum(self._entry_sizes, out=offsets_all[1:])
-        self._entry_offsets = offsets_all
-        self._vertex_owner = np.concatenate(
-            [self._vertex_owner,
-             np.repeat(np.arange(first_new, len(self.entries)), new_sizes)])
-        self._index = IncrementalIndex.extended(self._index, new_points,
-                                                self.backend,
-                                                fold=self.auto_fold)
+        mask[starts + pairs[:, 0]] = False
+        mask[starts + pairs[:, 1]] = False
+        new_points = points = flat[mask]
+        sizes = counts - 2
+        owner = np.repeat(np.arange(first_new, first_new + len(sizes)),
+                          sizes)
+        if first_new:
+            points = np.concatenate([self._vertex_points, points], axis=0)
+            sizes = np.concatenate([self._entry_sizes, sizes])
+            owner = np.concatenate([self._vertex_owner, owner])
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        self._entry_sizes = sizes
+        self._entry_offsets = offsets
+        self._vertex_owner = owner
+        # Points last: ``_register_new_entries`` and the lock-free
+        # check in ``_ensure_arrays`` key off this field.
+        self._vertex_points = points
+        return new_points
 
     def _patch_entry_caches(self, new_entries: List[ShapeEntry],
-                            sig_rows: Optional[np.ndarray],
-                            sketch_rows: Optional[np.ndarray]) -> None:
-        """Append the new entries' rows to any warm signature/sketch
-        cache (identical to what a cold rebuild would compute for
-        them, so cache consumers stay bit-for-bit)."""
+                            first_new: int, signatures, sketches) -> None:
+        """Keep the signature/sketch caches covering every entry.
+
+        A warm cache gets the new entries' rows appended — the rows the
+        source handed over when they are of the cache's family,
+        computed here otherwise (identical to what a cold rebuild would
+        compute, so cache consumers stay bit-for-bit).  A base receiving
+        its *first* entries has nothing to stay consistent with and
+        adopts whatever rows come with them (snapshot load, subset).
+        """
         if self._signature_cache is not None:
             num_curves, rows = self._signature_cache
-            if sig_rows is None:
+            if signatures is not None and int(signatures[0]) == num_curves:
+                new_rows = signatures[1]
+            else:
                 from ..hashing.characteristic import characteristic_quadruple
                 from ..hashing.curves import HashCurveFamily
                 family = HashCurveFamily(num_curves)
-                sig_rows = np.array(
-                    [characteristic_quadruple(e.shape, family)
-                     for e in new_entries], dtype=np.int16)
-            sig_rows = np.asarray(sig_rows, dtype=np.int16).reshape(-1, 4)
+                new_rows = [characteristic_quadruple(e.shape, family)
+                            for e in new_entries]
+            new_rows = np.asarray(new_rows, dtype=np.int16).reshape(-1, 4)
             self._signature_cache = (
-                num_curves, np.concatenate([rows, sig_rows], axis=0))
+                num_curves, np.concatenate([rows, new_rows], axis=0))
+        elif signatures is not None and not first_new:
+            self.set_signature_cache(*signatures)
         if self._sketch_cache is not None:
             key, rows = self._sketch_cache
-            if sketch_rows is None:
+            if sketches is not None and tuple(sketches[0]) == key:
+                new_rows = sketches[1]
+            else:
                 from ..ann.sketch import SketchConfig, sketch_vertex_sets
-                sketch_rows = sketch_vertex_sets(
+                new_rows = sketch_vertex_sets(
                     [e.shape.vertices for e in new_entries],
                     [e.shape.closed for e in new_entries],
                     SketchConfig(*key))
-            sketch_rows = np.asarray(sketch_rows,
-                                     dtype=np.int64).reshape(-1, key[0])
+            new_rows = np.asarray(new_rows,
+                                  dtype=np.int64).reshape(-1, key[0])
             self._sketch_cache = (
-                key, np.concatenate([rows, sketch_rows], axis=0))
+                key, np.concatenate([rows, new_rows], axis=0))
+        elif sketches is not None and not first_new:
+            self.set_sketch_cache(*sketches)
 
     def remove_shape(self, shape_id: int) -> None:
         """Remove a shape and all its normalized copies.
@@ -555,36 +611,25 @@ class ShapeBase:
         result is identical to a base built fresh from those originals
         in the same order.  Cached hashing signatures come along too.
         """
-        out = ShapeBase(alpha=self.alpha, backend=self.backend)
-        old_entry_ids: List[int] = []
+        shape_ids = list(shape_ids)
         for shape_id in shape_ids:
             if shape_id not in self.shapes:
                 raise KeyError(f"shape id {shape_id} not in the base")
-            image_id = self.shape_image[shape_id]
-            out._next_shape_id = max(out._next_shape_id, shape_id + 1)
-            out.shapes[shape_id] = self.shapes[shape_id]
-            out.shape_image[shape_id] = image_id
-            entry_ids: List[int] = []
-            for old_id in self._entries_by_shape[shape_id]:
-                entry = self.entries[old_id]
-                new_id = len(out.entries)
-                out.entries.append(ShapeEntry(new_id, shape_id, image_id,
-                                              entry.copy))
-                entry_ids.append(new_id)
-                old_entry_ids.append(old_id)
-            out._entries_by_shape[shape_id] = entry_ids
-            if image_id is not None:
-                out._shapes_by_image.setdefault(image_id, []) \
-                    .append(shape_id)
-            out.version += 1
-        if self._signature_cache is not None and out.entries:
-            num_curves, rows = self._signature_cache
-            out._signature_cache = (num_curves,
-                                    rows[np.array(old_entry_ids)])
-        if self._sketch_cache is not None and out.entries:
-            sketch_key, rows = self._sketch_cache
-            out._sketch_cache = (sketch_key,
-                                 rows[np.array(old_entry_ids)])
+        old_ids = [i for sid in shape_ids
+                   for i in self._entries_by_shape[sid]]
+
+        def carried(cache):
+            return None if cache is None else \
+                (cache[0], cache[1][np.array(old_ids, dtype=np.int64)])
+
+        out = ShapeBase(alpha=self.alpha, backend=self.backend)
+        out._absorb(
+            shape_ids, [self.shapes[sid] for sid in shape_ids],
+            [self.shape_image[sid] for sid in shape_ids],
+            [[self.entries[i].copy for i in self._entries_by_shape[sid]]
+             for sid in shape_ids],
+            signatures=carried(self._signature_cache),
+            sketches=carried(self._sketch_cache))
         return out
 
     def split(self, num_parts: int,
@@ -631,37 +676,7 @@ class ShapeBase:
         # derived arrays.  Warm readers never reach this branch.
         with self._build_lock:
             if self._vertex_points is None:
-                if self.entries:
-                    counts = np.array(
-                        [e.shape.num_vertices for e in self.entries],
-                        dtype=np.int64)
-                    shape_offsets = np.concatenate(([0],
-                                                    np.cumsum(counts)))
-                    flat = np.concatenate(
-                        [e.shape.vertices for e in self.entries], axis=0)
-                    pairs = np.array([e.copy.pair for e in self.entries],
-                                     dtype=np.int64)
-                    if np.any(pairs < 0) or \
-                            np.any(pairs >= counts[:, None]):
-                        raise IndexError("entry anchor pair out of range")
-                    mask = np.ones(len(flat), dtype=bool)
-                    mask[shape_offsets[:-1] + pairs[:, 0]] = False
-                    mask[shape_offsets[:-1] + pairs[:, 1]] = False
-                    points = flat[mask]
-                    sizes = counts - 2
-                    owner = np.repeat(np.arange(len(self.entries)), sizes)
-                else:
-                    points = np.zeros((0, 2))
-                    sizes = np.zeros(0, dtype=np.int64)
-                    owner = np.zeros(0, dtype=np.int64)
-                offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-                np.cumsum(sizes, out=offsets[1:])
-                self._entry_sizes = sizes
-                self._entry_offsets = offsets
-                self._vertex_owner = owner
-                # Points last: ``_register_new_entries`` keys its
-                # warm-or-lazy decision off this field.
-                self._vertex_points = points
+                self._extend_flat_arrays(_copy_columns(self.entries), 0)
             if self._index is None:
                 self._index = make_index(self._vertex_points, self.backend)
 
@@ -729,7 +744,7 @@ class ShapeBase:
 
         Returns an ``(E, 4)`` int array aligned with ``entries`` or
         ``None`` when nothing is cached for a ``num_curves``-curve hash
-        family.  The cache is invalidated on ingest and compacted on
+        family.  The cache is extended on ingest and compacted on
         removal, so a non-``None`` answer is always current.
         """
         if self._signature_cache is None:
@@ -757,7 +772,7 @@ class ShapeBase:
         ``key`` is ``SketchConfig.key`` — ``(num_hashes, grid,
         seed)``.  Returns an ``(E, num_hashes)`` int64 array aligned
         with ``entries`` or ``None`` when nothing is cached for that
-        family.  Maintained like the signature cache: invalidated on
+        family.  Maintained like the signature cache: extended on
         ingest, compacted on removal, carried by :meth:`subset`.
         """
         if self._sketch_cache is None:

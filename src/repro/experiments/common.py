@@ -63,9 +63,7 @@ def build_workload_base(num_images: int, seed: int,
                                  vertices_mean=20.0, noise=noise,
                                  num_prototypes=num_prototypes)
     base = ShapeBase(alpha=alpha)
-    for image in workload.images:
-        for shape in image.shapes:
-            base.add_shape(shape, image_id=image.image_id)
+    workload.add_to(base)
     base.index
     return workload, base
 

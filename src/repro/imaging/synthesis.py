@@ -163,6 +163,15 @@ class SyntheticWorkload:
     def all_shapes(self) -> List[Shape]:
         return [s for image in self.images for s in image.shapes]
 
+    def add_to(self, base) -> List[int]:
+        """Bulk-ingest every shape into ``base`` (a ``ShapeBase`` or
+        anything with its ``add_shapes``), each under its image's id;
+        returns the assigned shape ids."""
+        return base.add_shapes(
+            self.all_shapes(),
+            image_ids=[image.image_id for image in self.images
+                       for _ in image.shapes])
+
 
 def generate_workload(num_images: int, rng: np.random.Generator,
                       shapes_per_image: float = 5.5,

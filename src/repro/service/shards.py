@@ -178,17 +178,6 @@ class Shard:
         self._ann = None
 
     # -- ingest ---------------------------------------------------------
-    def add_shape(self, shape: Shape, image_id: Optional[int],
-                  shape_id: int) -> int:
-        with self.write_lock:
-            first_entry = self.base.num_entries
-            self.base.add_shape(shape, image_id=image_id,
-                                shape_id=shape_id)
-            self._patch_added(first_entry)
-            self._log_event("add", (shape_id,))
-            self.epoch += 1
-        return shape_id
-
     def add_shapes(self, shapes: Sequence[Shape],
                    image_ids: Sequence[Optional[int]],
                    shape_ids: Sequence[int]) -> List[int]:
@@ -409,27 +398,11 @@ class ShardSet:
         return shard_set
 
     # -- ingest ---------------------------------------------------------
-    def add_shape(self, shape: Shape, image_id: Optional[int] = None,
-                  shape_id: Optional[int] = None) -> int:
-        """Route one shape to its shard; returns the assigned id.
-
-        Validation runs *before* the version bump so a rejected shape
-        leaves no torn state (no consumed id, no cache invalidation).
-        """
-        validate_shape(shape)
-        with self._lock:
-            if shape_id is None:
-                shape_id = self._next_shape_id
-            self._next_shape_id = max(self._next_shape_id, shape_id + 1)
-        shard = self.shards[shard_for(shape_id, self.num_shards)]
-        shard.add_shape(shape, image_id, shape_id)
-        # Version bumps *after* the shard mutation: an observer that
-        # sees the new version (cache keys, process-tier sync) is
-        # guaranteed the rows — and the shard's mutation-log events —
-        # are already in place.
-        with self._lock:
-            self.version += 1
-        return shape_id
+    def add_shape(self, shape: Shape,
+                  image_id: Optional[int] = None) -> int:
+        """Route one shape to its shard (a batch of one); returns the
+        assigned id."""
+        return self.add_shapes([shape], image_id)[0]
 
     def add_shapes(self, shapes: Sequence[Shape],
                    image_id: Optional[int] = None, *,
@@ -437,12 +410,11 @@ class ShardSet:
                    ) -> List[int]:
         """Bulk ingest: one id block, one vectorized add per shard.
 
-        Shapes are validated up front, ids assigned in one locked
-        block, then each shard receives its whole slice through
-        :meth:`ShapeBase.add_shapes` — per-shard work is one batched
-        normalization instead of a Python loop of scalar adds.  The
-        resulting shards are identical to a loop of :meth:`add_shape`
-        calls in the same order.
+        Shapes are validated up front — before any id is consumed or
+        version bumped, so a rejected shape leaves no torn state — ids
+        are assigned in one locked block, then each shard receives its
+        whole slice through :meth:`ShapeBase.add_shapes`: per-shard
+        work is one batched normalization.
         """
         shapes = list(shapes)
         if not shapes:
@@ -461,9 +433,8 @@ class ShardSet:
             self._next_shape_id = first + len(shapes)
         by_shard: dict = {}
         for shape, sid, iid in zip(shapes, ids, per_image):
-            by_shard.setdefault(shard_for(sid, self.num_shards),
-                                ([], [], []))
-            group = by_shard[shard_for(sid, self.num_shards)]
+            group = by_shard.setdefault(shard_for(sid, self.num_shards),
+                                        ([], [], []))
             group[0].append(shape)
             group[1].append(iid)
             group[2].append(sid)
@@ -471,8 +442,10 @@ class ShardSet:
                 in sorted(by_shard.items()):
             self.shards[shard_index].add_shapes(group_shapes, group_images,
                                                 group_ids)
-        # After the mutations, so version-keyed observers never see the
-        # new version with old rows (see add_shape).
+        # Version bumps *after* the shard mutations: an observer that
+        # sees the new version (cache keys, process-tier sync) is
+        # guaranteed the rows — and the shards' mutation-log events —
+        # are already in place.
         with self._lock:
             self.version += 1
         return ids

@@ -156,9 +156,7 @@ def run_stream_scenario(
     workload = generate_workload(images, rng, shapes_per_image=4.0,
                                  noise=0.01)
     base = ShapeBase(alpha=0.1)
-    for image in workload.images:
-        for shape in image.shapes:
-            base.add_shape(shape, image_id=image.image_id)
+    workload.add_to(base)
     sketches = [query for query, _ in
                 make_query_set(workload, distinct,
                                np.random.default_rng(seed + 1),

@@ -25,6 +25,29 @@ def star_shaped_polygon(rng, num_vertices=12, radius_low=0.5,
     return Shape(points, closed=True)
 
 
+def assert_same_base(a: ShapeBase, b: ShapeBase):
+    """Two bases hold the same shapes, entries and flat index arrays,
+    bit for bit — however each was built, loaded or patched."""
+    assert list(a.shapes) == list(b.shapes)
+    assert a.shape_image == b.shape_image
+    assert a.alpha == b.alpha and a.num_entries == b.num_entries
+    assert a.image_ids() == b.image_ids()
+    for sid in a.shapes:
+        assert a.shapes[sid].closed == b.shapes[sid].closed
+        assert np.array_equal(a.shapes[sid].vertices, b.shapes[sid].vertices)
+        assert a.entries_of_shape(sid) == b.entries_of_shape(sid)
+    for ea, eb in zip(a.entries, b.entries):
+        assert (ea.entry_id, ea.shape_id, ea.image_id, ea.copy.pair) == \
+               (eb.entry_id, eb.shape_id, eb.image_id, eb.copy.pair)
+        assert ea.copy.transform.as_tuple() == eb.copy.transform.as_tuple()
+        assert np.array_equal(ea.shape.vertices, eb.shape.vertices)
+    for base in (a, b):
+        base._ensure_arrays()
+    for name in ("_vertex_points", "_vertex_owner", "_entry_sizes",
+                 "_entry_offsets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 @pytest.fixture
 def shape_factory(rng):
     """Callable producing random simple polygons."""

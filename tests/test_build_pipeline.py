@@ -2,13 +2,12 @@
 incremental maintenance, parallel shard builds.
 
 The pipeline's contract is *bit-for-bit equivalence*: whichever way a
-base is built — a scalar ``add_shape`` loop, one vectorized
+base is built — a loop of batch-of-one ``add_shape`` calls, one bulk
 ``add_shapes`` call, a v3 snapshot load, or incremental patches after
 removals — the resulting entries, flat index arrays and query answers
-must be identical.
+must be identical.  (That the batch equals the paper-§2.4 scalar
+reference is ``tests/test_transform.py``'s job.)
 """
-
-import struct
 
 import numpy as np
 import pytest
@@ -20,36 +19,13 @@ from repro.service.pool import WorkerPool
 from repro.service.shards import ShardSet
 from repro.storage import CorruptSnapshotError, load_base, save_base
 from repro.storage.persist import snapshot_info
-from repro.storage.serialization import encode_entry
 
-from .conftest import star_shaped_polygon
+from .conftest import assert_same_base, star_shaped_polygon
 
 
 def _shapes(rng, count=14):
     return [star_shaped_polygon(rng, int(rng.integers(8, 16)))
             for _ in range(count)]
-
-
-def _assert_same_base(a: ShapeBase, b: ShapeBase, *, bitwise=True):
-    assert a.shape_ids() == b.shape_ids()
-    assert a.num_entries == b.num_entries
-    if bitwise:
-        assert a.alpha == b.alpha
-    else:
-        assert a.alpha == pytest.approx(b.alpha)    # v2: float32 alpha
-    for ea, eb in zip(a.entries, b.entries):
-        assert (ea.entry_id, ea.shape_id, ea.image_id) == \
-               (eb.entry_id, eb.shape_id, eb.image_id)
-        assert ea.copy.pair == eb.copy.pair
-        if bitwise:
-            assert ea.copy.transform.as_tuple() == eb.copy.transform.as_tuple()
-            assert np.array_equal(ea.shape.vertices, eb.shape.vertices)
-    a._ensure_arrays()
-    b._ensure_arrays()
-    if bitwise:
-        assert np.array_equal(a._vertex_points, b._vertex_points)
-    assert np.array_equal(a._vertex_owner, b._vertex_owner)
-    assert np.array_equal(a._entry_sizes, b._entry_sizes)
 
 
 def _answers(base, sketches, k=3):
@@ -64,21 +40,21 @@ def _answers(base, sketches, k=3):
 class TestBulkIngestEquivalence:
     def test_entries_and_arrays_identical(self, rng):
         shapes = _shapes(rng)
-        scalar = ShapeBase(alpha=0.1)
+        one_by_one = ShapeBase(alpha=0.1)
         for i, shape in enumerate(shapes):
-            scalar.add_shape(shape, image_id=i % 4)
+            one_by_one.add_shape(shape, image_id=i % 4)
         bulk = ShapeBase(alpha=0.1)
         bulk.add_shapes(shapes, image_ids=[i % 4 for i in range(len(shapes))])
-        _assert_same_base(scalar, bulk)
+        assert_same_base(one_by_one, bulk)
 
     def test_query_answers_identical(self, rng):
         shapes = _shapes(rng)
-        scalar = ShapeBase(alpha=0.1)
+        one_by_one = ShapeBase(alpha=0.1)
         for shape in shapes:
-            scalar.add_shape(shape, image_id=0)
+            one_by_one.add_shape(shape, image_id=0)
         bulk = ShapeBase(alpha=0.1)
         bulk.add_shapes(shapes, image_id=0)
-        assert _answers(scalar, shapes[:4]) == _answers(bulk, shapes[:4])
+        assert _answers(one_by_one, shapes[:4]) == _answers(bulk, shapes[:4])
 
     def test_bulk_validates_before_mutating(self, rng):
         base = ShapeBase(alpha=0.1)
@@ -120,31 +96,9 @@ class TestSnapshotRoundTrips:
         path = tmp_path / "b.gsb"
         save_base(built, path, version=3)
         loaded = load_base(path)
-        _assert_same_base(built, loaded, bitwise=True)
+        assert_same_base(built, loaded)
         sketches = list(built.shapes.values())[:3]
         assert _answers(built, sketches) == _answers(loaded, sketches)
-
-    def test_v2_roundtrip_still_loads(self, built, tmp_path):
-        path = tmp_path / "b.gsir"
-        save_base(built, path, version=2)
-        loaded = load_base(path)
-        # v2 records round vertices through float32: same structure and
-        # ranking, not bitwise distances.
-        _assert_same_base(built, loaded, bitwise=False)
-        sketch = next(iter(built.shapes.values()))
-        ours = [sid for sid, _ in _answers(built, [sketch])[0]]
-        theirs = [sid for sid, _ in _answers(loaded, [sketch])[0]]
-        assert ours == theirs
-
-    def test_v1_legacy_still_loads(self, built, tmp_path):
-        blobs = b"".join(encode_entry(e) for e in built.entries)
-        payload = struct.Struct("<4sHfI").pack(
-            b"GSIR", 1, built.alpha, built.num_entries) + blobs
-        path = tmp_path / "legacy.gsir"
-        path.write_bytes(payload)
-        loaded = load_base(path)
-        assert loaded.shape_ids() == built.shape_ids()
-        assert loaded.num_entries == built.num_entries
 
     def test_v3_truncation_detected(self, built, tmp_path):
         path = tmp_path / "b.gsb"
@@ -279,7 +233,7 @@ class TestParallelShardBuild:
         assert one_by_one.shape_counts() == bulk.shape_counts()
         for a, b in zip(one_by_one, bulk):
             assert a.base.shape_ids() == b.base.shape_ids()
-            _assert_same_base(a.base, b.base)
+            assert_same_base(a.base, b.base)
 
     def test_service_from_snapshot(self, rng, tmp_path):
         base = ShapeBase(alpha=0.1)

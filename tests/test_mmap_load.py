@@ -2,8 +2,7 @@
 
 The zero-copy contract: ``load_base(path, mmap=True)`` must answer
 exactly like the eager load for every supported snapshot version —
-v3/v4 map their columns as read-only views over the file, v1/v2
-silently fall back to the eager re-normalizing decode — while the
+v3/v4 map their columns as read-only views over the file — while the
 mapped arrays reject writes (an immutable snapshot is what makes the
 many-reader process tier safe).  ``load_base_buffer`` is the same
 contract over an in-memory payload (the shared-memory publish path).
@@ -18,7 +17,7 @@ from repro.storage import CorruptSnapshotError, load_base, save_base
 from repro.storage.persist import (encode_base, load_base_buffer,
                                    snapshot_info)
 
-from .conftest import star_shaped_polygon
+from .conftest import assert_same_base, star_shaped_polygon
 
 
 @pytest.fixture
@@ -37,20 +36,6 @@ def _answers(base, sketches, k=3):
             for s in sketches]
 
 
-def _assert_bitwise_equal(eager: ShapeBase, mapped: ShapeBase):
-    assert eager.shape_ids() == mapped.shape_ids()
-    assert eager.num_entries == mapped.num_entries
-    assert eager.alpha == mapped.alpha
-    for ea, eb in zip(eager.entries, mapped.entries):
-        assert (ea.entry_id, ea.shape_id, ea.image_id) == \
-               (eb.entry_id, eb.shape_id, eb.image_id)
-        assert np.array_equal(ea.shape.vertices, eb.shape.vertices)
-    eager._ensure_arrays()
-    mapped._ensure_arrays()
-    assert np.array_equal(eager._vertex_points, mapped._vertex_points)
-    assert np.array_equal(eager._vertex_owner, mapped._vertex_owner)
-
-
 class TestMmapEqualsEager:
     def test_v3_bitwise_and_answers(self, built, tmp_path):
         path = tmp_path / "b.gsb"
@@ -59,7 +44,7 @@ class TestMmapEqualsEager:
         mapped = load_base(path, mmap=True)
         assert eager.snapshot_backing == "eager"
         assert mapped.snapshot_backing == "mmap"
-        _assert_bitwise_equal(eager, mapped)
+        assert_same_base(eager, mapped)
         sketches = list(built.shapes.values())[:3]
         assert _answers(eager, sketches) == _answers(mapped, sketches)
 
@@ -71,7 +56,7 @@ class TestMmapEqualsEager:
         eager = load_base(path)
         mapped = load_base(path, mmap=True)
         assert mapped.snapshot_backing == "mmap"
-        _assert_bitwise_equal(eager, mapped)
+        assert_same_base(eager, mapped)
         # The embedded caches must arrive identically through both
         # backings (zero recompute on either path).
         from repro.ann.sketch import compute_entry_sketches
@@ -82,28 +67,6 @@ class TestMmapEqualsEager:
         family = HashCurveFamily(40)
         assert np.array_equal(compute_signatures(eager, family),
                               compute_signatures(mapped, family))
-
-    def test_v2_falls_back_to_eager(self, built, tmp_path):
-        path = tmp_path / "b.gsir"
-        save_base(built, path, version=2)
-        fallback = load_base(path, mmap=True)
-        eager = load_base(path)
-        assert fallback.snapshot_backing == "eager"
-        assert fallback.shape_ids() == eager.shape_ids()
-        sketch = next(iter(built.shapes.values()))
-        assert _answers(fallback, [sketch]) == _answers(eager, [sketch])
-
-    def test_v1_falls_back_to_eager(self, built, tmp_path):
-        import struct
-        from repro.storage.serialization import encode_entry
-        blobs = b"".join(encode_entry(e) for e in built.entries)
-        payload = struct.Struct("<4sHfI").pack(
-            b"GSIR", 1, built.alpha, built.num_entries) + blobs
-        path = tmp_path / "legacy.gsir"
-        path.write_bytes(payload)
-        fallback = load_base(path, mmap=True)
-        assert fallback.snapshot_backing == "eager"
-        assert fallback.shape_ids() == built.shape_ids()
 
     def test_fresh_base_reports_memory_backing(self, built):
         assert built.snapshot_backing == "memory"
@@ -135,15 +98,12 @@ class TestReadOnlyViews:
 class TestSnapshotInfo:
     def test_reports_size_and_mmap_capability(self, built, tmp_path):
         v3 = tmp_path / "v3.gsb"
-        v2 = tmp_path / "v2.gsir"
         save_base(built, v3, version=3)
-        save_base(built, v2, version=2)
-        info3 = snapshot_info(v3)
-        info2 = snapshot_info(v2)
-        assert info3["mmap_capable"] is True
-        assert info2["mmap_capable"] is False
-        assert info3["size_bytes"] == v3.stat().st_size
-        assert info2["size_bytes"] == v2.stat().st_size
+        info = snapshot_info(v3)
+        assert info["size_bytes"] == v3.stat().st_size
+        # Every version a reader accepts maps: no per-file flag.
+        assert "mmap_capable" not in info
+        assert load_base(v3, mmap=True).snapshot_backing == "mmap"
 
     def test_truncated_mmap_load_detected(self, built, tmp_path):
         path = tmp_path / "b.gsb"
@@ -161,12 +121,7 @@ class TestBufferLoads:
         assert from_buffer.snapshot_backing == "shm"
         path = tmp_path / "b.gsb"
         save_base(built, path, version=3)
-        _assert_bitwise_equal(load_base(path), from_buffer)
-
-    def test_buffer_load_rejects_legacy_payloads(self, built):
-        from repro.storage.persist import _encode_v2
-        with pytest.raises(CorruptSnapshotError, match="v3/v4"):
-            load_base_buffer(_encode_v2(built))
+        assert_same_base(load_base(path), from_buffer)
 
     def test_buffer_load_rejects_garbage(self):
         with pytest.raises(CorruptSnapshotError):

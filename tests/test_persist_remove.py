@@ -169,28 +169,31 @@ class TestCrashSafePersistence:
         from repro.storage import CorruptSnapshotError
         assert issubclass(CorruptSnapshotError, ValueError)
 
-    def test_legacy_v1_file_still_loads(self, saved, tmp_path):
-        import struct
-
-        from repro.storage.serialization import encode_entry
-        base, _ = saved
-        blobs = b"".join(encode_entry(e) for e in base.entries)
-        v1 = struct.Struct("<4sHfI").pack(
-            b"GSIR", 1, base.alpha, base.num_entries) + blobs
-        path = tmp_path / "legacy.gsir"
-        path.write_bytes(v1)
-        loaded = load_base(path)
-        assert loaded.num_shapes == base.num_shapes
-        assert loaded.shape_ids() == base.shape_ids()
-
     def test_unsupported_version_rejected(self, saved):
-        from repro.storage import CorruptSnapshotError
+        """The retired record formats 1 and 2 are as unknown as 99,
+        through every way into a snapshot."""
+        from repro.storage import CorruptSnapshotError, snapshot_info
+        from repro.storage.persist import load_base_buffer
         _, path = saved
         data = bytearray(path.read_bytes())
-        data[4:6] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(CorruptSnapshotError, match="version"):
-            load_base(path)
+        for version in (1, 2, 99):
+            data[4:6] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(data))
+            for read in (load_base, lambda p: load_base(p, mmap=True),
+                         lambda p: load_base_buffer(p.read_bytes()),
+                         snapshot_info):
+                with pytest.raises(
+                        CorruptSnapshotError,
+                        match=f"unsupported .* version {version}"):
+                    read(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 5])
+    def test_unwritable_version_rejected(self, saved, version):
+        base, path = saved
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="cannot write"):
+            save_base(base, path, version=version)
+        assert path.read_bytes() == before
 
 
 class TestRehash:

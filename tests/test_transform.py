@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import Shape
 from repro.geometry.transform import (NormalizedCopy, SimilarityTransform,
+                                      batch_normalized_copies,
                                       normalize_about,
                                       normalize_about_diameter,
                                       normalized_copies)
@@ -156,3 +157,35 @@ class TestNormalizedCopies:
             assert copy.pair in orig_by_pair
             assert np.allclose(copy.shape.vertices,
                                orig_by_pair[copy.pair].vertices, atol=1e-7)
+
+
+class TestBatchEqualsScalarReference:
+    """``batch_normalized_copies`` is the only normalization the shape
+    base runs; ``normalized_copies`` is the paper-§2.4 scalar reference
+    it must reproduce bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.4])
+    def test_bitwise_pairs_transforms_vertices(self, shape_factory,
+                                               open_polyline, alpha):
+        shapes = [shape_factory(n) for n in (8, 15, 3, 11, 20)]
+        shapes.insert(2, open_polyline)
+        batched = batch_normalized_copies(shapes, alpha)
+        assert len(batched) == len(shapes)
+        for shape, copies in zip(shapes, batched):
+            reference = normalized_copies(shape, alpha)
+            assert [c.pair for c in copies] == [c.pair for c in reference]
+            for got, want in zip(copies, reference):
+                assert got.transform.as_tuple() == want.transform.as_tuple()
+                assert got.shape.closed == want.shape.closed
+                assert np.array_equal(got.shape.vertices,
+                                      want.shape.vertices)
+                assert not got.shape.vertices.flags.writeable
+
+    def test_batch_of_one_and_empty(self, shape_factory):
+        shape = shape_factory(12)
+        (copies,) = batch_normalized_copies([shape], 0.1)
+        reference = normalized_copies(shape, 0.1)
+        assert [c.pair for c in copies] == [c.pair for c in reference]
+        assert all(np.array_equal(g.shape.vertices, w.shape.vertices)
+                   for g, w in zip(copies, reference))
+        assert batch_normalized_copies([], 0.1) == []
