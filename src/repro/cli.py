@@ -379,19 +379,12 @@ def _pctl(sorted_values: list, q: float) -> float:
 
 def _kill_worker_over_http(endpoint, index: int = 0):
     """Ask a replica's admin surface to SIGKILL one of its workers."""
-    import http.client
+    from .service.http import json_request
 
-    host, port = endpoint
-    conn = http.client.HTTPConnection(host, port, timeout=10)
-    try:
-        conn.request("POST", "/admin/kill_worker",
-                     body=json.dumps({"index": index}).encode(),
-                     headers={"Content-Type": "application/json"})
-        response = conn.getresponse()
-        payload = json.loads(response.read().decode("utf-8"))
-        return payload.get("killed_worker")
-    finally:
-        conn.close()
+    _, _, payload = json_request(endpoint, "POST", "/admin/kill_worker",
+                                 json.dumps({"index": index}).encode(),
+                                 timeout=10)
+    return payload.get("killed_worker")
 
 
 def _serve_bench_http(args: argparse.Namespace, base, sketches,

@@ -157,9 +157,10 @@ class ShapeBase:
             Tuple[Tuple[int, int, int], np.ndarray]] = None
         # How this base's arrays are backed: "memory" (built in
         # process), "eager" (snapshot read into memory), "mmap"
-        # (zero-copy views over a file mapping) or "shm" (views over a
-        # shared-memory segment).  ``_backing_buffer`` pins the
-        # mapping/segment for the life of the base.
+        # (zero-copy views over a file mapping — what process-tier
+        # workers attach) or a caller's label for views over its own
+        # buffer.  ``_backing_buffer`` pins the mapping/buffer for the
+        # life of the base.
         self.snapshot_backing = "memory"
         self._backing_buffer = None
 

@@ -51,6 +51,12 @@ the wire.  This module is that wire, stdlib only:
   :class:`BalancerServer` exposes the same endpoint surface over one
   listening port, making the fleet a single-address front door.
 
+The replica server and the front door share one request handler base
+(body draining, 400/404/500 mapping) and one server lifecycle; each
+role adds only its routes and payloads.  :func:`json_request` is the
+one HTTP client, and replica processes are spawned, stopped and killed
+by the process tier's :class:`~repro.service.procpool.ChildProcess`.
+
 The fleet-level invariant (chaos-tested by ``serve-bench --http
 --chaos`` and the CI ``http-smoke`` job): killing one replica
 mid-traffic yields zero errored client responses — every in-flight
@@ -61,11 +67,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry.io import shape_from_dict, shape_to_dict
 from ..geometry.polyline import Shape
@@ -73,6 +81,7 @@ from .breaker import BreakerConfig, CircuitBreaker, OPEN
 from .cache import sketch_signature
 from .deadline import Deadline
 from .metrics import MetricsRegistry
+from .procpool import ChildProcess, parent_messages
 from .service import OVERLOADED, RetrievalService, ServiceConfig, \
     ServiceResult
 
@@ -152,191 +161,96 @@ def parse_deadline_ms(raw: Optional[str]) -> Optional[float]:
 
 
 # ----------------------------------------------------------------------
-# The per-replica HTTP server
+# What every role shares: request plumbing, server lifecycle, client
 # ----------------------------------------------------------------------
 class _Handler(BaseHTTPRequestHandler):
-    """Routes one connection's requests to the owning server's app."""
+    """Request plumbing for every role; a role subclasses it with its
+    endpoint methods and the ``routes`` table naming them.
+
+    Every response drains the request body first: on an HTTP/1.1
+    keep-alive connection, unread bytes would be parsed as the *next*
+    request's first line.  Malformed input (``ValueError``,
+    ``KeyError``, ``TypeError``) answers 400, an unknown route 404 and
+    anything else 500 — the wire must not drop.
+    """
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-geosir"
+    #: ``(method, path) -> endpoint function`` of the role.
+    routes: Dict[Tuple[str, str], Callable[["_Handler"], None]] = {}
 
     def log_message(self, *args) -> None:     # keep benches quiet
         pass
 
     @property
-    def app(self) -> "HttpRetrievalServer":
+    def app(self):
         return self.server.app                # type: ignore[attr-defined]
 
-    # -- plumbing -------------------------------------------------------
-    def _respond(self, code: int, payload: Optional[dict] = None,
-                 headers: Optional[Dict[str, str]] = None) -> None:
-        body = b"" if payload is None else _json_bytes(payload)
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
+    def do_GET(self) -> None:                 # noqa: N802 (stdlib name)
+        self._dispatch("GET")
 
-    def _shed(self, reason: str, counter: str) -> None:
-        self.app.metrics.counter(counter).increment()
-        self._respond(503, {"status": OVERLOADED, "reason": reason},
-                      {"Retry-After": str(RETRY_AFTER_SECONDS)})
+    def do_POST(self) -> None:                # noqa: N802
+        self._dispatch("POST")
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length == 0:
+    def _dispatch(self, method: str) -> None:
+        self._body: Optional[bytes] = None
+        try:
+            endpoint = self.routes.get((method, self.path))
+            if endpoint is None:
+                self.respond(404, {"error": f"no route {self.path}"})
+            else:
+                endpoint(self)
+        except (ValueError, KeyError, TypeError) as exc:
+            self.app.metrics.counter("http.bad_requests").increment()
+            self._respond_error(400, {"error": f"bad request: {exc}"})
+        except Exception as exc:
+            self.app.metrics.counter("http.errors").increment()
+            self._respond_error(500, {
+                "status": "error", "error": f"{type(exc).__name__}: {exc}"})
+
+    def _respond_error(self, code: int, payload: dict) -> None:
+        try:
+            self.respond(code, payload)
+        except OSError:
+            pass                              # client went away mid-write
+
+    def _raw_body(self) -> bytes:
+        """The request body, read from the socket at most once."""
+        if self._body is None:
+            self._body = b""
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+                if length < 0:
+                    raise ValueError("negative Content-Length")
+            except ValueError:
+                # Where this body ends is unknown, so nothing after it
+                # on this connection can be parsed.
+                self.close_connection = True
+                raise
+            self._body = self.rfile.read(length)
+        return self._body
+
+    def body(self) -> dict:
+        """The request's JSON object (``{}`` when it has no body)."""
+        raw = self._raw_body()
+        if not raw:
             return {}
-        raw = self.rfile.read(length)
         payload = json.loads(raw.decode("utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
 
-    # -- routing --------------------------------------------------------
-    def do_GET(self) -> None:                 # noqa: N802 (stdlib name)
-        try:
-            if self.path == "/healthz":
-                self._respond(200, self.app.health_payload())
-            elif self.path == "/readyz":
-                ready, payload = self.app.ready_payload()
-                self._respond(200 if ready else 503, payload)
-            elif self.path == "/stats":
-                self._respond(200, self.app.stats_payload())
-            else:
-                self._respond(404, {"error": f"no route {self.path}"})
-        except Exception as exc:              # the wire must not drop
-            self._server_error(exc)
-
-    def do_POST(self) -> None:                # noqa: N802
-        try:
-            if self.path == "/query":
-                self._query()
-            elif self.path == "/query_batch":
-                self._query_batch()
-            elif self.path == "/admin/kill_worker":
-                self._kill_worker()
-            else:
-                self._read_body()     # drain; keep-alive must survive
-                self._respond(404, {"error": f"no route {self.path}"})
-        except (ValueError, KeyError, TypeError) as exc:
-            self.app.metrics.counter("http.bad_requests").increment()
-            self._respond(400, {"error": f"bad request: {exc}"})
-        except Exception as exc:
-            self._server_error(exc)
-
-    def _server_error(self, exc: Exception) -> None:
-        self.app.metrics.counter("http.errors").increment()
-        try:
-            self._respond(500, {"status": "error",
-                                "error": f"{type(exc).__name__}: {exc}"})
-        except OSError:
-            pass                              # client went away mid-write
-
-    # -- endpoints ------------------------------------------------------
-    def _deadline_seconds(self) -> Optional[float]:
-        ms = parse_deadline_ms(self.headers.get(DEADLINE_HEADER))
-        return None if ms is None else ms / 1000.0
-
-    def _query_body(self) -> Optional[Tuple[dict, int, Optional[float]]]:
-        """Drain and parse a query body: ``(body, k, deadline)``.
-
-        ``None`` once the request has been shed.  The body must be
-        drained even when shedding: unread bytes would corrupt the next
-        request on this keep-alive connection.
-        """
-        deadline = self._deadline_seconds()
-        body = self._read_body()
-        if deadline is not None and deadline <= 0.0:
-            # Already out of budget: queueing this query steals cycles
-            # from ones that can still answer in time.
-            self._shed("deadline already expired", "http.shed_deadline")
-            return None
-        k = int(body.get("k", 1))
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        return body, k, deadline
-
-    def _query(self) -> None:
-        app = self.app
-        started = time.perf_counter()
-        app.metrics.counter("http.queries").increment()
-        parsed = self._query_body()
-        if parsed is None:
-            return
-        body, k, deadline = parsed
-        sketch = shape_from_dict(body["sketch"])
-
-        etag = query_etag(app.service.shards.version, sketch, k)
-        candidates = self.headers.get("If-None-Match", "")
-        if etag in [tag.strip() for tag in candidates.split(",") if tag]:
-            app.metrics.counter("http.not_modified").increment()
-            self._respond(304, None, {"ETag": etag})
-            return
-
-        result = app.service.retrieve(sketch, k=k, deadline=deadline)
-        if result.status == OVERLOADED:
-            self._shed("admission queue full", "http.shed_overload")
-            return
-        payload = result_payload(result)
-        payload["replica"] = app.replica_id
-        payload["snapshot_version"] = app.service.shards.version
-        headers: Dict[str, str] = {}
-        if result.ok and not result.degraded:
-            # Only full-quality answers are validatable: a degraded
-            # answer must not be revalidated into permanence.
-            headers["ETag"] = etag
-        else:
-            headers["Cache-Control"] = "no-store"
-        app.metrics.histogram("http.latency").observe(
-            time.perf_counter() - started)
-        self._respond(200, payload, headers)
-
-    def _query_batch(self) -> None:
-        app = self.app
-        started = time.perf_counter()
-        parsed = self._query_body()
-        if parsed is None:
-            return
-        body, k, deadline = parsed
-        sketches = [shape_from_dict(entry) for entry in body["sketches"]]
-        if not sketches:
-            raise ValueError("sketches must be non-empty")
-        app.metrics.counter("http.queries").increment(len(sketches))
-        results = app.service.retrieve_batch(sketches, k=k,
-                                             deadline=deadline)
-        if all(r.status == OVERLOADED for r in results):
-            self._shed("admission queue full", "http.shed_overload")
-            return
-        payload = {
-            "status": "ok",
-            "replica": app.replica_id,
-            "snapshot_version": app.service.shards.version,
-            "results": [result_payload(r) for r in results],
-        }
-        app.metrics.histogram("http.latency").observe(
-            time.perf_counter() - started)
-        self._respond(200, payload, {"Cache-Control": "no-store"})
-
-    def _kill_worker(self) -> None:
-        """Chaos hook: SIGKILL one process-tier worker *inside* this
-        replica (``serve-bench --http --processes`` uses it to compose
-        replica-level and worker-level failure)."""
-        app = self.app
-        body = self._read_body()
-        if not app.allow_admin:
-            self._respond(404, {"error": "admin surface disabled"})
-            return
-        pool = app.service.procpool
-        if pool is None:
-            self._respond(400, {"error": "replica runs thread "
-                                         "execution; no workers"})
-            return
-        index = int(body.get("index", 0))
-        pid = pool.kill_worker(index)
-        self._respond(200, {"killed_worker": index, "pid": pid})
+    def respond(self, code: int, payload: Optional[dict] = None,
+                headers: Optional[Dict[str, str]] = None) -> None:
+        self._raw_body()                      # drain: keep-alive survives
+        data = b"" if payload is None else _json_bytes(payload)
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        if data:
+            self.wfile.write(data)
 
 
 class _ThreadingServer(ThreadingHTTPServer):
@@ -344,33 +258,25 @@ class _ThreadingServer(ThreadingHTTPServer):
     allow_reuse_address = True
 
 
-class HttpRetrievalServer:
-    """One replica's HTTP/JSON front on a :class:`RetrievalService`.
+class _HttpServer:
+    """One listening port served from a background thread.
 
-    Threading server (one handler thread per connection — the service
-    underneath is already concurrent and admission-bounded);
-    ``port=0`` binds an ephemeral port, read back from
-    :attr:`address`.  :meth:`close` is idempotent and safe under
-    concurrent callers, like the service's own ``close``.
+    Threading server (one handler thread per connection); ``port=0``
+    binds an ephemeral port, read back from :attr:`address`.
+    :meth:`close` is idempotent and safe under concurrent callers.
+    Subclasses name their ``handler`` and provide ``metrics``.
     """
 
-    def __init__(self, service: RetrievalService,
-                 host: str = "127.0.0.1", port: int = 0, *,
-                 replica_id: Optional[int] = None,
-                 allow_admin: bool = False):
-        self.service = service
-        self.metrics = service.metrics
-        self.replica_id = replica_id
-        self.allow_admin = allow_admin
-        self._httpd = _ThreadingServer((host, port), _Handler)
+    handler = _Handler
+
+    def __init__(self, host: str, port: int):
+        self._httpd = _ThreadingServer((host, port), self.handler)
         self._httpd.app = self                # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._lifecycle = threading.Lock()
         self._closed = False
-        self._started_at = time.monotonic()
 
-    # -- lifecycle ------------------------------------------------------
-    def start(self) -> "HttpRetrievalServer":
+    def start(self):
         with self._lifecycle:
             if self._closed:
                 raise RuntimeError("server is closed")
@@ -408,11 +314,188 @@ class HttpRetrievalServer:
         if thread is not None:
             thread.join(timeout=5.0)
 
-    def __enter__(self) -> "HttpRetrievalServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def json_request(endpoint: Tuple[str, int], method: str, path: str,
+                 body: Optional[bytes] = None,
+                 headers: Optional[Dict[str, str]] = None,
+                 timeout: float = 30.0) -> Tuple[int, Dict[str, str], dict]:
+    """One request on a fresh connection; returns ``(status,
+    lower-cased response headers, JSON payload)``.
+
+    Raises ``OSError`` (refused, reset, timed out) or
+    ``http.client.HTTPException`` (a torn response); a body that is
+    not JSON comes back as ``{"error": "unparseable body"}``.
+    """
+    host, port = endpoint
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        send_headers = {"Content-Type": "application/json"}
+        send_headers.update(headers or {})
+        conn.request(method, path, body=body, headers=send_headers)
+        response = conn.getresponse()
+        raw = response.read()
+        payload: dict = {}
+        if raw:
+            try:
+                payload = json.loads(raw.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                payload = {"error": "unparseable body"}
+        return (response.status,
+                {k.lower(): v for k, v in response.getheaders()},
+                payload)
+    finally:
+        conn.close()
+
+
+# ----------------------------------------------------------------------
+# The per-replica HTTP server
+# ----------------------------------------------------------------------
+class _ReplicaHandler(_Handler):
+    """The replica endpoints over the owning server's service."""
+
+    server_version = "repro-geosir"
+
+    def _shed(self, reason: str, counter: str) -> None:
+        self.app.metrics.counter(counter).increment()
+        self.respond(503, {"status": OVERLOADED, "reason": reason},
+                     {"Retry-After": str(RETRY_AFTER_SECONDS)})
+
+    def _healthz(self) -> None:
+        self.respond(200, self.app.health_payload())
+
+    def _readyz(self) -> None:
+        ready, payload = self.app.ready_payload()
+        self.respond(200 if ready else 503, payload)
+
+    def _stats(self) -> None:
+        self.respond(200, self.app.stats_payload())
+
+    def _query_body(self) -> Optional[Tuple[dict, int, Optional[float]]]:
+        """Parse a query request: ``(body, k, deadline seconds)``, or
+        ``None`` once the request has been shed."""
+        ms = parse_deadline_ms(self.headers.get(DEADLINE_HEADER))
+        deadline = None if ms is None else ms / 1000.0
+        body = self.body()
+        if deadline is not None and deadline <= 0.0:
+            # Already out of budget: queueing this query steals cycles
+            # from ones that can still answer in time.
+            self._shed("deadline already expired", "http.shed_deadline")
+            return None
+        k = int(body.get("k", 1))
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        return body, k, deadline
+
+    def _query(self) -> None:
+        app = self.app
+        started = time.perf_counter()
+        app.metrics.counter("http.queries").increment()
+        parsed = self._query_body()
+        if parsed is None:
+            return
+        body, k, deadline = parsed
+        sketch = shape_from_dict(body["sketch"])
+
+        etag = query_etag(app.service.shards.version, sketch, k)
+        candidates = self.headers.get("If-None-Match", "")
+        if etag in [tag.strip() for tag in candidates.split(",") if tag]:
+            app.metrics.counter("http.not_modified").increment()
+            self.respond(304, None, {"ETag": etag})
+            return
+
+        result = app.service.retrieve(sketch, k=k, deadline=deadline)
+        if result.status == OVERLOADED:
+            self._shed("admission queue full", "http.shed_overload")
+            return
+        payload = result_payload(result)
+        payload["replica"] = app.replica_id
+        payload["snapshot_version"] = app.service.shards.version
+        headers: Dict[str, str] = {}
+        if result.ok and not result.degraded:
+            # Only full-quality answers are validatable: a degraded
+            # answer must not be revalidated into permanence.
+            headers["ETag"] = etag
+        else:
+            headers["Cache-Control"] = "no-store"
+        app.metrics.histogram("http.latency").observe(
+            time.perf_counter() - started)
+        self.respond(200, payload, headers)
+
+    def _query_batch(self) -> None:
+        app = self.app
+        started = time.perf_counter()
+        parsed = self._query_body()
+        if parsed is None:
+            return
+        body, k, deadline = parsed
+        sketches = [shape_from_dict(entry) for entry in body["sketches"]]
+        if not sketches:
+            raise ValueError("sketches must be non-empty")
+        app.metrics.counter("http.queries").increment(len(sketches))
+        results = app.service.retrieve_batch(sketches, k=k,
+                                             deadline=deadline)
+        if all(r.status == OVERLOADED for r in results):
+            self._shed("admission queue full", "http.shed_overload")
+            return
+        payload = {
+            "status": "ok",
+            "replica": app.replica_id,
+            "snapshot_version": app.service.shards.version,
+            "results": [result_payload(r) for r in results],
+        }
+        app.metrics.histogram("http.latency").observe(
+            time.perf_counter() - started)
+        self.respond(200, payload, {"Cache-Control": "no-store"})
+
+    def _kill_worker(self) -> None:
+        """Chaos hook: SIGKILL one process-tier worker *inside* this
+        replica (``serve-bench --http --processes`` uses it to compose
+        replica-level and worker-level failure)."""
+        if not self.app.allow_admin:
+            self.respond(404, {"error": "admin surface disabled"})
+            return
+        pool = self.app.service.procpool
+        if pool is None:
+            self.respond(400, {"error": "replica runs thread "
+                                        "execution; no workers"})
+            return
+        index = int(self.body().get("index", 0))
+        pid = pool.kill_worker(index)
+        self.respond(200, {"killed_worker": index, "pid": pid})
+
+    routes = {("GET", "/healthz"): _healthz,
+              ("GET", "/readyz"): _readyz,
+              ("GET", "/stats"): _stats,
+              ("POST", "/query"): _query,
+              ("POST", "/query_batch"): _query_batch,
+              ("POST", "/admin/kill_worker"): _kill_worker}
+
+
+class HttpRetrievalServer(_HttpServer):
+    """One replica's HTTP/JSON front on a :class:`RetrievalService`.
+
+    One handler thread per connection is all the server adds: the
+    service underneath is already concurrent and admission-bounded.
+    """
+
+    handler = _ReplicaHandler
+
+    def __init__(self, service: RetrievalService,
+                 host: str = "127.0.0.1", port: int = 0, *,
+                 replica_id: Optional[int] = None,
+                 allow_admin: bool = False):
+        self.service = service
+        self.metrics = service.metrics
+        self.replica_id = replica_id
+        self.allow_admin = allow_admin
+        self._started_at = time.monotonic()
+        super().__init__(host, port)
 
     # -- endpoint payloads ---------------------------------------------
     def uptime(self) -> float:
@@ -457,8 +540,6 @@ def _replica_main(conn, snapshot_path: str, config: ServiceConfig,
     every shard *before* the ready message, so ``/readyz`` flipping
     200 really means "serving at full quality".
     """
-    server = None
-    service = None
     try:
         service = RetrievalService.from_snapshot(snapshot_path, config,
                                                  mmap=True)
@@ -473,36 +554,27 @@ def _replica_main(conn, snapshot_path: str, config: ServiceConfig,
             pass
         return
     try:
-        # Wait for stop.  Parent death cannot be trusted to surface as
-        # EOF: with the fork start method, this process (and later
-        # siblings) inherit copies of the pipe's parent end, which
-        # keep the socket open after the parent is gone.  Watch for
-        # reparenting explicitly instead — an orphaned replica must
-        # exit, not serve forever.
-        import os
-        parent = os.getppid()
-        while not conn.poll(2.0):
-            if os.getppid() != parent:
-                break
-        else:
-            conn.recv()
-    except (EOFError, OSError, KeyboardInterrupt):
+        for _ in parent_messages(conn):
+            pass                  # the parent only ever asks us to stop
+    except KeyboardInterrupt:
         pass
     finally:
         server.close()
         service.close()
 
 
-@dataclass
-class _Replica:
-    index: int
-    process: Any
-    conn: Any
-    address: Optional[Tuple[str, int]] = None
-    generation: int = 0
+class _Replica(ChildProcess):
+    """Parent-side handle on one replica process."""
 
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
+    def __init__(self, index: int, generation: int, args: tuple):
+        # Not a daemon: a replica in process execution spawns its own
+        # worker children, which daemonic processes may not.  Orphan
+        # protection comes from parent_messages' reparenting check.
+        super().__init__(_replica_main, args,
+                         name=f"repro-replica-{index}", daemon=False)
+        self.index = index
+        self.generation = generation
+        self.address: Optional[Tuple[str, int]] = None
 
 
 class ReplicaSet:
@@ -521,15 +593,10 @@ class ReplicaSet:
     def __init__(self, snapshot_path, replicas: int = 2,
                  config: Optional[ServiceConfig] = None,
                  host: str = "127.0.0.1", *,
-                 start_method: Optional[str] = None,
                  allow_admin: bool = False,
                  startup_timeout: float = 120.0):
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
-        import multiprocessing
-        import os
-        import sys
-        import tempfile
         self.snapshot_path = str(snapshot_path)
         self.replicas = int(replicas)
         # Fault plans hold locks (unpicklable) and belong to chaos
@@ -537,10 +604,10 @@ class ReplicaSet:
         config = config or ServiceConfig()
         self.config = replace(config, fault_plan=None)
         # Process-execution replicas publish shards for their workers.
-        # Route that through files we own instead of shm segments: a
-        # SIGKILLed replica cannot release its segments, but files in
-        # this directory are swept by stop() regardless of how the
-        # replica died.
+        # Left to itself, each replica's pool would publish into a
+        # private temporary directory that a SIGKILLed replica can
+        # never remove; publishing under a directory the fleet owns
+        # lets stop() sweep it however the replica died.
         self._publish_tmp = None
         if self.config.execution == "process" and \
                 self.config.snapshot_dir is None:
@@ -551,10 +618,6 @@ class ReplicaSet:
         self.host = host
         self.allow_admin = allow_admin
         self.startup_timeout = float(startup_timeout)
-        if start_method is None:
-            start_method = os.environ.get("REPRO_PROCPOOL_START") or \
-                ("fork" if sys.platform.startswith("linux") else "spawn")
-        self._ctx = multiprocessing.get_context(start_method)
         self._members: List[_Replica] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -576,50 +639,35 @@ class ReplicaSet:
         so each replica incarnation publishes into its own subdir."""
         if self.config.snapshot_dir is None:
             return self.config
-        import os
         subdir = os.path.join(self.config.snapshot_dir,
                               f"replica-{index}-g{generation}")
         return replace(self.config, snapshot_dir=subdir)
 
     def _spawn(self, index: int, generation: int) -> _Replica:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Not a daemon: a replica in process execution spawns its own
-        # worker children, which daemonic processes may not.  Orphan
-        # protection comes from the pipe instead — parent death closes
-        # our end, _replica_main's recv() EOFs, the replica shuts down.
-        process = self._ctx.Process(
-            target=_replica_main,
-            args=(child_conn, self.snapshot_path,
-                  self._replica_config(index, generation),
-                  self.host, index, self.allow_admin),
-            name=f"repro-replica-{index}", daemon=False)
-        process.start()
-        child_conn.close()
-        replica = _Replica(index, process, parent_conn,
-                           generation=generation)
-        if not parent_conn.poll(self.startup_timeout):
-            process.kill()
+        replica = _Replica(index, generation, (
+            self.snapshot_path, self._replica_config(index, generation),
+            self.host, index, self.allow_admin))
+        if not replica.conn.poll(self.startup_timeout):
+            replica.reap(grace=0.0)
             raise ReplicaStartupError(
                 f"replica {index} did not become ready within "
                 f"{self.startup_timeout}s")
-        kind, detail = parent_conn.recv()
+        kind, detail = replica.conn.recv()
         if kind != "ready":
-            process.join(timeout=1.0)
+            replica.reap(grace=1.0)
             raise ReplicaStartupError(f"replica {index}: {detail}")
         replica.address = (detail[0], int(detail[1]))
         return replica
 
     def kill(self, index: int) -> int:
-        """SIGKILL one replica (chaos); returns its pid.
+        """SIGKILL one replica (chaos); returns its pid once the
+        process has exited.
 
         Like the procpool's ``kill_worker``, this does *not* mark the
         replica dead — detection is the balancer's job (health checks,
         connection errors, breakers).
         """
-        replica = self._members[index % len(self._members)]
-        pid = replica.process.pid
-        replica.process.kill()
-        return pid
+        return self._members[index % len(self._members)].kill()
 
     def restart(self, index: int) -> Tuple[str, int]:
         """Replace a (dead) replica with a fresh process warmed from
@@ -627,15 +675,11 @@ class ReplicaSet:
         with self._lock:
             if self._closed:
                 raise RuntimeError("replica set is closed")
-            old = self._members[index % len(self._members)]
-            old.process.kill()
-            old.process.join(timeout=5.0)
-            try:
-                old.conn.close()
-            except OSError:
-                pass
+            slot = index % len(self._members)
+            old = self._members[slot]
+            old.reap(grace=0.0)
             fresh = self._spawn(old.index, generation=old.generation + 1)
-            self._members[index % len(self._members)] = fresh
+            self._members[slot] = fresh
         return fresh.address
 
     def stop(self) -> None:
@@ -646,23 +690,13 @@ class ReplicaSet:
             self._closed = True
             members, self._members = self._members, []
         for replica in members:
-            try:
-                replica.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
+            replica.request_stop()
         for replica in members:
             # A replica's graceful close can take several seconds
             # (HTTP thread join + process-pool shutdown); give it room
             # before escalating — a SIGKILLed replica orphans its
             # workers onto the watchdog path instead of a clean exit.
-            replica.process.join(timeout=10.0)
-            if replica.process.is_alive():
-                replica.process.kill()
-                replica.process.join(timeout=2.0)
-            try:
-                replica.conn.close()
-            except OSError:
-                pass
+            replica.reap(grace=10.0)
         if self._publish_tmp is not None:
             self._publish_tmp.cleanup()
             self._publish_tmp = None
@@ -808,11 +842,11 @@ class Balancer:
         self.metrics.counter("balancer.health_rounds").increment()
         for index, endpoint in enumerate(self.endpoints()):
             try:
-                code, _, _ = self._http(endpoint, "GET", "/readyz",
-                                        timeout=min(
-                                            self.request_timeout,
-                                            max(self.health_interval,
-                                                0.25) * 4))
+                code, _, _ = json_request(endpoint, "GET", "/readyz",
+                                          timeout=min(
+                                              self.request_timeout,
+                                              max(self.health_interval,
+                                                  0.25) * 4))
                 alive = code == 200
             except (OSError, http.client.HTTPException):
                 alive = False
@@ -832,33 +866,6 @@ class Balancer:
                 if not was_down:
                     self.metrics.counter("balancer.evicted").increment()
         return self.healthy()
-
-    # -- transport ------------------------------------------------------
-    @staticmethod
-    def _http(endpoint: Tuple[str, int], method: str, path: str,
-              body: Optional[bytes] = None,
-              headers: Optional[Dict[str, str]] = None,
-              timeout: float = 30.0
-              ) -> Tuple[int, Dict[str, str], dict]:
-        host, port = endpoint
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            send_headers = {"Content-Type": "application/json"}
-            send_headers.update(headers or {})
-            conn.request(method, path, body=body, headers=send_headers)
-            response = conn.getresponse()
-            raw = response.read()
-            payload: dict = {}
-            if raw:
-                try:
-                    payload = json.loads(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    payload = {"error": "unparseable body"}
-            return (response.status,
-                    {k.lower(): v for k, v in response.getheaders()},
-                    payload)
-        finally:
-            conn.close()
 
     # -- routing --------------------------------------------------------
     def _pick(self, exclude: set) -> Optional[int]:
@@ -942,7 +949,7 @@ class Balancer:
             if deadline.bounded:
                 timeout = min(timeout, deadline.remaining() + 1.0)
             try:
-                code, response_headers, payload = self._http(
+                code, response_headers, payload = json_request(
                     endpoint, method, path, encoded, send_headers,
                     timeout)
             except (OSError, http.client.HTTPException) as exc:
@@ -1038,90 +1045,56 @@ class Balancer:
 # ----------------------------------------------------------------------
 # Single-address front door over the fleet
 # ----------------------------------------------------------------------
-class _FrontHandler(BaseHTTPRequestHandler):
+class _FrontHandler(_Handler):
     """Forwards the replica endpoint surface through the balancer."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-geosir-front"
 
-    def log_message(self, *args) -> None:
-        pass
+    def _healthz(self) -> None:
+        self.respond(200, {"status": "alive", "role": "front"})
 
-    @property
-    def front(self) -> "BalancerServer":
-        return self.server.front              # type: ignore[attr-defined]
+    def _readyz(self) -> None:
+        healthy = self.app.balancer.healthy()
+        self.respond(200 if healthy else 503,
+                     {"status": "ready" if healthy else "unready",
+                      "healthy_replicas": healthy})
 
-    def _respond(self, code: int, payload: Optional[dict],
-                 headers: Optional[Dict[str, str]] = None) -> None:
-        body = b"" if payload is None else _json_bytes(payload)
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
+    def _stats(self) -> None:
+        self.respond(200, self.app.balancer.stats())
 
-    def _forward(self, method: str) -> None:
-        balancer = self.front.balancer
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        body = None
-        if length:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+    def _forward(self) -> None:
         deadline_ms = parse_deadline_ms(
             self.headers.get(DEADLINE_HEADER))
+        body = self.body()
         headers = {}
         etag = self.headers.get("If-None-Match")
         if etag:
             headers["If-None-Match"] = etag
         try:
-            response = balancer.request(method, self.path, body,
-                                        deadline_ms=deadline_ms,
-                                        headers=headers)
+            response = self.app.balancer.request(
+                "POST", self.path, body, deadline_ms=deadline_ms,
+                headers=headers)
         except NoHealthyReplicas as exc:
-            self._respond(503, {"status": "error", "error": str(exc)},
-                          {"Retry-After": str(RETRY_AFTER_SECONDS)})
+            self.respond(503, {"status": "error", "error": str(exc)},
+                         {"Retry-After": str(RETRY_AFTER_SECONDS)})
             return
         out_headers: Dict[str, str] = {}
         if response.etag:
             out_headers["ETag"] = response.etag
         if response.status_code == 503:
             out_headers["Retry-After"] = str(RETRY_AFTER_SECONDS)
-        self._respond(response.status_code,
-                      None if response.not_modified else response.payload,
-                      out_headers)
+        self.respond(response.status_code,
+                     None if response.not_modified else response.payload,
+                     out_headers)
 
-    def do_GET(self) -> None:                 # noqa: N802
-        try:
-            if self.path == "/healthz":
-                self._respond(200, {"status": "alive", "role": "front"})
-            elif self.path == "/readyz":
-                healthy = self.front.balancer.healthy()
-                code = 200 if healthy else 503
-                self._respond(code, {"status": ("ready" if healthy
-                                                else "unready"),
-                                     "healthy_replicas": healthy})
-            elif self.path == "/stats":
-                self._respond(200, self.front.balancer.stats())
-            else:
-                self._respond(404, {"error": f"no route {self.path}"})
-        except Exception as exc:
-            self._respond(500, {"status": "error", "error": str(exc)})
-
-    def do_POST(self) -> None:                # noqa: N802
-        try:
-            if self.path in ("/query", "/query_batch"):
-                self._forward("POST")
-            else:
-                self._respond(404, {"error": f"no route {self.path}"})
-        except (ValueError, KeyError, TypeError) as exc:
-            self._respond(400, {"error": f"bad request: {exc}"})
-        except Exception as exc:
-            self._respond(500, {"status": "error", "error": str(exc)})
+    routes = {("GET", "/healthz"): _healthz,
+              ("GET", "/readyz"): _readyz,
+              ("GET", "/stats"): _stats,
+              ("POST", "/query"): _forward,
+              ("POST", "/query_batch"): _forward}
 
 
-class BalancerServer:
+class BalancerServer(_HttpServer):
     """The fleet behind one listening address.
 
     Clients speak the exact replica protocol to this port; the
@@ -1130,49 +1103,13 @@ class BalancerServer:
     unchanged.  ``repro serve --http --replicas N`` mounts this.
     """
 
+    handler = _FrontHandler
+
     def __init__(self, balancer: Balancer, host: str = "127.0.0.1",
                  port: int = 0):
         self.balancer = balancer
-        self._httpd = _ThreadingServer((host, port), _FrontHandler)
-        self._httpd.front = self              # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        self._lifecycle = threading.Lock()
-        self._closed = False
-
-    def start(self) -> "BalancerServer":
-        with self._lifecycle:
-            if self._closed:
-                raise RuntimeError("server is closed")
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._httpd.serve_forever,
-                    kwargs={"poll_interval": 0.05},
-                    name="repro-http-front", daemon=True)
-                self._thread.start()
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    def close(self) -> None:
-        with self._lifecycle:
-            if self._closed:
-                return
-            self._closed = True
-            thread = self._thread
-        if thread is not None:
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "BalancerServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.metrics = balancer.metrics
+        super().__init__(host, port)
 
     def __repr__(self) -> str:
         host, port = self.address

@@ -7,19 +7,18 @@ decision (admission, cache, retries, breakers, merge, degradation
 ladder) in the parent.  The design follows the one-writer /
 many-searcher model of production retrieval engines:
 
-* **Publish.**  The parent serializes each shard's base to the v3/v4
-  columnar snapshot format — to per-shard files under ``publish_dir``
-  when one is configured, otherwise into
-  :mod:`multiprocessing.shared_memory` segments — and hands workers
-  nothing but small *attach specs* (a path or a segment name plus a
-  byte count).
-* **Attach.**  Every worker maps every shard zero-copy:
-  :func:`~repro.storage.persist.load_base` with ``mmap=True`` for
-  files (the kernel page cache backs all workers with one physical
-  copy) or :func:`~repro.storage.persist.load_base_buffer` over the
-  shared segment.  A mutation in the parent bumps the shard-set
-  version; :meth:`ProcessWorkerPool.sync` republishes and workers
-  re-attach, so serving state converges without restarts.
+* **Publish.**  The parent writes each shard's base as a v3/v4
+  columnar snapshot file — under ``publish_dir`` when one is
+  configured, otherwise under a private temporary directory the pool
+  removes at shutdown — and hands workers nothing but small *attach
+  specs* (a path).
+* **Attach.**  Every worker maps every shard zero-copy with
+  :func:`~repro.storage.persist.load_base` and ``mmap=True``: the
+  kernel page cache backs all workers with one physical copy.  A
+  mutation in the parent bumps the shard-set version;
+  :meth:`ProcessWorkerPool.sync` republishes (or ships an append
+  delta) and workers re-attach, so serving state converges without
+  restarts.
 * **Dispatch.**  :class:`ProcessShardView` is a shard-shaped proxy:
   matcher/ANN operations become pickle-light task envelopes (query
   vertex arrays + parameters in, top-k id/score arrays out) sent over
@@ -45,12 +44,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 import threading
-import time
 import weakref
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -77,6 +78,17 @@ _DEFAULT_CALL_TIMEOUT = 120.0
 #: Attach (publish + load + warm) budget per worker.
 _ATTACH_TIMEOUT = 300.0
 
+#: Children start the platform's way: ``fork`` on Linux (cheap, and
+#: the child inherits the parent's warm imports), ``spawn`` elsewhere.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if sys.platform.startswith("linux") else "spawn")
+
+#: How often an idle child checks whether its parent is still there.
+_ORPHAN_POLL = 2.0
+
+#: Bound on the join after a SIGKILL (the signal is asynchronous).
+_KILL_JOIN = 5.0
+
 
 class WorkerUnavailableError(RuntimeError):
     """The shard's worker process is dead or unreachable."""
@@ -84,6 +96,87 @@ class WorkerUnavailableError(RuntimeError):
 
 class WorkerOperationError(RuntimeError):
     """The worker executed the op and reported an exception."""
+
+
+# ----------------------------------------------------------------------
+# Child supervision: one spawn / stop / kill path
+# ----------------------------------------------------------------------
+class ChildProcess:
+    """A child process and the parent's end of its duplex pipe.
+
+    ``target(conn, *args)`` runs in the child and reads its requests
+    through :func:`parent_messages`.  Shard workers and HTTP replicas
+    are both built on this: :meth:`kill` is the chaos hook,
+    :meth:`request_stop` + :meth:`reap` the polite shutdown (split so
+    a caller can ask every child first and then wait for all of them
+    in one pass).
+    """
+
+    def __init__(self, target: Callable[..., None], args: tuple,
+                 name: str, daemon: bool = True):
+        parent_conn, child_conn = _CONTEXT.Pipe(duplex=True)
+        self.process = _CONTEXT.Process(target=target,
+                                        args=(child_conn, *args),
+                                        name=name, daemon=daemon)
+        self.process.start()
+        child_conn.close()
+        self.conn = parent_conn
+
+    def is_alive(self) -> bool:
+        return self.process.is_alive()
+
+    def kill(self) -> Optional[int]:
+        """SIGKILL the child; returns its pid once it has exited.
+
+        The join matters: the signal is delivered asynchronously, so
+        a liveness check (or a revive) right after a bare kill can
+        still see the victim alive.
+        """
+        self.process.kill()
+        self.process.join(timeout=_KILL_JOIN)
+        return self.process.pid
+
+    def request_stop(self) -> None:
+        """Ask the child to exit (best effort: it may be dead)."""
+        try:
+            self.conn.send(("stop",))
+        except (BrokenPipeError, OSError, ValueError):
+            pass
+
+    def reap(self, grace: float) -> None:
+        """Give the child ``grace`` seconds to exit, then kill it;
+        close the pipe either way."""
+        self.process.join(timeout=grace)
+        if self.process.is_alive():
+            self.kill()
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+
+
+def parent_messages(conn) -> Iterator[tuple]:
+    """The child side of :class:`ChildProcess`: yield each message from
+    the parent until it sends ``("stop",)``, closes the pipe, or dies.
+
+    Parent death cannot be trusted to surface as EOF: with the fork
+    start method, sibling children inherit copies of this pipe's
+    parent end and keep it open after the parent is gone (SIGKILLed,
+    in chaos runs).  Poll with a timeout and watch for reparenting
+    explicitly — an orphaned child must exit, not serve forever.
+    """
+    parent = os.getppid()
+    while True:
+        try:
+            while not conn.poll(_ORPHAN_POLL):
+                if os.getppid() != parent:
+                    return
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message[0] == "stop":
+            return
+        yield message
 
 
 # ----------------------------------------------------------------------
@@ -152,80 +245,14 @@ def _stats_from_wire(wire: Dict[str, Any]) -> MatchStats:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _attach_base(spec: Dict[str, Any]):
-    """Load one shard base zero-copy from its attach spec.
-
-    Returns ``(base, keepalive)`` — ``keepalive`` holds whatever must
-    outlive the base's array views (the shared-memory segment).
-    """
-    from ..storage.persist import load_base, load_base_buffer
-    backend = spec.get("backend", "kdtree")
-    if spec["kind"] == "file":
-        base = load_base(spec["path"], backend=backend, mmap=True)
-        return base, None
-    if spec["kind"] == "shm":
-        from multiprocessing import resource_tracker, shared_memory
-        # Attaching would register the segment with the resource
-        # tracker (track=False lands only in 3.13+): the tracker would
-        # then unlink a segment the parent still owns when this worker
-        # exits, while an unregister-after-attach erases the *parent's*
-        # registration instead (one shared tracker, set semantics).
-        # Suppress registration around the attach; the parent is the
-        # single owner.
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None
-        try:
-            segment = shared_memory.SharedMemory(name=spec["name"])
-        finally:
-            resource_tracker.register = original_register
-        # Segments are page-rounded: slice to the payload size or the
-        # snapshot's body-length check sees trailing garbage.
-        view = memoryview(segment.buf)[:spec["size"]]
-        base = load_base_buffer(view, backend=backend, backing="shm")
-        return base, (segment, view)
-    raise ValueError(f"unknown attach spec kind {spec['kind']!r}")
-
-
-def _release_attachments(shards: Dict[int, Shard],
-                         keepalive: Dict[int, Any]) -> None:
-    """Tear down attached bases in dependency order.
-
-    The base's arrays are views over the segment buffer; they must be
-    collected before the memoryview is released and the segment
-    closed, or ``SharedMemory.__del__`` trips over exported pointers
-    at an arbitrary later GC point (noisy, though harmless).
-    """
-    import gc
-    shards.clear()
-    gc.collect()
-    for keep in keepalive.values():
-        if keep is None:
-            continue
-        segment, view = keep
-        try:
-            view.release()
-            segment.close()
-        except BufferError:     # a view is still referenced somewhere
-            pass
-    keepalive.clear()
-
-
-def _build_attachments(specs: Sequence[Dict[str, Any]],
-                       params: Dict[str, Any]
-                       ) -> Tuple[Dict[int, Shard], Dict[int, Any]]:
-    """Attach + warm every published shard (runs inside the worker).
-
-    A separate function so no local reference to a shard or its base
-    outlives the attach round — :func:`_release_attachments` relies on
-    the bases being collectable before it releases the buffers their
-    arrays view.
-    """
-    fresh: Dict[int, Shard] = {}
-    fresh_keep: Dict[int, Any] = {}
+def _attach_shards(specs: Sequence[Dict[str, Any]],
+                   params: Dict[str, Any]) -> Dict[int, Shard]:
+    """Map + warm every published shard file (runs inside the worker)."""
+    from ..storage.persist import load_base
+    shards: Dict[int, Shard] = {}
     for spec in specs:
-        index = spec["index"]
-        base, keep = _attach_base(spec)
-        shard = Shard(index, base, beta=params["beta"],
+        base = load_base(spec["path"], backend=spec["backend"], mmap=True)
+        shard = Shard(spec["index"], base, beta=params["beta"],
                       hash_curves=params["hash_curves"],
                       neighbor_radius=params["neighbor_radius"],
                       ann=params["ann"])
@@ -236,9 +263,8 @@ def _build_attachments(specs: Sequence[Dict[str, Any]],
         shard.matcher
         if params["ann"] is not None:
             shard.ann
-        fresh[index] = shard
-        fresh_keep[index] = keep
-    return fresh, fresh_keep
+        shards[spec["index"]] = shard
+    return shards
 
 
 def _worker_main(conn, worker_index: int, params: Dict[str, Any]) -> None:
@@ -249,36 +275,11 @@ def _worker_main(conn, worker_index: int, params: Dict[str, Any]) -> None:
     requests it already abandoned (timed-out attempts).
     """
     shards: Dict[int, Shard] = {}
-    keepalive: Dict[int, Any] = {}
-    parent = os.getppid()
-    while True:
-        try:
-            # Parent death cannot be trusted to surface as EOF: with
-            # the fork start method, sibling workers inherit copies of
-            # this pipe's parent end and keep the socket open after
-            # the parent is gone (SIGKILLed, in chaos runs).  Poll
-            # with a timeout and watch for reparenting explicitly.
-            while not conn.poll(2.0):
-                if os.getppid() != parent:
-                    _release_attachments(shards, keepalive)
-                    return
-            message = conn.recv()
-        except (EOFError, OSError):
-            _release_attachments(shards, keepalive)
-            return
-        kind = message[0]
-        if kind == "stop":
-            _release_attachments(shards, keepalive)
-            return
-        req_id = message[1]
+    for message in parent_messages(conn):
+        kind, req_id = message[0], message[1]
         try:
             if kind == "attach":
-                fresh, fresh_keep = _build_attachments(message[2],
-                                                       params)
-                stale, stale_keep = shards, keepalive
-                shards, keepalive = fresh, fresh_keep
-                del fresh, fresh_keep
-                _release_attachments(stale, stale_keep)
+                shards = _attach_shards(message[2], params)
                 conn.send((req_id, "ok", {
                     "worker": worker_index,
                     "pid": os.getpid(),
@@ -376,15 +377,15 @@ def _run_op(shard: Shard, op: str, payload: Dict[str, Any]) -> list:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class _Worker:
-    """Parent-side handle on one worker process (pipe + liveness)."""
+class _Worker(ChildProcess):
+    """Parent-side handle on one shard worker: its pipe lock (one
+    request/reply in flight at a time) and a liveness flag that the
+    first sign of death clears."""
 
-    __slots__ = ("index", "process", "conn", "lock", "alive")
-
-    def __init__(self, index, process, conn):
+    def __init__(self, index: int, params: Dict[str, Any]):
+        super().__init__(_worker_main, (index, params),
+                         name=f"repro-shard-worker-{index}")
         self.index = index
-        self.process = process
-        self.conn = conn
         self.lock = threading.Lock()
         self.alive = True
 
@@ -392,30 +393,12 @@ class _Worker:
         return self.alive and self.process.is_alive()
 
 
-class _Publication:
-    """One published shard snapshot (file or shared-memory segment)."""
-
-    __slots__ = ("spec", "_segment", "_path")
-
-    def __init__(self, spec, segment=None, path=None):
-        self.spec = spec
-        self._segment = segment
-        self._path = path
-
-    def release(self) -> None:
-        if self._segment is not None:
-            try:
-                self._segment.close()
-                self._segment.unlink()
-            except Exception:
-                pass
-            self._segment = None
-        if self._path is not None:
-            try:
-                os.unlink(self._path)
-            except OSError:
-                pass
-            self._path = None
+def _unlink_publications(specs: Sequence[Dict[str, Any]]) -> None:
+    for spec in specs:
+        try:
+            os.unlink(spec["path"])
+        except OSError:
+            pass
 
 
 class ProcessWorkerPool(WorkerPool):
@@ -427,16 +410,14 @@ class ProcessWorkerPool(WorkerPool):
     worker process that owns the shard (``shard_index % processes``)
     instead of running the matcher under the parent's GIL.
 
-    ``publish_dir`` selects the publish transport: a directory means
-    per-shard snapshot *files* that workers mmap (zero-copy through
-    the kernel page cache, survives for post-mortem inspection);
-    ``None`` means anonymous :mod:`multiprocessing.shared_memory`
-    segments (snapshotless bases, nothing touches the filesystem).
+    Shards are published as per-shard snapshot files that workers
+    mmap (zero-copy through the kernel page cache).  ``publish_dir``
+    names where; ``None`` means a private temporary directory that
+    :meth:`shutdown` removes.
     """
 
     def __init__(self, processes: int = 2, workers: Optional[int] = None,
                  publish_dir: Optional[str] = None,
-                 start_method: Optional[str] = None,
                  backend: str = "kdtree", beta: float = 0.25,
                  hash_curves: int = 50, neighbor_radius: int = 1,
                  ann=None, compact_every: int = 16):
@@ -449,16 +430,12 @@ class ProcessWorkerPool(WorkerPool):
         super().__init__(workers=max(processes,
                                      workers if workers else 1))
         self.processes = int(processes)
-        self.publish_dir = publish_dir
-        if start_method is None:
-            start_method = os.environ.get("REPRO_PROCPOOL_START") or \
-                ("fork" if sys.platform.startswith("linux") else "spawn")
-        self.start_method = start_method
+        self._owns_publish_dir = publish_dir is None
+        self.publish_dir = publish_dir if publish_dir is not None \
+            else tempfile.mkdtemp(prefix="repro-publish-")
         self._params = {"backend": backend, "beta": beta,
                         "hash_curves": hash_curves,
                         "neighbor_radius": neighbor_radius, "ann": ann}
-        self._ctx = multiprocessing.get_context(self.start_method)
-        self._proc_workers: List[_Worker] = []
         self._req_counter = 0
         self._req_lock = threading.Lock()
         self._sync_lock = threading.Lock()
@@ -471,7 +448,7 @@ class ProcessWorkerPool(WorkerPool):
         self._synced_set: Optional["weakref.ref"] = None
         self._synced_version: Optional[int] = None
         self._publish_round = 0
-        self._publications: List[_Publication] = []
+        self._publications: List[Dict[str, Any]] = []
         # Delta-publication state: per shard index, the (mutation-log
         # cursor, shape count, entry count) the workers hold — the
         # prior state the next delta is cut against.  ``None`` forces
@@ -485,20 +462,8 @@ class ProcessWorkerPool(WorkerPool):
         self._sync_stats = {"full_rounds": 0, "delta_rounds": 0,
                             "full_bytes": 0, "delta_bytes": 0,
                             "last_kind": None, "last_bytes": 0}
-        self._start_workers()
-
-    # -- lifecycle ------------------------------------------------------
-    def _start_workers(self) -> None:
-        for index in range(self.processes):
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(child_conn, index, self._params),
-                name=f"repro-shard-worker-{index}", daemon=True)
-            process.start()
-            child_conn.close()
-            self._proc_workers.append(
-                _Worker(index, process, parent_conn))
+        self._proc_workers: List[_Worker] = [
+            _Worker(index, self._params) for index in range(self.processes)]
 
     def _next_req_id(self) -> int:
         with self._req_lock:
@@ -507,34 +472,25 @@ class ProcessWorkerPool(WorkerPool):
 
     # -- publishing -----------------------------------------------------
     def _publish_shard(self, shard: Shard, version: int,
-                       round_id: int) -> _Publication:
-        from ..storage.persist import encode_base, save_base
+                       round_id: int) -> Dict[str, Any]:
+        """Write one shard's snapshot file; returns its attach spec."""
+        from ..storage.persist import save_base
         ann = self._params["ann"]
         sketch = ann.sketch if ann is not None else None
-        spec: Dict[str, Any] = {"index": shard.index,
-                                "backend": shard.base.backend}
-        if self.publish_dir is not None:
-            directory = Path(self.publish_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            # The round id keeps paths unique across shard-set swaps:
-            # a reloaded set restarts its version counter, and reusing
-            # a live publication's path would let the stale-release
-            # below unlink the file just published.
-            path = directory / (f"shard-{shard.index:02d}"
-                                f"-v{version:08d}"
-                                f"-r{round_id:04d}.gsb")
-            save_base(shard.base, path,
-                      version=4 if sketch is not None else 3,
-                      ann_sketch=sketch)
-            spec.update(kind="file", path=str(path))
-            return _Publication(spec, path=str(path))
-        from multiprocessing import shared_memory
-        payload = encode_base(shard.base, ann_sketch=sketch)
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=len(payload))
-        segment.buf[:len(payload)] = payload
-        spec.update(kind="shm", name=segment.name, size=len(payload))
-        return _Publication(spec, segment=segment)
+        directory = Path(self.publish_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        # The round id keeps paths unique across shard-set swaps: a
+        # reloaded set restarts its version counter, and reusing a live
+        # publication's path would let the stale-release in _full_sync
+        # unlink the file just published.
+        path = directory / (f"shard-{shard.index:02d}"
+                            f"-v{version:08d}"
+                            f"-r{round_id:04d}.gsb")
+        size = save_base(shard.base, path,
+                         version=4 if sketch is not None else 3,
+                         ann_sketch=sketch)
+        return {"index": shard.index, "backend": shard.base.backend,
+                "path": str(path), "size": size}
 
     def sync(self, shard_set: ShardSet, force: bool = False) -> bool:
         """Converge every live worker onto the shard set's current state.
@@ -634,7 +590,7 @@ class ProcessWorkerPool(WorkerPool):
 
     def _full_sync(self, shard_set: ShardSet, version: int) -> bool:
         """Publish every shard and (re-)attach every live worker."""
-        publications: List[_Publication] = []
+        publications: List[Dict[str, Any]] = []
         state: Dict[int, Tuple[int, int, int]] = {}
         installed = False
         self._publish_round += 1
@@ -650,19 +606,18 @@ class ProcessWorkerPool(WorkerPool):
                     state[shard.index] = (shard.log_seq,
                                           len(shard.base.shapes),
                                           shard.base.num_entries)
-            specs = [pub.spec for pub in publications]
             for worker in self._proc_workers:
                 if not worker.is_alive():
                     continue
                 try:
                     self._call_worker(worker,
-                                      ("attach", None, specs),
+                                      ("attach", None, publications),
                                       timeout=_ATTACH_TIMEOUT)
                 except (WorkerUnavailableError, ShardTimeoutError):
                     worker.alive = False
                 except WorkerOperationError:
                     # The worker survived but could not attach
-                    # (missing snapshot file, shm attach failure):
+                    # (missing or unreadable snapshot file):
                     # it still holds the previous corpus and would
                     # silently serve stale answers — take it out
                     # of rotation so its shards degrade instead.
@@ -674,23 +629,17 @@ class ProcessWorkerPool(WorkerPool):
             self._synced_version = version
             self._delta_state = state
             self._delta_rounds = 0
-            published = sum(
-                pub.spec.get("size") or
-                (os.path.getsize(pub.spec["path"])
-                 if pub.spec.get("kind") == "file" else 0)
-                for pub in publications)
+            published = sum(spec["size"] for spec in publications)
             stats = self._sync_stats
             stats["full_rounds"] += 1
             stats["full_bytes"] += published
             stats["last_kind"] = "full"
             stats["last_bytes"] = published
-            for publication in stale:
-                publication.release()
+            _unlink_publications(stale)
             return True
         finally:
             if not installed:
-                for publication in publications:
-                    publication.release()
+                _unlink_publications(publications)
 
     # -- dispatch -------------------------------------------------------
     def _worker_for(self, shard_index: int) -> _Worker:
@@ -759,11 +708,7 @@ class ProcessWorkerPool(WorkerPool):
         asynchronously), so a :meth:`revive_workers` call right after
         sees it dead instead of skipping it.
         """
-        worker = self._proc_workers[index % len(self._proc_workers)]
-        pid = worker.process.pid
-        worker.process.kill()
-        worker.process.join(timeout=5.0)
-        return pid
+        return self._proc_workers[index % len(self._proc_workers)].kill()
 
     def revive_workers(self) -> List[int]:
         """Respawn every dead worker; returns the revived indexes.
@@ -781,22 +726,13 @@ class ProcessWorkerPool(WorkerPool):
             for slot, worker in enumerate(self._proc_workers):
                 if worker.is_alive():
                     continue
+                # A worker retired while still running (failed attach
+                # or delta) is stopped here, not left to linger.
                 with worker.lock:
-                    try:
-                        worker.conn.close()
-                    except OSError:
-                        pass
-                worker.process.join(timeout=1.0)
-                parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-                process = self._ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, worker.index, self._params),
-                    name=f"repro-shard-worker-{worker.index}",
-                    daemon=True)
-                process.start()
-                child_conn.close()
-                self._proc_workers[slot] = _Worker(worker.index, process,
-                                                   parent_conn)
+                    worker.request_stop()
+                    worker.reap(grace=1.0)
+                self._proc_workers[slot] = _Worker(worker.index,
+                                                   self._params)
                 revived.append(worker.index)
             if revived:
                 self._synced_set = None
@@ -813,9 +749,6 @@ class ProcessWorkerPool(WorkerPool):
     def info(self) -> Dict[str, Any]:
         return {"processes": self.processes,
                 "alive": self.alive_workers(),
-                "start_method": self.start_method,
-                "publish": ("file" if self.publish_dir is not None
-                            else "shm"),
                 "synced_version": self._synced_version,
                 "sync": dict(self._sync_stats),
                 "compact_every": self.compact_every}
@@ -830,34 +763,25 @@ class ProcessWorkerPool(WorkerPool):
             # in-flight _call_worker send (Connection is not
             # thread-safe for concurrent sends).  A worker wedged in
             # a long call keeps the lock past the timeout; skip the
-            # polite stop — the join/kill below reaps it regardless.
+            # polite stop — reap() kills it regardless.
             worker.alive = False
             if worker.lock.acquire(timeout=2.0):
                 try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError, ValueError):
-                    pass
+                    worker.request_stop()
                 finally:
                     worker.lock.release()
         for worker in self._proc_workers:
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.alive = False
-        for publication in self._publications:
-            publication.release()
+            worker.reap(grace=1.0)
+        _unlink_publications(self._publications)
         self._publications = []
+        if self._owns_publish_dir:
+            shutil.rmtree(self.publish_dir, ignore_errors=True)
         super().shutdown()
 
     def __repr__(self) -> str:
         return (f"ProcessWorkerPool(processes={self.processes}, "
                 f"alive={len(self.alive_workers())}, "
-                f"publish={'file' if self.publish_dir else 'shm'})")
+                f"publish_dir={self.publish_dir!r})")
 
 
 # ----------------------------------------------------------------------

@@ -171,14 +171,10 @@ class ServiceConfig:
     #: snapshots (see :mod:`repro.service.procpool`).
     execution: str = "thread"
     processes: int = 2
-    #: Directory for published per-shard snapshot files in process
-    #: mode; ``None`` publishes through anonymous shared-memory
-    #: segments instead (no filesystem traffic).
+    #: Directory for the per-shard snapshot files process mode
+    #: publishes for its workers to mmap; ``None`` = a private
+    #: temporary directory, removed when the service closes.
     snapshot_dir: Optional[str] = None
-    #: ``multiprocessing`` start method for the worker processes;
-    #: ``None`` = ``REPRO_PROCPOOL_START`` env or the platform default
-    #: (``fork`` on linux).
-    start_method: Optional[str] = None
     #: -- streaming write path ---------------------------------------------
     #: ``streaming=True`` moves index folds off the ingest path onto a
     #: background :class:`~repro.service.ingest.FoldScheduler` (queries
@@ -329,7 +325,6 @@ class RetrievalService:
                 processes=self.config.processes,
                 workers=self.config.workers,
                 publish_dir=self.config.snapshot_dir,
-                start_method=self.config.start_method,
                 backend=self.config.backend, beta=self.config.beta,
                 hash_curves=self.config.hash_curves,
                 neighbor_radius=self.config.neighbor_radius,

@@ -41,7 +41,7 @@ columns are consistent with each other, and raises
 :class:`CorruptSnapshotError` (a :class:`ValueError`) *before touching
 the target base* instead of loading garbage.
 
-**Backing modes.**  A snapshot can load three ways, all bit-for-bit
+**Backing modes.**  A snapshot can load these ways, all bit-for-bit
 identical at query time and all recorded in ``base.snapshot_backing``:
 
 * ``"eager"`` — the file is read into process memory (the default);
@@ -52,9 +52,9 @@ identical at query time and all recorded in ``base.snapshot_backing``:
   :mod:`repro.service.procpool` worker processes rely on: attaching a
   shard costs page-table entries, not a per-process copy of the
   corpus.  The views are read-only — writing through them raises.
-* ``"shm"`` — :func:`load_base_buffer` over a
-  ``multiprocessing.shared_memory`` segment (the snapshotless service
-  path); same zero-copy property, the segment is the shared backing.
+* ``"buffer"`` (or whatever label the caller passes) —
+  :func:`load_base_buffer` over any in-memory payload; the same
+  zero-copy decode, with the caller's buffer as the backing.
 """
 
 from __future__ import annotations
@@ -223,9 +223,8 @@ def encode_base(base: ShapeBase, *, hash_curves: Optional[int] = None,
     """The v3/v4 snapshot payload for ``base`` as one bytes object.
 
     Exactly what :func:`save_base` would write (v4 when ``ann_sketch``
-    is given, v3 otherwise), without touching the filesystem.  The
-    process-worker tier publishes shard bases through shared-memory
-    segments with this; :func:`load_base_buffer` is the inverse.
+    is given, v3 otherwise), without touching the filesystem;
+    :func:`load_base_buffer` is the inverse.
     """
     if hash_curves is not None:
         from ..hashing.curves import HashCurveFamily
@@ -453,16 +452,17 @@ def load_base_buffer(buffer, backend: str = "kdtree", *,
     """Materialize a v3/v4 snapshot payload straight from a buffer.
 
     ``buffer`` is any object exposing the buffer protocol — a
-    ``bytes`` payload, a ``memoryview`` over a
-    ``multiprocessing.shared_memory`` segment, an ``mmap`` mapping.
+    ``bytes`` payload, a ``memoryview``, an ``mmap`` mapping (what
+    :func:`load_base` passes with ``mmap=True``).
     A snapshot is a delta from the empty base: the columns are decoded
     onto a fresh :class:`ShapeBase` as zero-copy views over the buffer,
     so the caller must keep it alive for the base's lifetime (the base
     pins it via ``_backing_buffer``); pass a read-only view (e.g.
-    ``memoryview(shm.buf).toreadonly()``) to guarantee the immutable-
+    ``memoryview(buf).toreadonly()``) to guarantee the immutable-
     snapshot contract.  ``backing`` labels ``base.snapshot_backing``
-    (the process tier uses ``"shm"``).  The range index is built lazily
-    on first use, or right away when ``warm`` is true.
+    (:func:`load_base` passes ``"eager"`` or ``"mmap"``).  The range
+    index is built lazily on first use, or right away when ``warm`` is
+    true.
     """
     head, cols = _read_frame(memoryview(buffer), MAGIC, "file")
     base = ShapeBase(alpha=float(head["alpha"]), backend=backend)

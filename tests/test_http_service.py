@@ -76,6 +76,22 @@ def server(corpus):
     service.close()
 
 
+@pytest.fixture(scope="module")
+def front(server):
+    """The single-address front door over the in-process replica."""
+    with Balancer([server.address], health_interval=30.0) as balancer, \
+            BalancerServer(balancer) as door:
+        yield door
+
+
+@pytest.fixture(params=["replica", "front"])
+def door(request, server):
+    """Where a client connects: the replica itself or the front door."""
+    if request.param == "replica":
+        return server
+    return request.getfixturevalue("front")
+
+
 def request(endpoint, method, path, body=None, headers=None,
             timeout=30.0):
     """One plain-stdlib request; returns (status, headers, payload)."""
@@ -220,12 +236,12 @@ class TestHttpServer:
         assert headers["retry-after"] == "1"
         assert payload["status"] == "overloaded"
 
-    def test_keepalive_survives_shed(self, server, corpus):
-        """Shed responses must drain the request body: a second
-        request on the same connection would otherwise read the
+    def test_keepalive_survives_shed(self, door, corpus):
+        """Shed, 404 and 400 responses must drain the request body: a
+        second request on the same connection would otherwise read the
         first's unread bytes as its request line."""
         _, queries = corpus
-        host, port = server.address
+        host, port = door.address
         conn = http.client.HTTPConnection(host, port, timeout=30.0)
         try:
             body = json.dumps(
@@ -243,6 +259,20 @@ class TestHttpServer:
             payload = json.loads(response.read().decode())
             assert response.status == 200
             assert payload["status"] == "ok"
+            # Every early exit drains: an unknown route, a bad header.
+            for path, header, code in (("/nope", "1000", 404),
+                                       ("/query", "whenever", 400)):
+                conn.request("POST", path, body=body,
+                             headers={"Content-Type": "application/json",
+                                      DEADLINE_HEADER: header})
+                response = conn.getresponse()
+                response.read()
+                assert response.status == code
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                payload = json.loads(response.read().decode())
+                assert response.status == 200
+                assert payload["status"] == "alive"
         finally:
             conn.close()
 
@@ -259,25 +289,25 @@ class TestHttpServer:
             assert result["status"] == "ok"
             assert result["matches"]
 
-    def test_bad_requests_get_400(self, server, corpus):
+    def test_bad_requests_get_400(self, door, corpus):
         _, queries = corpus
-        status, _, payload = request(server.address, "POST", "/query",
+        status, _, payload = request(door.address, "POST", "/query",
                                      {"k": 1})
         assert status == 400
         assert "bad request" in payload["error"]
         status, _, _ = request(
-            server.address, "POST", "/query",
+            door.address, "POST", "/query",
             {"sketch": shape_to_dict(queries[0]), "k": 0})
         assert status == 400
         status, _, _ = request(
-            server.address, "POST", "/query",
+            door.address, "POST", "/query",
             {"sketch": shape_to_dict(queries[0]), "k": 1},
             headers={DEADLINE_HEADER: "whenever"})
         assert status == 400
-        status, _, _ = request(server.address, "POST", "/nowhere",
+        status, _, _ = request(door.address, "POST", "/nowhere",
                                {"x": 1})
         assert status == 404
-        status, _, _ = request(server.address, "GET", "/nowhere")
+        status, _, _ = request(door.address, "GET", "/nowhere")
         assert status == 404
 
     def test_malformed_k_is_400_on_both_query_endpoints(self, server,
@@ -457,6 +487,7 @@ class TestReplicaFleet:
         # subsequent query must come back ok/degraded, never errored —
         # connection failures are retried on the sibling.
         replicas.kill(0)
+        assert 0 not in replicas.alive()     # kill() returns once it exited
         outcomes = []
         for index in range(20):
             response = balancer.query(queries[index % len(queries)],

@@ -4,8 +4,8 @@ Two headline invariants:
 
 * **Bit-for-bit equality** — a process-mode service answers exactly
   like the thread-mode service (and stays equal across ingest-driven
-  republish/re-attach rounds), over both publish transports
-  (shared-memory segments and mmapped snapshot files);
+  republish/re-attach rounds), with workers mmapping the per-shard
+  snapshot files the parent publishes;
 * **Degraded, never failed** — SIGKILLing a worker process turns its
   shards' slices into degraded answers equal to the unsharded matcher
   restricted to the surviving shards, while the service keeps serving.
@@ -150,7 +150,6 @@ class TestProcessEqualsThread:
                  process_config(snapshot_dir=str(snapdir))) as procs:
             published = sorted(os.listdir(snapdir))
             assert len(published) == NUM_SHARDS
-            assert procs.snapshot()["procpool"]["publish"] == "file"
             for query in queries[:3]:
                 a = threads.retrieve(query, k=5)
                 b = procs.retrieve(query, k=5)
@@ -357,6 +356,38 @@ class TestPoolLifecycle:
             pool.shutdown()
         assert pool.closed
         pool.shutdown()                      # idempotent
+
+    def test_default_pool_publishes_into_a_directory_it_owns(
+            self, corpus):
+        """Without ``snapshot_dir`` the pool publishes files into a
+        private temporary directory, removes it on close (also after a
+        kill -> revive -> full republish cycle) and creates nothing
+        under /dev/shm."""
+        workload, queries = corpus
+        shm = "/dev/shm"
+        shm_before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        for cycle in (False, True):
+            service = RetrievalService.from_base(build_base(workload),
+                                                process_config())
+            try:
+                pool = service.procpool
+                directory = pool.publish_dir
+                assert os.path.isdir(directory)
+                first = sorted(os.listdir(directory))
+                assert len(first) == NUM_SHARDS
+                if cycle:
+                    pool.kill_worker(0)
+                    assert pool.revive_workers() == [0]
+                    result = service.retrieve(queries[0], k=3)
+                    assert result.status == "ok"
+                    republished = sorted(os.listdir(directory))
+                    assert len(republished) == NUM_SHARDS
+                    assert not set(first) & set(republished)
+                if os.path.isdir(shm):
+                    assert set(os.listdir(shm)) <= shm_before
+            finally:
+                service.close()
+            assert not os.path.exists(directory)
 
     def test_shutdown_reaps_worker_processes(self, corpus):
         workload, _ = corpus
