@@ -68,6 +68,20 @@ def _has_three_distinct(vertices: np.ndarray) -> bool:
 CopyColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _signature_rows(num_curves: int, signatures, count: int) -> np.ndarray:
+    """``signatures`` as ``count`` int16 cache rows.  An int16 cast wraps
+    silently, so the family must fit int16 and every value must be one
+    it can produce (``0..num_curves``, 0 for an empty quarter)."""
+    if not 1 <= num_curves <= np.iinfo(np.int16).max:
+        raise ValueError(f"cannot cache signatures of {num_curves} curves")
+    values = np.asarray(signatures)
+    if values.shape != (count, 4):
+        raise ValueError("signatures must be one quadruple per entry")
+    if values.size and not 0 <= values.min() <= values.max() <= num_curves:
+        raise ValueError(f"signature value outside 0..{num_curves}")
+    return values.astype(np.int16, copy=False)
+
+
 def _copy_columns(entries: Sequence["ShapeEntry"]) -> CopyColumns:
     flat = (np.concatenate([e.shape.vertices for e in entries], axis=0)
             if entries else np.zeros((0, 2)))
@@ -267,6 +281,10 @@ class ShapeBase:
         first_entry = len(self.entries)
         if not ids:
             return first_entry
+        if signatures is not None:          # refused before any mutation
+            signatures = (int(signatures[0]), _signature_rows(
+                int(signatures[0]), signatures[1],
+                sum(len(copies) for copies in copies_per_shape)))
         new_entries: List[ShapeEntry] = []
         for sid, shape, iid, copies in zip(ids, shapes, image_ids,
                                            copies_per_shape):
@@ -364,27 +382,26 @@ class ShapeBase:
         """Keep the signature/sketch caches covering every entry.
 
         A warm cache gets the new entries' rows appended — the rows the
-        source handed over when they are of the cache's family,
-        computed here otherwise (identical to what a cold rebuild would
-        compute, so cache consumers stay bit-for-bit).  A base receiving
+        source handed over (range-checked by ``_absorb``) when they are
+        of the cache's family, signed here as one block otherwise
+        (identical to what a cold rebuild would compute, so cache
+        consumers stay bit-for-bit).  A base receiving
         its *first* entries has nothing to stay consistent with and
         adopts whatever rows come with them (snapshot load, subset).
         """
         if self._signature_cache is not None:
             num_curves, rows = self._signature_cache
-            if signatures is not None and int(signatures[0]) == num_curves:
+            if signatures is not None and signatures[0] == num_curves:
                 new_rows = signatures[1]
             else:
-                from ..hashing.characteristic import characteristic_quadruple
-                from ..hashing.curves import HashCurveFamily
-                family = HashCurveFamily(num_curves)
-                new_rows = [characteristic_quadruple(e.shape, family)
-                            for e in new_entries]
-            new_rows = np.asarray(new_rows, dtype=np.int16).reshape(-1, 4)
+                from ..hashing import HashCurveFamily, compute_signatures
+                new_rows = _signature_rows(num_curves, compute_signatures(
+                    self, HashCurveFamily(num_curves),
+                    range(first_new, len(self.entries))), len(new_entries))
             self._signature_cache = (
                 num_curves, np.concatenate([rows, new_rows], axis=0))
         elif signatures is not None and not first_new:
-            self.set_signature_cache(*signatures)
+            self._signature_cache = signatures
         if self._sketch_cache is not None:
             key, rows = self._sketch_cache
             if sketches is not None and tuple(sketches[0]) == key:
@@ -758,10 +775,8 @@ class ShapeBase:
     def set_signature_cache(self, num_curves: int,
                             signatures: Sequence[Sequence[int]]) -> None:
         """Remember per-entry signatures for a ``num_curves`` family."""
-        rows = np.asarray(signatures, dtype=np.int16)
-        if rows.shape != (len(self.entries), 4):
-            raise ValueError("signatures must be one quadruple per entry")
-        self._signature_cache = (int(num_curves), rows)
+        self._signature_cache = (int(num_curves), _signature_rows(
+            int(num_curves), signatures, len(self.entries)))
 
     # ------------------------------------------------------------------
     # ANN-sketch cache (filled by the ann layer / v4 snapshots)

@@ -22,6 +22,7 @@ mirror ``q1``/``q2`` about the x-axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple
 
@@ -60,11 +61,14 @@ def curve_area_derivative(x: float, step: float = 1e-6) -> float:
     return (curve_area(hi) - curve_area(lo)) / (hi - lo)
 
 
+@functools.lru_cache(maxsize=None)
 def solve_curve_parameters(k: int) -> np.ndarray:
     """The ``x_i`` (i = 1..k) splitting a quarter into k equal areas.
 
     ``x_k`` is exactly 1 (E(1) = A_0 / 4); the rest come from brentq on
-    the monotone ``E``.
+    the monotone ``E``.  Solved once per ``k`` per process (k - 1 root
+    finds, a few ms) and shared by every family of that size, so the
+    array is returned read-only.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -76,6 +80,7 @@ def solve_curve_parameters(k: int) -> np.ndarray:
             continue
         xs[i - 1] = brentq(lambda x: curve_area(x) - target, 0.0, 1.0,
                            xtol=1e-12)
+    xs.setflags(write=False)
     return xs
 
 
@@ -160,6 +165,50 @@ class HashCurveFamily:
                       if 1 <= i <= self.k]
         return min(neighbours,
                    key=lambda i: self.average_distance(pts, quarter, i))
+
+    def mean_distances(self, points: np.ndarray, quarter: int) -> np.ndarray:
+        """:meth:`average_distance` of ``g`` equal-sized point groups to
+        every curve of ``quarter``: ``(g, n, 2)`` points, ``(g, k)`` means.
+
+        One ``(g, k, n)`` tensor of :meth:`distance_to_curve` values;
+        each row's ``.mean()`` sums the same ``n`` values in the same
+        order as the scalar call, so the table is bit-identical to it.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        centers = self._centers[quarter]
+        d = np.hypot(pts[:, None, :, 0] - centers[None, :, None, 0],
+                     pts[:, None, :, 1] - centers[None, :, None, 1])
+        d -= 1.0
+        return np.abs(d, out=d).mean(axis=-1)
+
+    def closest_curves(self, points: np.ndarray, quarter: int) -> np.ndarray:
+        """:meth:`closest_curve` of ``g`` equal-sized point groups at once.
+
+        ``points`` is ``(g, n, 2)``; returns the ``(g,)`` curve indices.
+        The ternary search runs over the :meth:`mean_distances` table
+        for all groups together: both branches shrink the bracket width
+        ``w`` to ``w - w // 3``, so every group walks the same widths
+        and only its ``lo`` differs.  The final bracket scan and
+        neighbour scan keep ``min``'s first-minimum tie-breaking
+        (``np.argmin``).
+        """
+        means = self.mean_distances(points, quarter)
+        rows = np.arange(len(means))
+        lo = np.zeros(len(means), dtype=np.intp)
+        width = self.k - 1
+        while width > 2:
+            third = width // 3
+            keep = means[rows, lo + third] <= means[rows, lo + width - third]
+            lo = np.where(keep, lo, lo + third)
+            width -= third
+        rows = rows[:, None]
+        best = lo + np.argmin(
+            means[rows, lo[:, None] + np.arange(width + 1)], axis=1)
+        around = best[:, None] + np.arange(-1, 2)
+        scores = np.where((around >= 0) & (around < self.k),
+                          means[rows, np.clip(around, 0, self.k - 1)],
+                          np.inf)
+        return best + np.argmin(scores, axis=1)
 
     def arc_polyline(self, quarter: int, index: int,
                      samples: int = 64) -> np.ndarray:

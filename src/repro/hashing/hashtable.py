@@ -19,7 +19,7 @@ from ..core.shapebase import ShapeBase
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
 from .characteristic import (EMPTY_QUARTER, Quadruple,
-                             characteristic_quadruple)
+                             characteristic_quadruple, compute_signatures)
 from .curves import HashCurveFamily
 
 BucketKey = Tuple[int, int]       # (quarter, curve index)
@@ -110,21 +110,9 @@ class ApproximateRetriever:
         self.family = HashCurveFamily(k_curves)
         self.neighbor_radius = int(neighbor_radius)
         self.table = GeometricHashTable(self.family)
-        # Computing a characteristic quadruple walks every vertex of
-        # every entry; reuse the base's cache (filled by a previous
-        # retriever build or a v3 snapshot) when one exists for this
-        # curve family, and fill it otherwise.
-        cached = base.cached_signatures(k_curves)
-        if cached is not None:
-            signatures = [(int(a), int(b), int(c), int(d))
-                          for a, b, c, d in cached]
-        else:
-            signatures = [characteristic_quadruple(entry.shape, self.family)
-                          for entry in base]
-            if len(base):
-                base.set_signature_cache(k_curves, signatures)
-        for entry, quadruple in zip(base, signatures):
-            self.table.insert(entry.entry_id, quadruple)
+        for entry_id, quadruple in enumerate(
+                compute_signatures(base, self.family)):
+            self.table.insert(entry_id, quadruple)
 
     def add_entries(self, entry_ids) -> None:
         """Patch freshly appended base entries into the live table.
@@ -136,14 +124,9 @@ class ApproximateRetriever:
         equivalent to a rebuild because insertion is order-independent
         set union.
         """
-        cached = self.base.cached_signatures(self.family.k)
-        for entry_id in entry_ids:
-            entry_id = int(entry_id)
-            if cached is not None:
-                quadruple = tuple(int(v) for v in cached[entry_id])
-            else:
-                quadruple = characteristic_quadruple(
-                    self.base.entry(entry_id).shape, self.family)
+        entry_ids = [int(e) for e in entry_ids]
+        for entry_id, quadruple in zip(entry_ids, compute_signatures(
+                self.base, self.family, entry_ids)):
             self.table.insert(entry_id, quadruple)
 
     def query(self, query: Shape, k: int = 1,

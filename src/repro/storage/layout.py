@@ -27,10 +27,11 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from ..core.shapebase import ShapeBase
-from ..hashing.characteristic import (Quadruple, characteristic_quadruple,
+# ``compute_signatures`` lives in ``repro.hashing``; re-exported here
+# (and by ``repro.storage``) for the callers that sign a base to lay it out.
+from ..hashing.characteristic import (Quadruple, compute_signatures,
                                       quadruple_mean_curve,
                                       quadruple_median_curve)
-from ..hashing.curves import HashCurveFamily
 
 LayoutFn = Callable[..., List[int]]
 
@@ -42,23 +43,6 @@ def _register(name: str):
         LAYOUTS[name] = fn
         return fn
     return decorator
-
-
-def compute_signatures(base: ShapeBase,
-                       family: HashCurveFamily) -> List[Quadruple]:
-    """Characteristic quadruple of every entry, in entry-id order.
-
-    Answers from (and fills) the base's signature cache, so hash-table
-    builds, layout sorts and snapshot saves share one computation.
-    """
-    cached = base.cached_signatures(family.k)
-    if cached is not None:
-        return [(int(a), int(b), int(c), int(d)) for a, b, c, d in cached]
-    signatures = [characteristic_quadruple(entry.shape, family)
-                  for entry in base]
-    if len(base):
-        base.set_signature_cache(family.k, signatures)
-    return signatures
 
 
 @_register("mean")

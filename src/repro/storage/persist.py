@@ -383,6 +383,10 @@ def _absorb_columns(base: ShapeBase, head: Dict[str, object],
     require(np.all(pairs < copy_counts[:, None]) and
             np.all(pairs[:, 0] != pairs[:, 1]),
             "anchor pair outside its copy")
+    require(0 <= head["sig_curves"] <= np.iinfo(np.int16).max and
+            np.all((cols["signatures"] >= 0) &
+                   (cols["signatures"] <= head["sig_curves"])),
+            "signature outside its curve family")
 
     with base._build_lock:
         if len(base.shapes) != head["prior_shapes"] or \

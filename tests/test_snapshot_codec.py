@@ -262,6 +262,17 @@ def test_inconsistent_payload_refused_whole(corpus, tmp_path, case, route):
     _assert_identical(whole, target, [])
 
 
+@pytest.mark.parametrize("value", [-1, CURVES + 1])
+def test_signature_outside_its_family_refused(value):
+    data = bytearray(encode_base(_golden_base(), hash_curves=CURVES))
+    # v3: the signature rows are the body's last section.
+    struct.pack_into("<h", data, len(data) - 2, value)
+    start = _PREFIX.size + _HEADERS[b"GSIR"][0].size
+    struct.pack_into("<I", data, start - 4, zlib.crc32(bytes(data[start:])))
+    with pytest.raises(CorruptSnapshotError, match="curve family"):
+        load_base_buffer(bytes(data))
+
+
 def test_delta_with_a_present_shape_id_refused_whole(corpus):
     whole, prefix = corpus
     target = load_base_buffer(encode_base(prefix))
