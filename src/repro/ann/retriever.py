@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.matcher import Match, MatchStats
+from ..core.matcher import Match, MatchStats, best_per_shape, rank
+from ..core.measures import entry_measures
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
 from ..geometry.transform import normalize_about_diameter
@@ -191,31 +192,14 @@ class AnnPrunedMatcher:
 
     def _score(self, normalized: Shape, candidate_ids: List[int],
                k: int) -> List[Match]:
-        """Exact discrete measures over the candidate entries.
-
-        One distance-engine call over the concatenated candidate
-        vertices (the matcher's batched exact-measure idiom), then
-        best-entry-per-shape and a (distance, shape id) sort.
-        """
-        if not candidate_ids:
-            return []
-        engine = BoundaryDistance(normalized)
-        stacked, offsets = self.base.entry_vertices_batch(candidate_ids)
-        distances = engine.distances(stacked)
-        best: Dict[int, Tuple[float, int]] = {}
-        for i, entry_id in enumerate(candidate_ids):
-            value = float(distances[offsets[i]:offsets[i + 1]].mean())
-            entry = self.base.entries[entry_id]
-            current = best.get(entry.shape_id)
-            if current is None or (value, entry_id) < current:
-                best[entry.shape_id] = (value, entry_id)
-        ranked = sorted(best.items(),
-                        key=lambda item: (item[1][0], item[0]))[:k]
-        return [Match(shape_id=shape_id,
-                      image_id=self.base.entries[entry_id].image_id,
-                      distance=value, entry_id=entry_id,
-                      approximate=True)
-                for shape_id, (value, entry_id) in ranked]
+        """Exact discrete measures over the candidate entries — one
+        :func:`~repro.core.measures.entry_measures` call — then the best
+        copy per shape, ranked by the matcher's one rule."""
+        values = entry_measures(BoundaryDistance(normalized), self.base,
+                                candidate_ids)
+        return rank(self.base,
+                    best_per_shape(self.base, candidate_ids, values), k,
+                    approximate=True)
 
     def __repr__(self) -> str:
         return (f"AnnPrunedMatcher(entries={self.num_indexed}, "

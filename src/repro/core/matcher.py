@@ -47,7 +47,8 @@ from ..geometry.polyline import Shape
 from ..geometry.primitives import EPSILON
 from ..geometry.transform import normalize_about_diameter
 from .epsilon import EpsilonSchedule, schedule_for
-from .measures import continuous_average_distance
+from .measures import (continuous_average_distance,
+                       directed_average_distance, entry_measures)
 from .shapebase import ShapeBase, ShapeEntry
 
 
@@ -96,6 +97,33 @@ class MatchStats:
 
 #: Per-shape best: shape id -> (measure value, entry id).
 BestByShape = Dict[int, Tuple[float, int]]
+
+
+def best_per_shape(base: ShapeBase, entry_ids: Sequence[int],
+                   values: Sequence[float],
+                   best: Optional[BestByShape] = None) -> BestByShape:
+    """Fold measured entries into ``best`` (or a new dict): per shape,
+    the minimum ``(value, entry_id)``, whatever the measuring order."""
+    best = {} if best is None else best
+    for entry_id, value in zip(entry_ids, values):
+        entry_id = int(entry_id)
+        shape_id = base.entry(entry_id).shape_id
+        current = best.get(shape_id)
+        if current is None or (value, entry_id) < current:
+            best[shape_id] = (value, entry_id)
+    return best
+
+
+def rank(base: ShapeBase, best: BestByShape, k: int,
+         approximate: bool = False) -> List[Match]:
+    """The ``k`` best shapes of ``best`` by ``(value, shape_id)`` — the
+    order shards are merged in — so ties rank alike in every tier."""
+    ranked = sorted(best.items(),
+                    key=lambda item: (item[1][0], item[0]))[:k]
+    return [Match(shape_id=shape_id, image_id=base.image_of_shape(shape_id),
+                  distance=value, entry_id=entry_id, approximate=approximate)
+            for shape_id, (value, entry_id) in ranked]
+
 
 T = TypeVar("T")
 
@@ -306,38 +334,29 @@ class GeometricSimilarityMatcher:
 
     def _entry_measure(self, entry: ShapeEntry, engine: BoundaryDistance,
                        normalized_query: Shape) -> float:
-        vertices = self.base.entry_vertices(entry.entry_id)
-        discrete = float(engine.distances(vertices).mean())
-        if self.measure == "discrete":
-            return discrete
+        """One entry's measure from scalar passes (the continuous and
+        symmetric measures need per-entry engines)."""
+        if self.measure == "continuous":
+            return continuous_average_distance(
+                entry.shape, normalized_query, engine=engine,
+                samples_per_edge=self.samples_per_edge)
+        discrete = directed_average_distance(entry.shape, normalized_query,
+                                             engine)
         if self.measure == "symmetric":
-            reverse = BoundaryDistance(entry.shape)
-            other = float(reverse.distances(
-                normalized_query.vertices).mean())
-            return max(discrete, other)
-        return continuous_average_distance(
-            entry.shape, normalized_query, engine=engine,
-            samples_per_edge=self.samples_per_edge)
+            return max(discrete, directed_average_distance(
+                normalized_query, entry.shape))
+        return discrete
 
     def _entry_measures(self, entries: Sequence[ShapeEntry],
                         entry_ids: np.ndarray, engine: BoundaryDistance,
                         normalized_query: Shape) -> List[float]:
-        """Exact measures of a whole candidate batch.
-
-        For the discrete measure every per-row distance is independent
-        of the other rows, so one engine call over the concatenated
-        vertices followed by per-entry slice means reproduces the
-        per-entry calls bit-for-bit (same values, same summation
-        order).  The continuous and symmetric measures need per-entry
-        reverse engines, so they keep the scalar path.
-        """
-        if self.measure != "discrete" or len(entries) <= 1:
-            return [self._entry_measure(entry, engine, normalized_query)
-                    for entry in entries]
-        stacked, offsets = self.base.entry_vertices_batch(entry_ids)
-        distances = engine.distances(stacked)
-        return [float(distances[offsets[i]:offsets[i + 1]].mean())
-                for i in range(len(entries))]
+        """Exact measures of a whole candidate batch: one
+        :func:`~repro.core.measures.entry_measures` call for the
+        discrete measure, :meth:`_entry_measure` per entry otherwise."""
+        if self.measure == "discrete":
+            return entry_measures(engine, self.base, entry_ids)
+        return [self._entry_measure(entry, engine, normalized_query)
+                for entry in entries]
 
     def make_schedule(self, normalized_query: Shape) -> EpsilonSchedule:
         return schedule_for(normalized_query, self.base.num_shapes,
@@ -413,8 +432,9 @@ class GeometricSimilarityMatcher:
         run out, so callers fall back to geometric hashing.
 
         ``scratch`` is a clean checked-out :class:`_QueryScratch`;
-        ``on_improved(shape_id, value)`` fires whenever a shape's best
-        value improves — the top-k tracker's feed.
+        ``on_improved(shape_id, value)`` is handed the best value of
+        every shape with a copy scored in the iteration — the top-k
+        tracker's feed, to which an unchanged value is a no-op.
         """
         points = scratch.points
         owner = scratch.owner
@@ -483,15 +503,14 @@ class GeometricSimilarityMatcher:
                 values = self._entry_measures(entries, fresh, engine,
                                               normalized_query)
                 stats.candidates_evaluated += len(fresh)
-                for entry, value in zip(entries, values):
-                    if on_candidate is not None:
+                if on_candidate is not None:
+                    for entry in entries:
                         on_candidate(entry)
-                    current = best_by_shape.get(entry.shape_id)
-                    if current is None or value < current[0]:
-                        best_by_shape[entry.shape_id] = (value,
-                                                         entry.entry_id)
-                        if on_improved is not None:
-                            on_improved(entry.shape_id, value)
+                best_per_shape(self.base, fresh, values, best_by_shape)
+                if on_improved is not None:
+                    for shape_id in dict.fromkeys(
+                            entry.shape_id for entry in entries):
+                        on_improved(shape_id, best_by_shape[shape_id][0])
                 timings["exact_measures"] += perf_counter() - started
 
             if should_stop(eps, best_by_shape):
@@ -617,7 +636,7 @@ class GeometricSimilarityMatcher:
             if len(own) < k or \
                     own[-1] > beta * stats.epsilons[-1] + EPSILON:
                 stats.prior_stops = 1
-        return self._rank(best_by_shape, k), stats
+        return rank(self.base, best_by_shape, k), stats
 
     # ------------------------------------------------------------------
     def query_threshold(self, query: Shape, distance_threshold: float,
@@ -684,12 +703,4 @@ class GeometricSimilarityMatcher:
                                     scratch=scratch)
         qualifying = {sid: bv for sid, bv in best_by_shape.items()
                       if bv[0] <= distance_threshold + EPSILON}
-        return self._rank(qualifying, len(qualifying) or 1), stats
-
-    # ------------------------------------------------------------------
-    def _rank(self, best_by_shape: BestByShape, k: int) -> List[Match]:
-        ranked = sorted(best_by_shape.items(), key=lambda kv: kv[1][0])[:k]
-        return [Match(shape_id=sid,
-                      image_id=self.base.image_of_shape(sid),
-                      distance=value, entry_id=entry_id)
-                for sid, (value, entry_id) in ranked]
+        return rank(self.base, qualifying, len(qualifying)), stats

@@ -20,7 +20,7 @@ of Q").
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +87,21 @@ def directed_average_distance(source: Shape, target: Shape,
     """
     distances = _target_engine(target, engine).distances(source.vertices)
     return float(distances.mean())
+
+
+def entry_measures(engine: BoundaryDistance, base,
+                   entry_ids: Sequence[int]) -> List[float]:
+    """Discrete ``h_avg`` of base entries against ``engine``'s shape: one
+    engine call over their stacked vertices, then a ``.mean()`` per entry
+    slice — bitwise :func:`directed_average_distance` per entry, since a
+    row's distance ignores the other rows and each slice sums in the
+    same order (``np.add.reduceat`` does not)."""
+    if len(entry_ids) == 0:
+        return []
+    stacked, offsets = base.entry_vertices_batch(entry_ids)
+    distances = engine.distances(stacked)
+    return [float(distances[offsets[i]:offsets[i + 1]].mean())
+            for i in range(len(entry_ids))]
 
 
 def continuous_average_distance(source: Shape, target: Shape,

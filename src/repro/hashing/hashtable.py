@@ -14,10 +14,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.matcher import Match
+from ..core.matcher import Match, best_per_shape, rank
+from ..core.measures import entry_measures
 from ..core.shapebase import ShapeBase
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
+from ..geometry.transform import normalize_about_diameter
 from .characteristic import (EMPTY_QUARTER, Quadruple,
                              characteristic_quadruple, compute_signatures)
 from .curves import HashCurveFamily
@@ -131,30 +133,20 @@ class ApproximateRetriever:
 
     def query(self, query: Shape, k: int = 1,
               neighbor_radius: Optional[int] = None) -> List[Match]:
-        """Up to ``k`` approximate matches ranked by average distance."""
-        from ..core.matcher import GeometricSimilarityMatcher
-        normalized = GeometricSimilarityMatcher(self.base).normalize_query(query)
-        quadruple = characteristic_quadruple(normalized, self.family)
+        """Up to ``k`` approximate matches: the candidates' exact
+        measures from one :func:`~repro.core.measures.entry_measures`
+        call, ranked by the matcher's one rule."""
+        normalized = normalize_about_diameter(query).shape
         radius = self.neighbor_radius if neighbor_radius is None \
             else neighbor_radius
-        candidate_entries = self.table.candidates(quadruple, radius)
-        engine = BoundaryDistance(normalized)
-        best: Dict[int, Tuple[float, int]] = {}
-        for entry_id in candidate_entries:
-            entry = self.base.entry(entry_id)
-            value = float(engine.distances(
-                self.base.entry_vertices(entry_id)).mean())
-            current = best.get(entry.shape_id)
-            if current is None or value < current[0]:
-                best[entry.shape_id] = (value, entry_id)
-        ranked = sorted(best.items(), key=lambda kv: kv[1][0])[:k]
-        return [Match(shape_id=sid,
-                      image_id=self.base.image_of_shape(sid),
-                      distance=value, entry_id=entry_id, approximate=True)
-                for sid, (value, entry_id) in ranked]
+        candidates = sorted(self.table.candidates(
+            characteristic_quadruple(normalized, self.family), radius))
+        values = entry_measures(BoundaryDistance(normalized), self.base,
+                                candidates)
+        return rank(self.base, best_per_shape(self.base, candidates, values),
+                    k, approximate=True)
 
     def signature_of(self, shape: Shape) -> Quadruple:
         """Characteristic quadruple of an arbitrary (raw) shape."""
-        from ..core.matcher import GeometricSimilarityMatcher
-        normalized = GeometricSimilarityMatcher(self.base).normalize_query(shape)
-        return characteristic_quadruple(normalized, self.family)
+        return characteristic_quadruple(
+            normalize_about_diameter(shape).shape, self.family)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.matcher import GeometricSimilarityMatcher
+from ..core.measures import entry_measures
 from ..core.shapebase import ShapeBase
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
@@ -328,25 +329,20 @@ class QueryEngine:
         Used by strategy 1 and by restricted term filters, which check
         candidate shapes one by one instead of materializing the full
         similarity set.  On a leaf-cache hit the membership test is
-        free; otherwise the shape's entries are measured directly (same
-        qualification rule as the matcher: best average distance
-        ``<= t + EPSILON``) — all of them in one distance-engine call,
-        the matcher's batched exact-measure idiom: per-row distances
-        are independent of the other rows, so the per-entry slice means
-        equal the per-entry calls bit for bit.
+        free; otherwise all of the shape's entries are measured in one
+        :func:`~repro.core.measures.entry_measures` call, under the
+        matcher's qualification rule (best average distance ``<= t +
+        EPSILON``).
         """
         self.counters.add(similarity_checks=1)
         cached = self._leaf_cached(query)
         if cached is not None:
             return shape_id in cached
-        engine = self._query_engine(query)
         corpus = self._base_of(shape_id)
-        stacked, offsets = corpus.entry_vertices_batch(
-            corpus.entries_of_shape(shape_id))
-        distances = engine.distances(stacked)
-        return any(float(distances[offsets[i]:offsets[i + 1]].mean())
-                   <= self.similarity_threshold + EPSILON
-                   for i in range(len(offsets) - 1))
+        threshold = self.similarity_threshold + EPSILON
+        return any(value <= threshold for value in entry_measures(
+            self._query_engine(query), corpus,
+            corpus.entries_of_shape(shape_id)))
 
     def similar(self, query: Shape) -> Set[int]:
         """``similar(Q)``: the images containing a similar shape."""

@@ -1,11 +1,12 @@
-"""A deliberately naive oracle for the query algebra.
+"""A deliberately naive oracle for the query algebra and for top-k.
 
-:class:`ReferenceExecutor` answers every algebra query by brute force:
+:class:`ReferenceExecutor` answers every query by brute force:
 
-* ``shape_similar`` measures each database shape's entries one by one
-  with scalar :class:`~repro.geometry.nearest.BoundaryDistance` loops
-  (same qualification rule as the matcher: best average distance
-  ``<= threshold + EPSILON``) — no envelope schedule, no index;
+* ``shape_similar`` and ``top_k`` measure every copy of every shape with
+  scalar :func:`~repro.core.measures.directed_average_distance` calls
+  (never the tiers' batched kernel) under the tiers' rules: best copy by
+  ``(value, entry_id)``, similar at ``<= threshold + EPSILON``, top-k by
+  ``(distance, shape_id)``; no envelope schedule, no index;
 * topological operators re-classify every ordered shape pair of every
   image with :func:`~repro.query.graph.relation_between` — no relation
   graphs, no selectivity-driven strategy choice;
@@ -13,17 +14,18 @@
   union, intersection, complement against the image universe — with no
   DNF rewrite, no planning, no caching of any kind.
 
-Slow by design and independent of everything the planner does, it is
-the differential harness's ground truth: any optimization in
-:class:`~repro.query.executor.QueryEngine` (batching, sharding,
-subplan caching, operator reordering) must reproduce these answers
-exactly (``tests/test_algebra_differential.py``).
+Slow by design and independent of everything the planner and the
+retrieval tiers do, it is the ground truth: the planner must reproduce
+its algebra answers (``tests/test_algebra_differential.py``) and every
+guaranteed top-k answer its ``top_k``, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Set, Tuple
 
+from ..core.matcher import Match
+from ..core.measures import directed_average_distance
 from ..core.shapebase import ShapeBase
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
@@ -36,7 +38,7 @@ from .graph import (ANY_ANGLE, CONTAIN, angle_matches, diameter_angle,
 
 
 class ReferenceExecutor:
-    """Brute-force evaluation of algebra queries over one base."""
+    """Brute-force evaluation of algebra and top-k queries over one base."""
 
     def __init__(self, base: ShapeBase, similarity_threshold: float = 0.05,
                  angle_tolerance: float = 0.15):
@@ -50,18 +52,36 @@ class ReferenceExecutor:
     def all_images(self) -> Set[int]:
         return set(self.base.image_ids())
 
-    def shape_similar(self, query: Shape) -> Set[int]:
+    def _best_copies(self, query: Shape) -> Dict[int, Tuple[float, int]]:
+        """Per shape, its best ``(h_avg, entry_id)`` over all copies."""
         normalized = normalize_about_diameter(query).shape
         engine = BoundaryDistance(normalized)
-        threshold = self.similarity_threshold + EPSILON
-        result: Set[int] = set()
+        best: Dict[int, Tuple[float, int]] = {}
         for shape_id in self.base.shape_ids():
             for entry_id in self.base.entries_of_shape(shape_id):
-                vertices = self.base.entry_vertices(entry_id)
-                if float(engine.distances(vertices).mean()) <= threshold:
-                    result.add(shape_id)
-                    break
-        return result
+                measured = (directed_average_distance(
+                    self.base.entry(entry_id).shape, normalized, engine),
+                    entry_id)
+                if shape_id not in best or measured < best[shape_id]:
+                    best[shape_id] = measured
+        return best
+
+    def shape_similar(self, query: Shape) -> Set[int]:
+        threshold = self.similarity_threshold + EPSILON
+        return {shape_id for shape_id, (value, _) in
+                self._best_copies(query).items() if value <= threshold}
+
+    def top_k(self, sketch: Shape, k: int) -> List[Match]:
+        """The exact ``k`` best shapes, each at its best copy's
+        ``h_avg``, ordered by ``(distance, shape_id)``."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        ranked = sorted(self._best_copies(sketch).items(),
+                        key=lambda item: (item[1][0], item[0]))[:k]
+        return [Match(shape_id=shape_id,
+                      image_id=self.base.image_of_shape(shape_id),
+                      distance=value, entry_id=entry_id)
+                for shape_id, (value, entry_id) in ranked]
 
     def similar(self, query: Shape) -> Set[int]:
         images = set()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Shape, ShapeBase
-from repro.imaging.synthesis import generate_workload
+from repro.imaging.synthesis import (distort, generate_workload,
+                                     place_randomly, prototype_pool)
 
 
 @pytest.fixture
@@ -46,6 +47,20 @@ def assert_same_base(a: ShapeBase, b: ShapeBase):
     for name in ("_vertex_points", "_vertex_owner", "_entry_sizes",
                  "_entry_offsets"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def benchmark_like_base(seed, images=32):
+    """The benchmark corpus recipe: twelve prototypes, four shapes an
+    image, 1 % boundary noise, alpha 0.1 (seed 1 is its 1 290 copies)."""
+    pool = prototype_pool(np.random.default_rng(2002), 12)
+    rng = np.random.default_rng([seed, 0])
+    labels = rng.permutation(np.arange(4 * images) % 12)
+    base = ShapeBase(alpha=0.1)
+    for image in range(images):
+        base.add_shapes([place_randomly(distort(pool[label], 0.01, rng), rng)
+                         for label in labels[4 * image:4 * image + 4]],
+                        image_ids=[image] * 4)
+    return base
 
 
 @pytest.fixture

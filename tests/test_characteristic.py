@@ -27,7 +27,7 @@ from repro.imaging.synthesis import (distort, place_randomly,
                                      prototype_pool, random_blob)
 from repro.service import RetrievalService, ServiceConfig
 from repro.storage import save_base
-from tests.conftest import star_shaped_polygon
+from tests.conftest import benchmark_like_base, star_shaped_polygon
 
 FAMILIES = {k: HashCurveFamily(k) for k in (1, 2, 3, 4, 5, 30, 50)}
 #: Vertices per quarter: 1-9 and either side of numpy's pairwise-sum
@@ -82,20 +82,6 @@ def block_shape(rng, counts, kind="plain"):
     if len(points) < 2:
         points = np.concatenate([points, ANCHORS])
     return Shape(points[rng.permutation(len(points))], closed=False)
-
-
-def benchmark_like_base(seed, images=32):
-    """The benchmark corpus recipe: twelve prototypes, four shapes an
-    image, 1 % boundary noise, alpha 0.1 (seed 1 is its 1 290 copies)."""
-    pool = prototype_pool(np.random.default_rng(2002), 12)
-    rng = np.random.default_rng([seed, 0])
-    labels = rng.permutation(np.arange(4 * images) % 12)
-    base = ShapeBase(alpha=0.1)
-    for image in range(images):
-        base.add_shapes([place_randomly(distort(pool[label], 0.01, rng), rng)
-                         for label in labels[4 * image:4 * image + 4]],
-                        image_ids=[image] * 4)
-    return base
 
 
 def recorded(monkeypatch, owner, name):

@@ -197,19 +197,16 @@ class TestProbeWork:
     def test_one_engine_call_per_probe_one_signature_per_query(
             self, topo_setup, monkeypatch):
         from repro.geometry.nearest import BoundaryDistance
-        from repro.geometry.primitives import EPSILON
+        from repro.query import ReferenceExecutor
         from repro.service import cache
         shared, a, b, c, kinds = topo_setup
         base = shared.base
         engine = QueryEngine(base, similarity_threshold=0.04,
                              cache_capacity=0)    # every probe is direct
-        reference = BoundaryDistance(engine.matcher.normalize_query(a))
-        expected = {
-            shape_id: any(
-                float(reference.distances(
-                    base.entry_vertices(entry_id)).mean()) <= 0.04 + EPSILON
-                for entry_id in base.entries_of_shape(shape_id))
-            for shape_id in base.shape_ids()}
+        similar = ReferenceExecutor(base, similarity_threshold=0.04) \
+            .shape_similar(a)
+        expected = {shape_id: shape_id in similar
+                    for shape_id in base.shape_ids()}
         assert any(expected.values()) and not all(expected.values())
 
         calls = {"distances": 0, "signatures": 0}

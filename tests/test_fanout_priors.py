@@ -7,8 +7,8 @@ here, neither with a clock:
 
 * **differential** — for every shard count, ``k`` (also larger than a
   shard, and larger than the corpus), execution tier and entry point,
-  the answer is the 1-shard service's, bit for bit, and a brute-force
-  ``h_avg`` top-k's to 1e-9; the merged work counters are the same in
+  the answer is the 1-shard service's and the referee's
+  (``ReferenceExecutor.top_k``), bit for bit; the merged work counters are the same in
   thread and process execution and from one run to the next (the wave a
   shard is in depends on the shard count alone);
 * **resilience** — a shard that raises, lies or times out contributes
@@ -21,10 +21,9 @@ import numpy as np
 import pytest
 
 from repro import GeometricSimilarityMatcher, ShapeBase
-from repro.geometry.nearest import BoundaryDistance
-from repro.geometry.transform import normalize_about_diameter
 from repro.imaging import generate_workload, make_query_set
 from repro.imaging.synthesis import random_blob
+from repro.query import ReferenceExecutor
 from repro.service import (Deadline, FaultPlan, FaultSpec,
                            RetrievalService, ServiceConfig, shard_for)
 
@@ -62,20 +61,8 @@ def counters(result):
     return [getattr(result.stats, name) for name in COUNTERS]
 
 
-def brute_top_k(base, sketch, k):
-    """``h_avg`` of every normalized copy, best per shape, sorted."""
-    engine = BoundaryDistance(normalize_about_diameter(sketch).shape)
-    best = {}
-    for entry_id in range(base.num_entries):
-        shape_id = base.entry(entry_id).shape_id
-        value = float(engine.distances(
-            base.entry_vertices(entry_id)).mean())
-        best[shape_id] = min(value, best.get(shape_id, value))
-    return sorted((value, shape_id) for shape_id, value in best.items())[:k]
-
-
 # ----------------------------------------------------------------------
-# Differential: any shard count, either tier == one shard == brute force
+# Differential: any shard count, either tier == one shard == referee
 # ----------------------------------------------------------------------
 #: ``match_threshold``: never hand a far answer off to the hash tier.
 CONFIG = dict(cache_capacity=0, match_threshold=1.0)
@@ -84,21 +71,18 @@ CONFIG = dict(cache_capacity=0, match_threshold=1.0)
 @pytest.fixture(scope="module")
 def unsharded(corpora):
     """``{(name, k): one ServiceResult per sketch}`` from a one-shard
-    service, each checked against the brute-force top-k."""
+    service, each checked against the referee's top-k."""
     expected = {}
     for name, (base, sketches) in corpora.items():
+        referee = ReferenceExecutor(base)
         with RetrievalService.from_base(base, ServiceConfig(
                 num_shards=1, **CONFIG)) as single:
             for k in KS:
                 expected[name, k] = [single.retrieve(sketch, k=k)
                                      for sketch in sketches]
                 for sketch, reference in zip(sketches, expected[name, k]):
-                    brute = brute_top_k(base, sketch, k)
-                    assert [m.shape_id for m in reference.matches] == \
-                        [shape_id for _, shape_id in brute]
-                    assert [m.distance for m in reference.matches] == \
-                        pytest.approx([value for value, _ in brute],
-                                      abs=1e-9)
+                    assert pairs(reference.matches) == \
+                        pairs(referee.top_k(sketch, k))
     return expected
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro import Shape, ShapeBase
 from repro.hashing import (ApproximateRetriever, GeometricHashTable,
                            HashCurveFamily)
+from repro.query import ReferenceExecutor
 from tests.conftest import star_shaped_polygon
 
 
@@ -113,3 +114,32 @@ class TestApproximateRetriever:
             return total / max(1, sum(occupancy.values()))
 
         assert mean_occupancy(many) < mean_occupancy(few)
+
+
+class TestTiesRankLikeTheReferee:
+    def test_duplicated_image(self, rng):
+        """One image stored twice: every shape has a twin at exactly its
+        distance.  Whenever the hash tier finds the referee's distances
+        it must return the referee's ids — a tie goes to the lower shape
+        id, not to the iteration order of a candidate set."""
+        shapes = [star_shaped_polygon(rng, int(rng.integers(8, 16)))
+                  for _ in range(16)]
+        base = ShapeBase(alpha=0.05)
+        base.add_shapes(shapes, image_ids=[0] * len(shapes))
+        base.add_shapes(shapes, image_ids=[1] * len(shapes))
+        retriever = ApproximateRetriever(base, k_curves=40)
+        referee = ReferenceExecutor(base)
+        queries = []
+        for shape in shapes:
+            noisy = shape.vertices + rng.normal(0, 0.01, shape.vertices.shape)
+            queries += [shape, shape.rotated(1.1).scaled(3.0).translated(5, -2),
+                        Shape(noisy)]
+        compared = 0
+        for query in queries:
+            got = retriever.query(query, k=3)
+            want = referee.top_k(query, 3)
+            if [m.distance for m in got] == [m.distance for m in want]:
+                compared += 1
+                assert [m.shape_id for m in got] == \
+                    [m.shape_id for m in want]
+        assert compared >= 12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import GeometricSimilarityMatcher, Shape, ShapeBase
+from repro.query import ReferenceExecutor
 from tests.conftest import star_shaped_polygon
 
 
@@ -170,22 +171,16 @@ class TestThresholdQuery:
         assert {m.shape_id for m in small} <= {m.shape_id for m in large}
 
     def test_threshold_completeness_vs_bruteforce(self, populated):
-        """Everything the brute-force scan finds, the algorithm finds."""
-        from repro.geometry.nearest import BoundaryDistance
-        from repro.geometry.transform import normalize_about_diameter
+        """Everything the brute-force referee finds, the algorithm finds."""
         base, shapes = populated
         matcher = GeometricSimilarityMatcher(base)
         query = shapes[6]
         threshold = 0.04
         matches, _ = matcher.query_threshold(query, threshold)
         found = {m.shape_id for m in matches}
-        normalized = normalize_about_diameter(query).shape
-        engine = BoundaryDistance(normalized)
-        for entry in base:
-            value = float(engine.distances(
-                base.entry_vertices(entry.entry_id)).mean())
-            if value <= threshold - 1e-9:
-                assert entry.shape_id in found
+        everything = ReferenceExecutor(base).top_k(query, base.num_shapes)
+        assert {m.shape_id for m in everything
+                if m.distance <= threshold - 1e-9} <= found
 
     def test_negative_threshold_rejected(self, populated):
         base, _ = populated

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro import GeometricSimilarityMatcher, ShapeBase
 from repro.core.epsilon import EpsilonSchedule
+from repro.core.matcher import best_per_shape, rank
 from repro.geometry.envelope import band_cover_triangles
 from repro.geometry.nearest import BoundaryDistance
 from repro.geometry.primitives import EPSILON
@@ -91,10 +92,7 @@ def per_band_reference(matcher, query, k=None, threshold=None, abort=None):
         entries = [base.entry(int(e)) for e in fresh]
         values = matcher._entry_measures(entries, fresh, engine, normalized)
         work["candidates_evaluated"] += len(fresh)
-        for entry, value in zip(entries, values):
-            current = best.get(entry.shape_id)
-            if current is None or value < current[0]:
-                best[entry.shape_id] = (value, entry.entry_id)
+        best_per_shape(base, fresh, values, best)
         if threshold is None:
             ranked = sorted(value for value, _ in best.values())
             stop = len(ranked) >= k and \
@@ -109,9 +107,7 @@ def per_band_reference(matcher, query, k=None, threshold=None, abort=None):
         best = {sid: bv for sid, bv in best.items()
                 if bv[0] <= threshold + EPSILON}
         k = len(best)
-    ranked = sorted(best.items(), key=lambda kv: kv[1][0])[:k]
-    return [(sid, entry_id, value)
-            for sid, (value, entry_id) in ranked], work
+    return match_triples(rank(base, best, k)), work
 
 
 def match_triples(matches):

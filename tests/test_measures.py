@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Shape
+from repro import GeometricSimilarityMatcher, Shape, ShapeBase
+from repro.ann import AnnPrunedMatcher
+from repro.core import matcher as matcher_module
 from repro.core.measures import (average_distance,
                                  continuous_average_distance,
                                  directed_average_distance,
                                  directed_hausdorff, directed_kth_hausdorff,
-                                 hausdorff, kth_hausdorff, similarity_score)
+                                 entry_measures, hausdorff, kth_hausdorff,
+                                 similarity_score)
 from repro.geometry.nearest import BoundaryDistance
+from repro.geometry.transform import normalize_about_diameter
+from repro.hashing import ApproximateRetriever
+from repro.imaging.synthesis import (distort, generate_workload,
+                                     make_query_set, place_randomly,
+                                     prototype_pool, random_blob)
+from repro.query import QueryEngine, ReferenceExecutor
+from tests.conftest import benchmark_like_base
 
 
 class TestHausdorff:
@@ -156,3 +166,197 @@ class TestSimilarityScore:
     def test_in_unit_interval(self, square, triangle):
         score = similarity_score(square, triangle)
         assert 0.0 < score < 1.0
+
+
+# ----------------------------------------------------------------------
+# The per-entry kernel: bitwise the scalar measure
+# ----------------------------------------------------------------------
+def scalar_measures(base, sketch, entry_ids):
+    """The reference: one ``directed_average_distance`` per entry."""
+    normalized = normalize_about_diameter(sketch).shape
+    engine = BoundaryDistance(normalized)
+    return [directed_average_distance(base.entry(e).shape, normalized,
+                                      engine) for e in entry_ids]
+
+
+def kernel_measures(base, sketch, entry_ids):
+    engine = BoundaryDistance(normalize_about_diameter(sketch).shape)
+    return entry_measures(engine, base, entry_ids)
+
+
+def planted_and_foreign(seed, planted=12, foreign=8):
+    """Benchmark-style sketches: noisy placed prototypes and blobs."""
+    rng = np.random.default_rng([seed, 2])
+    pool = prototype_pool(np.random.default_rng(2002), 12)
+    return ([place_randomly(distort(pool[i % 12], 0.01, rng), rng)
+             for i in range(planted)] +
+            [place_randomly(random_blob(rng), rng) for _ in range(foreign)])
+
+
+class TestEntryMeasures:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_the_scalar_measure(self, seed, count, data):
+        rng = np.random.default_rng(seed)
+        base = ShapeBase(alpha=0.1)
+        base.add_shapes([random_blob(rng, int(rng.integers(3, 40)))
+                         for _ in range(count)])
+        entry_ids = data.draw(st.lists(
+            st.integers(0, base.num_entries - 1),
+            max_size=2 * base.num_entries))
+        sketch = random_blob(rng)
+        assert kernel_measures(base, sketch, entry_ids) == \
+            scalar_measures(base, sketch, entry_ids)
+
+    def test_bitwise_on_the_benchmark_corpus(self):
+        base = benchmark_like_base(1)
+        assert base.num_entries == 1290
+        everything = list(range(base.num_entries))
+        for sketch in planted_and_foreign(1):
+            assert kernel_measures(base, sketch, everything) == \
+                scalar_measures(base, sketch, everything)
+
+
+# ----------------------------------------------------------------------
+# The paper's (1 - beta) stopping rule, judged by the referee
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def split_corpus():
+    """Even images as the matcher's base, odd ones held out as where
+    priors come from; planted and foreign sketches with the referee's
+    full ranking of both halves."""
+    rng = np.random.default_rng(20261016)
+    workload = generate_workload(16, rng, shapes_per_image=4.0, noise=0.01)
+    own, held = ShapeBase(alpha=0.1), ShapeBase(alpha=0.1)
+    for image in workload.images:
+        (own if image.image_id % 2 == 0 else held).add_shapes(
+            image.shapes, image_ids=[image.image_id] * len(image.shapes))
+    sketches = [query for query, _ in make_query_set(workload, 6, rng)]
+    sketches += [place_randomly(random_blob(rng), rng) for _ in range(2)]
+    truth = [tuple(ReferenceExecutor(base).top_k(sketch, base.num_shapes)
+                   for base in (own, held)) for sketch in sketches]
+    return own, sketches, truth
+
+
+def triples(matches):
+    return [(m.shape_id, m.entry_id, m.distance) for m in matches]
+
+
+class TestStoppingRule:
+    @given(st.integers(0, 7), st.sampled_from([1, 2, 3, 5]),
+           st.sampled_from([0.1, 0.25, 0.5]),
+           st.sets(st.integers(0, 30), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_guaranteed_answers_are_the_referees(self, split_corpus, index,
+                                                 k, beta, chosen):
+        """A ``guaranteed`` answer holds every own shape of the top-k of
+        (own shapes ∪ priors) — at the referee's distance and copy, in
+        the referee's order — and nothing closer than the k-th best."""
+        own, sketches, truth = split_corpus
+        ranked_own, ranked_held = truth[index]
+        priors = [ranked_held[i].distance for i in sorted(chosen)
+                  if i < len(ranked_held)]
+        (matches, stats), = GeometricSimilarityMatcher(
+            own, beta=beta).query_batch([sketches[index]], k=k,
+                                        priors=[priors])
+        if not stats.guaranteed:
+            return
+        want = ranked_own[:k]
+        kth = sorted([m.distance for m in want] + priors)[k - 1]
+        head = [m for m in want if m.distance <= kth]
+        assert len(matches) <= k
+        assert triples(matches[:len(head)]) == triples(head)
+        assert all(m.distance > kth for m in matches[len(head):])
+
+
+# ----------------------------------------------------------------------
+# Clock-free: one engine call per scoring site
+# ----------------------------------------------------------------------
+class EngineCalls:
+    """Counts ``BoundaryDistance.distances`` calls, every engine."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        original = BoundaryDistance.distances
+
+        def counted(engine, points):
+            self.count += 1
+            return original(engine, points)
+        monkeypatch.setattr(BoundaryDistance, "distances", counted)
+
+    def during(self, call):
+        before = self.count
+        result = call()
+        return result, self.count - before
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return benchmark_like_base(2, images=8), planted_and_foreign(2, 6, 2)
+
+
+class TestOneEngineCallPerScoringSite:
+    def test_hash_tier(self, small_corpus, monkeypatch):
+        base, sketches = small_corpus
+        retriever = ApproximateRetriever(base, k_curves=40)
+        calls = EngineCalls(monkeypatch)
+        for sketch in sketches[:6]:
+            matches, made = calls.during(lambda: retriever.query(sketch, k=3))
+            assert matches and made == 1
+
+    def test_ann_tier(self, small_corpus, monkeypatch):
+        base, sketches = small_corpus
+        ann = AnnPrunedMatcher(base)
+        calls = EngineCalls(monkeypatch)
+        for sketch in sketches[:6]:
+            (matches, _), made = calls.during(lambda: ann.query(sketch, k=3))
+            assert matches and made == 1
+
+    def test_is_similar_probe(self, small_corpus, monkeypatch):
+        base, sketches = small_corpus
+        engine = QueryEngine(base, similarity_threshold=0.05,
+                             cache_capacity=0)
+        calls = EngineCalls(monkeypatch)
+        for shape_id in base.shape_ids():
+            _, made = calls.during(
+                lambda: engine.is_similar(shape_id, sketches[0]))
+            assert made == 1
+
+    def test_drive_scores_an_iterations_candidates_at_once(
+            self, small_corpus, monkeypatch):
+        """Per envelope iteration (delimited by the ``abort`` poll): at
+        most one kernel call, making one engine call, exactly when the
+        iteration promoted candidates."""
+        base, sketches = small_corpus
+        matcher = GeometricSimilarityMatcher(base)
+        calls = EngineCalls(monkeypatch)
+        kernel = matcher_module.entry_measures
+        events = []
+
+        def scored(engine, corpus, entry_ids):
+            values, made = calls.during(
+                lambda: kernel(engine, corpus, entry_ids))
+            events.append(("scored", len(entry_ids), made))
+            return values
+
+        monkeypatch.setattr(matcher_module, "entry_measures", scored)
+        for sketch in sketches:
+            events.clear()
+            _, stats = matcher.query(
+                sketch, k=3,
+                on_candidate=lambda entry: events.append("candidate"),
+                abort=lambda: bool(events.append("iteration")))
+            iterations = []
+            for event in events:
+                if event == "iteration":
+                    iterations.append([])
+                else:
+                    iterations[-1].append(event)
+            assert len(iterations) == stats.iterations
+            for seen in iterations:
+                promoted = seen.count("candidate")
+                kernel_calls = [e for e in seen if e != "candidate"]
+                assert kernel_calls == ([("scored", promoted, 1)]
+                                        if promoted else [])
+            assert sum(seen.count("candidate") for seen in iterations) == \
+                stats.candidates_evaluated

@@ -17,6 +17,7 @@ from repro import GeometricSimilarityMatcher, Shape, ShapeBase
 from repro.core.measures import directed_average_distance
 from repro.geometry.nearest import BoundaryDistance
 from repro.geometry.transform import normalize_about_diameter
+from repro.query import ReferenceExecutor
 
 
 def polygon_strategy(min_vertices=4, max_vertices=12):
@@ -106,7 +107,7 @@ class TestTerminationSoundness:
     @settings(max_examples=10, deadline=None)
     def test_threshold_query_complete(self, seed, threshold):
         """query_threshold returns *every* shape within the threshold
-        (checked against a brute-force scan over all entries)."""
+        (checked against the brute-force referee)."""
         rng = np.random.default_rng(seed)
         base = ShapeBase(alpha=0.05)
         shapes = []
@@ -123,13 +124,9 @@ class TestTerminationSoundness:
         matcher = GeometricSimilarityMatcher(base)
         found = {m.shape_id
                  for m in matcher.query_threshold(query, threshold)[0]}
-        normalized = normalize_about_diameter(query).shape
-        engine = BoundaryDistance(normalized)
-        for entry in base:
-            value = float(engine.distances(
-                base.entry_vertices(entry.entry_id)).mean())
-            if value <= threshold - 1e-9:
-                assert entry.shape_id in found
+        everything = ReferenceExecutor(base).top_k(query, base.num_shapes)
+        assert {m.shape_id for m in everything
+                if m.distance <= threshold - 1e-9} <= found
 
 
 class TestBackendAgreementInMatcher:
