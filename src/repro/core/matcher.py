@@ -47,7 +47,7 @@ from ..geometry.polyline import Shape
 from ..geometry.primitives import EPSILON
 from ..geometry.transform import normalize_about_diameter
 from .epsilon import EpsilonSchedule, schedule_for
-from .measures import (continuous_average_distance,
+from .measures import (DistanceMemo, continuous_average_distance,
                        directed_average_distance, entry_measures)
 from .shapebase import ShapeBase, ShapeEntry
 
@@ -188,18 +188,18 @@ class _QueryScratch:
     One query's worth of known/inside-count/evaluated state plus the
     (read-only, shared) candidate thresholds.  Pooled by the matcher so
     repeated queries stop paying the O(n + entries) allocations.
-    ``known`` flags the vertices whose boundary distance has been
-    computed for this query, whatever it turned out to be.
+    ``known`` flags the vertices the band pass has put in its pool;
+    ``memo`` keeps every boundary distance the query computed.
 
     A scratch additionally pins the epoch it was checked out against:
-    ``index``/``points``/``owner`` are the consistent base view captured
-    at checkout, which the driver reads instead of the live base — a
-    concurrent ingest batch can swap the base's arrays mid-query
-    without the query ever mixing generations.
+    ``index``/``owner`` and the memo's ``points``/``offsets`` are the
+    consistent base view captured at checkout, which ``_drive`` reads
+    instead of the live base — a concurrent ingest batch can swap the
+    base's arrays mid-query without the query ever mixing generations.
     """
 
     __slots__ = ("known", "inside_counts", "evaluated", "thresholds",
-                 "index", "points", "owner")
+                 "index", "owner", "memo")
 
     def __init__(self, num_points: int, num_entries: int,
                  thresholds: np.ndarray):
@@ -208,13 +208,14 @@ class _QueryScratch:
         self.evaluated = np.zeros(num_entries, dtype=bool)
         self.thresholds = thresholds
         self.index = None
-        self.points = None
         self.owner = None
+        self.memo = DistanceMemo(num_points)
 
     def reset(self) -> None:
         self.known[:] = False
         self.inside_counts[:] = 0
         self.evaluated[:] = False
+        self.memo.reset()
 
 
 class GeometricSimilarityMatcher:
@@ -294,7 +295,7 @@ class GeometricSimilarityMatcher:
         # it can report is in range for the arrays — and the buffers
         # are sized from this capture, not from the live base.
         version = self.base.version
-        index, points, owner, sizes, _ = self.base.reader_view()
+        index, points, owner, sizes, offsets = self.base.reader_view()
         num_points = len(points)
         num_entries = len(sizes)
         key = (version, num_points, num_entries)
@@ -317,12 +318,13 @@ class GeometricSimilarityMatcher:
                        else _QueryScratch(num_points, num_entries,
                                           self._thresholds))
         scratch.index = index
-        scratch.points = points
         scratch.owner = owner
+        scratch.memo.points, scratch.memo.offsets = points, offsets
         try:
             yield scratch
         finally:
-            scratch.index = scratch.points = scratch.owner = None
+            scratch.index = scratch.owner = None
+            scratch.memo.points = scratch.memo.offsets = None
             with self._scratch_lock:
                 if self._scratch_key == key:
                     self._scratch_pool.append(scratch)
@@ -349,12 +351,15 @@ class GeometricSimilarityMatcher:
 
     def _entry_measures(self, entries: Sequence[ShapeEntry],
                         entry_ids: np.ndarray, engine: BoundaryDistance,
-                        normalized_query: Shape) -> List[float]:
+                        normalized_query: Shape,
+                        memo: Optional[DistanceMemo] = None
+                        ) -> List[float]:
         """Exact measures of a whole candidate batch: one
-        :func:`~repro.core.measures.entry_measures` call for the
-        discrete measure, :meth:`_entry_measure` per entry otherwise."""
+        :func:`~repro.core.measures.entry_measures` call (through
+        ``memo``) for the discrete measure, :meth:`_entry_measure` per
+        entry otherwise."""
         if self.measure == "discrete":
-            return entry_measures(engine, self.base, entry_ids)
+            return entry_measures(engine, self.base, entry_ids, memo)
         return [self._entry_measure(entry, engine, normalized_query)
                 for entry in entries]
 
@@ -418,12 +423,13 @@ class GeometricSimilarityMatcher:
         distance in the pool).  An iteration whose width exceeds it
         issues one index query for the band from ``complete_to`` to the
         furthest scheduled width within one ``index.resolution`` (at
-        least its own width), evaluates the distances of the ids not
-        yet known in one engine call and merges them into the pool;
+        least its own width), looks up the distances of the ids not
+        yet known in ``scratch.memo`` and merges them into the pool;
         every iteration then consumes the pool prefix with distance
         ``<= eps`` — the vertices a per-band range search plus exact
         filter would hand it — and proceeds as the paper's step 3-5.
-        No vertex's distance is computed twice.
+        No vertex's distance is computed twice: scoring reads the memo
+        too, and measures only its copies' unknown vertices and anchors.
 
         ``abort`` is a cooperative cancellation hook (e.g. a deadline):
         it is polled once per envelope iteration, and a ``True`` return
@@ -436,7 +442,7 @@ class GeometricSimilarityMatcher:
         every shape with a copy scored in the iteration — the top-k
         tracker's feed, to which an unchanged value is a no-op.
         """
-        points = scratch.points
+        memo = scratch.memo
         owner = scratch.owner
         index = scratch.index
         known = scratch.known
@@ -481,7 +487,7 @@ class GeometricSimilarityMatcher:
                     known[ids] = True
                     pool_ids = np.concatenate([pool_ids, ids])
                     pool_distances = np.concatenate(
-                        [pool_distances, engine.distances(points[ids])])
+                        [pool_distances, memo.lookup(engine, ids)])
                     order = np.argsort(pool_distances, kind="stable")
                     pool_ids = pool_ids[order]
                     pool_distances = pool_distances[order]
@@ -501,7 +507,7 @@ class GeometricSimilarityMatcher:
                 evaluated[fresh] = True
                 entries = [self.base.entry(int(e)) for e in fresh]
                 values = self._entry_measures(entries, fresh, engine,
-                                              normalized_query)
+                                              normalized_query, memo)
                 stats.candidates_evaluated += len(fresh)
                 if on_candidate is not None:
                     for entry in entries:

@@ -20,7 +20,7 @@ of Q").
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,19 +89,89 @@ def directed_average_distance(source: Shape, target: Shape,
     return float(distances.mean())
 
 
+def slice_means(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``values[offsets[i]:offsets[i + 1]].mean()`` for every ``i``,
+    bitwise: the slices of each exact length are gathered into one
+    ``(g, length)`` block and averaged with ``.mean(axis=-1)``, which
+    sums each row in a 1-D ``.mean()``'s pairwise order (padding and
+    ``np.add.reduceat`` do not)."""
+    starts = offsets[:-1]
+    lengths = offsets[1:] - starts
+    means = np.empty(len(lengths))
+    for length in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == length)
+        means[group] = values[starts[group, None] +
+                              np.arange(length)].mean(axis=-1)
+    return means
+
+
+class DistanceMemo:
+    """One query's boundary distances over the indexed vertices of a
+    :meth:`ShapeBase.reader_view`: ``distance[i]`` is ``points[i]``'s
+    once ``measured[i]``, and no vertex is measured twice."""
+
+    __slots__ = ("distance", "measured", "points", "offsets")
+
+    def __init__(self, num_points: int):
+        self.distance = np.empty(num_points)
+        self.measured = np.zeros(num_points, dtype=bool)
+        self.points = self.offsets = None
+
+    def reset(self) -> None:
+        self.measured[:] = False
+
+    def lookup(self, engine: BoundaryDistance, ids: np.ndarray,
+               extra: np.ndarray = np.zeros((0, 2))) -> np.ndarray:
+        """Distances of the distinct indexed ``ids``, then of the
+        ``extra`` points, from at most one engine call."""
+        new = ids[~self.measured[ids]]
+        computed = (engine.distances(np.concatenate([self.points[new], extra]))
+                    if len(new) or len(extra) else np.zeros(0))
+        self.distance[new] = computed[:len(new)]
+        self.measured[new] = True
+        return np.concatenate([self.distance[ids], computed[len(new):]])
+
+    def entry_rows(self, engine: BoundaryDistance, base,
+                   entry_ids: Sequence[int]) -> Tuple[np.ndarray,
+                                                      np.ndarray]:
+        """The vertex distances of the distinct ``entry_ids`` laid out
+        as :meth:`ShapeBase.entry_vertices_batch` lays out the vertices:
+        indexed ones through :meth:`lookup`, with each copy's own two
+        anchors (at ``copy.pair``; not exactly (0, 0) and (1, 0))."""
+        stacked, offsets = base.entry_vertices_batch(entry_ids)
+        at = (offsets[:-1, None] + np.array(
+            [base.entry(e).copy.pair for e in entry_ids],
+            dtype=np.int64).reshape(-1, 2)).ravel()
+        first = self.offsets[entry_ids]
+        sizes = self.offsets[np.asarray(entry_ids) + 1] - first
+        indexed = np.arange(sizes.sum()) + np.repeat(
+            first - (np.cumsum(sizes) - sizes), sizes)
+        found = self.lookup(engine, indexed, stacked[at])
+        rows = np.empty(offsets[-1])
+        placed = np.ones(len(rows), dtype=bool)
+        placed[at] = False
+        rows[placed] = found[:len(indexed)]
+        rows[at] = found[len(indexed):]
+        return rows, offsets
+
+
 def entry_measures(engine: BoundaryDistance, base,
-                   entry_ids: Sequence[int]) -> List[float]:
+                   entry_ids: Sequence[int],
+                   memo: Optional[DistanceMemo] = None) -> List[float]:
     """Discrete ``h_avg`` of base entries against ``engine``'s shape: one
-    engine call over their stacked vertices, then a ``.mean()`` per entry
-    slice — bitwise :func:`directed_average_distance` per entry, since a
-    row's distance ignores the other rows and each slice sums in the
-    same order (``np.add.reduceat`` does not)."""
+    engine call over their stacked vertices, then :func:`slice_means`
+    over the entry slices — bitwise :func:`directed_average_distance`
+    per entry, since a row's distance ignores the other rows.  With a
+    ``memo`` of the same query (and distinct ``entry_ids``) only the
+    vertices it does not know yet reach the engine."""
     if len(entry_ids) == 0:
         return []
-    stacked, offsets = base.entry_vertices_batch(entry_ids)
-    distances = engine.distances(stacked)
-    return [float(distances[offsets[i]:offsets[i + 1]].mean())
-            for i in range(len(entry_ids))]
+    if memo is None:
+        stacked, offsets = base.entry_vertices_batch(entry_ids)
+        rows = engine.distances(stacked)
+    else:
+        rows, offsets = memo.entry_rows(engine, base, entry_ids)
+    return slice_means(rows, offsets).tolist()
 
 
 def continuous_average_distance(source: Shape, target: Shape,

@@ -474,6 +474,10 @@ class ShapeBase:
             self._entry_offsets = offsets
             self._vertex_owner = np.repeat(
                 np.arange(len(self.entries)), self._entry_sizes)
+        else:
+            # Arrays a snapshot load installed ahead of their index are
+            # rebuilt lazily rather than left to describe removed copies.
+            self._vertex_points = None
         if self._signature_cache is not None:
             num_curves, rows = self._signature_cache
             self._signature_cache = (num_curves, rows[entry_keep])
@@ -565,7 +569,7 @@ class ShapeBase:
     def total_vertices(self) -> int:
         """``n``: total *indexed* (non-anchor) vertices over all copies.
 
-        Every copy additionally holds its two anchor vertices at
+        Every copy additionally holds its two anchor vertices near
         (0, 0)/(1, 0); those are excluded from the index (see
         ``_ensure_arrays``) and from this count, which is the ``n`` the
         density formulas use.
@@ -677,15 +681,15 @@ class ShapeBase:
     def _ensure_arrays(self) -> None:
         """Build the flat vertex arrays and the range-search index.
 
-        The two *anchor* vertices of every copy sit at exactly (0, 0)
-        and (1, 0) by construction, so any query envelope of any width
-        contains all of them — they carry zero discriminative
-        information and, left in the index, make the per-iteration
-        output K grow linearly with the base size (breaking the paper's
-        uniform-density analysis).  They are therefore excluded from
-        the indexed point set and from the candidate-counter sizes;
-        exact measures still use the full vertex set via
-        :meth:`entry_vertices`.
+        The two *anchor* vertices of every copy (``copy.pair``) sit at
+        (0, 0) and (1, 0) up to rounding (not exactly: many are off by a
+        few 1e-15), so any query envelope contains all of them — they
+        carry no discriminative information and, left in the index,
+        make the per-iteration output K grow linearly with the base
+        size (breaking the paper's uniform-density analysis).  They are
+        therefore excluded from the indexed point set and from the
+        candidate-counter sizes; exact measures still use the full
+        vertex set via :meth:`entry_vertices`.
         """
         if self._vertex_points is not None and self._index is not None:
             return

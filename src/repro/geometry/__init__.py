@@ -13,7 +13,7 @@ from .envelope import (EpsilonEnvelope, band_cover_triangles,
                        difference_mask)
 from .lune import (LUNE_AREA, clamp_to_lune, in_lune, quarter_of,
                    quarters_of, sample_lune)
-from .nearest import BoundaryDistance, GridBoundaryDistance
+from .nearest import BoundaryDistance
 from .polyline import Shape
 from .predicates import (orientation, point_in_polygon, point_in_triangle,
                          points_in_polygon, points_in_triangle,
@@ -29,7 +29,7 @@ from .transform import (NormalizedCopy, SimilarityTransform,
 
 __all__ = [
     "EPSILON", "LUNE_AREA", "BoundaryDistance", "EpsilonEnvelope",
-    "GridBoundaryDistance", "NormalizedCopy", "Shape", "SimilarityTransform",
+    "NormalizedCopy", "Shape", "SimilarityTransform",
     "alpha_diameters", "as_points", "band_cover_triangles",
     "batch_normalized_copies", "bounding_box",
     "clamp_to_lune", "convex_hull", "cross", "diameter",

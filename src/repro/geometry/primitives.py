@@ -131,15 +131,24 @@ def points_segment_distance(points: np.ndarray, a: Sequence[float],
     return np.hypot(delta[:, 0], delta[:, 1])
 
 
+#: Points per pass of :func:`points_segments_distance`: its two
+#: ``(m, CHUNK_ROWS)`` work arrays stay cache-sized whatever ``n`` is.
+CHUNK_ROWS = 4096
+
+
 def points_segments_distance(points: np.ndarray, starts: np.ndarray,
                              ends: np.ndarray) -> np.ndarray:
     """Min distance from each point to a set of segments.
 
     ``starts`` and ``ends`` are ``(m, 2)`` arrays defining ``m`` segments.
     Returns an ``(n,)`` array with, for each point, the minimum distance
-    over all segments.  This is the workhorse behind the continuous
-    ``h_avg`` measure and the epsilon-envelope membership test; it is
-    O(n * m) but fully vectorized.
+    over all segments.  This is the workhorse behind every ``h_avg``
+    measure and the epsilon-envelope membership test; it is O(n * m),
+    evaluated one coordinate at a time in two reused ``(m, chunk)``
+    arrays.  Every in-place step keeps the operation order of
+    ``hypot(px - (sx + t dx), py - (sy + t dy))`` with ``t = clip(((px -
+    sx) dx + (py - sy) dy) / |d|^2, 0, 1)``, so a distance is the same
+    float whatever chunk or batch it arrives in.
     """
     points = np.asarray(points, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.float64)
@@ -151,16 +160,33 @@ def points_segments_distance(points: np.ndarray, starts: np.ndarray,
     d = ends - starts                                    # (m, 2)
     length_sq = np.einsum("ij,ij->i", d, d)              # (m,)
     degenerate = length_sq < EPSILON * EPSILON
-    safe_length_sq = np.where(degenerate, 1.0, length_sq)
-    # t[i, j]: projection parameter of point i on segment j
-    diff = points[:, None, :] - starts[None, :, :]        # (n, m, 2)
-    t = np.einsum("nmj,mj->nm", diff, d) / safe_length_sq
-    t[:, degenerate] = 0.0
-    np.clip(t, 0.0, 1.0, out=t)
-    proj = starts[None, :, :] + t[..., None] * d[None, :, :]
-    delta = points[:, None, :] - proj
-    dist = np.hypot(delta[..., 0], delta[..., 1])
-    return dist.min(axis=1)
+    safe_length_sq = np.where(degenerate, 1.0, length_sq)[:, None]
+    sx, sy = starts[:, 0:1], starts[:, 1:2]              # (m, 1) columns
+    dx, dy = d[:, 0:1], d[:, 1:2]
+    out = np.empty(len(points))
+    t_work = np.empty((len(starts), min(len(points), CHUNK_ROWS)))
+    u_work = np.empty_like(t_work)
+    for lo in range(0, len(points), CHUNK_ROWS):
+        px = points[lo:lo + CHUNK_ROWS, 0]
+        py = points[lo:lo + CHUNK_ROWS, 1]
+        t, u = t_work[:, :len(px)], u_work[:, :len(px)]
+        np.subtract(px, sx, out=t)
+        t *= dx
+        np.subtract(py, sy, out=u)
+        u *= dy
+        t += u
+        t /= safe_length_sq                              # t[j, i]
+        t[degenerate] = 0.0
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, dx, out=u)
+        u += sx
+        np.subtract(px, u, out=u)                        # px - (sx + t dx)
+        t *= dy
+        t += sy
+        np.subtract(py, t, out=t)                        # py - (sy + t dy)
+        np.hypot(u, t, out=u)
+        u.min(axis=0, out=out[lo:lo + CHUNK_ROWS])
+    return out
 
 
 def segment_length(a: Sequence[float], b: Sequence[float]) -> float:

@@ -154,6 +154,21 @@ class TestSnapshotRoundTrips:
         assert _answers(loaded, sketches) == _answers(fresh, sketches)
 
 
+    def test_removal_right_after_load(self, built, tmp_path):
+        """A load installs the flat arrays before the index exists; a
+        removal at that point must not leave them describing the
+        removed copies."""
+        path = tmp_path / "b.gsb"
+        save_base(built, path, version=3)
+        loaded = load_base(path)
+        victim = next(iter(built.shapes))
+        loaded.remove_shape(victim)
+        fresh = built.subset([sid for sid in built.shapes if sid != victim])
+        assert_same_base(loaded, fresh)
+        sketches = list(fresh.shapes.values())[:3]
+        assert _answers(loaded, sketches) == _answers(fresh, sketches)
+
+
 class TestIncrementalMaintenance:
     def test_add_after_build_matches_rebuild(self, rng):
         shapes = _shapes(rng, 12)

@@ -10,7 +10,9 @@ without a clock:
 
 * **answers**: the matcher and the reference agree on matches and on
   every schedule-level counter, on every backend;
-* **memo**: no vertex's distance is computed twice in one query;
+* **memo**: no vertex's distance is computed twice in one query, by
+  the band pass or the exact scoring, and the engine sees at most one
+  row per indexed vertex plus two anchors per scored copy;
 * **work gate**: summed over a fixed query list the matcher issues at
   most a third as many index queries as it runs iterations, and a
   quarter of the reference's triangles — so a change that quietly
@@ -208,16 +210,19 @@ class Probe:
     """Counts what one matcher asks of its index and distance engine.
 
     ``reported`` holds the id array of every ``index.candidates`` call;
-    ``evaluated`` the point rows of every distance call the *driver*
-    made (calls made while scoring candidates' exact measures are not
-    the memo's and are left out).
+    ``evaluated`` the point rows of every distance call ``_drive``'s
+    band pass made, ``scoring`` those of the calls made while scoring
+    candidates' exact measures (their anchors included), and ``scored``
+    the entry ids each scoring call was handed.
     """
 
     def __init__(self, monkeypatch, matcher):
         self.reported = []
         self.evaluated = []
+        self.scoring = []
+        self.scored = []
         probe = self
-        scoring = []
+        in_scoring = []
         index = matcher.base.index
         candidates = index.candidates
         entry_measures = matcher._entry_measures
@@ -228,16 +233,17 @@ class Probe:
             return ids
 
         def flagged_measures(*args):
-            scoring.append(True)
+            in_scoring.append(True)
+            probe.scored.append(np.asarray(args[1]))
             try:
                 return entry_measures(*args)
             finally:
-                scoring.pop()
+                in_scoring.pop()
 
         class CountingDistance(BoundaryDistance):
             def distances(self, points):
-                if not scoring:
-                    probe.evaluated.append(np.array(points))
+                (probe.scoring if in_scoring else probe.evaluated).append(
+                    np.array(points))
                 return super().distances(points)
 
         monkeypatch.setattr(index, "candidates", recording_candidates)
@@ -246,13 +252,26 @@ class Probe:
                             CountingDistance)
 
     def drain(self):
-        """``(distinct ids reported, rows evaluated)`` since last drain."""
-        reported = np.unique(np.concatenate(self.reported)) \
-            if self.reported else np.zeros(0, dtype=np.int64)
-        rows = np.concatenate(self.evaluated) if self.evaluated \
-            else np.zeros((0, 2))
+        """``(distinct ids reported, band-pass rows, scoring rows,
+        scored entry ids)`` since the last drain."""
+        def joined(arrays, empty):
+            return np.concatenate(arrays) if arrays else empty
+
+        reported = np.unique(joined(self.reported,
+                                    np.zeros(0, dtype=np.int64)))
+        drained = (reported, joined(self.evaluated, np.zeros((0, 2))),
+                   joined(self.scoring, np.zeros((0, 2))),
+                   joined(self.scored, np.zeros(0, dtype=np.int64)))
         self.reported, self.evaluated = [], []
-        return reported, rows
+        self.scoring, self.scored = [], []
+        return drained
+
+
+def indexed_rows(base, entry_ids):
+    """The indexed vertex ids of ``entry_ids``."""
+    offsets = base.reader_view()[4]
+    return np.concatenate([np.arange(offsets[e], offsets[e + 1])
+                           for e in entry_ids] or [np.zeros(0, int)])
 
 
 class TestMemo:
@@ -264,13 +283,32 @@ class TestMemo:
         for query in corpus[1]:
             _, stats = matcher.query(query, k=3)
             calls = len(probe.reported)
-            reported, rows = probe.drain()
+            reported, rows, scoring, scored = probe.drain()
             assert stats.range_queries == calls <= stats.iterations
             assert stats.vertices_reported >= len(reported)
-            # Distinct rows are distinct ids (the points are distinct),
-            # and every id the index handed back was evaluated once.
+            assert len(scored) == len(np.unique(scored)) == \
+                stats.candidates_evaluated
+            # Distinct rows are distinct ids (the points are distinct).
+            # Every id the index handed back or a scored copy holds was
+            # evaluated once, by the band pass or by scoring, and
+            # scoring adds each copy's two anchors.
             assert len(np.unique(rows, axis=0)) == len(rows)
-            assert len(rows) == len(reported)
+            assert len(rows) <= len(reported)
+            distinct = np.union1d(reported, indexed_rows(base, scored))
+            assert len(rows) + len(scoring) - 2 * len(scored) == \
+                len(distinct)
+
+    def test_engine_rows_stay_within_one_scan(self, base, corpus,
+                                              monkeypatch):
+        """Clock-free: per query, at most one row per indexed vertex
+        plus two anchors per scored copy reach the engine."""
+        matcher = GeometricSimilarityMatcher(base)
+        probe = Probe(monkeypatch, matcher)
+        for query in corpus[1]:
+            _, stats = matcher.query(query, k=3)
+            _, rows, scoring, _ = probe.drain()
+            assert len(rows) + len(scoring) <= \
+                base.total_vertices + 2 * stats.candidates_evaluated
 
 
 class TestWorkGate:
@@ -286,7 +324,7 @@ class TestWorkGate:
         evaluations = distinct_reported = 0
         for query in queries:
             _, stats = matcher.query(query, k=3)
-            reported, rows = probe.drain()
+            reported, rows, _, _ = probe.drain()
             iterations += stats.iterations
             range_queries += stats.range_queries
             triangles += stats.triangles_queried

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from repro import GeometricSimilarityMatcher, Shape, ShapeBase
 from repro.ann import AnnPrunedMatcher
 from repro.core import matcher as matcher_module
-from repro.core.measures import (average_distance,
+from repro.core.measures import (DistanceMemo, average_distance,
                                  continuous_average_distance,
                                  directed_average_distance,
                                  directed_hausdorff, directed_kth_hausdorff,
                                  entry_measures, hausdorff, kth_hausdorff,
-                                 similarity_score)
+                                 similarity_score, slice_means)
 from repro.geometry.nearest import BoundaryDistance
 from repro.geometry.transform import normalize_about_diameter
 from repro.hashing import ApproximateRetriever
@@ -216,6 +216,55 @@ class TestEntryMeasures:
             assert kernel_measures(base, sketch, everything) == \
                 scalar_measures(base, sketch, everything)
 
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_slice_means_are_per_slice_means(self, lengths, data):
+        """Mixed lengths (around numpy's 8- and 128-element pairwise
+        blocks), slices repeated in any order."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        pieces = [rng.exponential(size=n) * 10.0 ** rng.integers(-3, 3)
+                  for n in lengths]
+        order = data.draw(st.lists(st.integers(0, len(pieces) - 1),
+                                   min_size=1, max_size=30))
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum([lengths[i] for i in order], out=offsets[1:])
+        values = np.concatenate([pieces[i] for i in order])
+        assert slice_means(values, offsets).tolist() == \
+            [float(pieces[i].mean()) for i in order]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_a_memo_changes_no_value_and_measures_each_vertex_once(
+            self, small_corpus, seed, known_share):
+        """Whatever share of the indexed vertices a memo already knows,
+        scoring through it gives the memo-free values; only the unknown
+        indexed vertices and two anchors per entry reach the engine."""
+        base, sketches = small_corpus
+        rng = np.random.default_rng(seed)
+        sketch = sketches[int(rng.integers(len(sketches)))]
+        engine = BoundaryDistance(normalize_about_diameter(sketch).shape)
+        _, points, _, _, offsets = base.reader_view()
+        memo = DistanceMemo(len(points))
+        memo.points, memo.offsets = points, offsets
+        known = np.flatnonzero(rng.random(len(points)) < known_share)
+        memo.lookup(engine, known)
+        entry_ids = rng.permutation(base.num_entries)[
+            :int(rng.integers(1, base.num_entries))]
+        unknown = sum(int((~memo.measured[offsets[e]:offsets[e + 1]]).sum())
+                      for e in entry_ids)
+        rows = []
+        original = BoundaryDistance.distances
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BoundaryDistance, "distances",
+                          lambda self, pts: rows.append(len(pts)) or
+                          original(self, pts))
+            assert entry_measures(engine, base, entry_ids, memo) == \
+                entry_measures(engine, base, entry_ids)
+        assert rows[0] == unknown + 2 * len(entry_ids)
+        assert memo.measured[np.concatenate(
+            [np.arange(offsets[e], offsets[e + 1]) for e in entry_ids])].all()
+
 
 # ----------------------------------------------------------------------
 # The paper's (1 - beta) stopping rule, judged by the referee
@@ -333,9 +382,9 @@ class TestOneEngineCallPerScoringSite:
         kernel = matcher_module.entry_measures
         events = []
 
-        def scored(engine, corpus, entry_ids):
+        def scored(engine, corpus, entry_ids, *memo):
             values, made = calls.during(
-                lambda: kernel(engine, corpus, entry_ids))
+                lambda: kernel(engine, corpus, entry_ids, *memo))
             events.append(("scored", len(entry_ids), made))
             return values
 
@@ -360,3 +409,33 @@ class TestOneEngineCallPerScoringSite:
                                         if promoted else [])
             assert sum(seen.count("candidate") for seen in iterations) == \
                 stats.candidates_evaluated
+
+
+# ----------------------------------------------------------------------
+# Anchors are the copy's own, not (0, 0) and (1, 0)
+# ----------------------------------------------------------------------
+def test_an_anchor_one_ulp_off_is_measured_where_it_is(small_corpus):
+    """A copy's anchors are its diameter's endpoints after a rounded
+    transform: on this base some sit one ulp of 1.0 off (1, 0).  With
+    that copy's own shape as the sketch, the matcher's distances are the
+    referee's, and measuring the anchors at (0, 0) / (1, 0) instead
+    would not be."""
+    base, _ = small_corpus
+    referee = ReferenceExecutor(base)
+    for shape_id in base.shape_ids():
+        sketch = base.shapes[shape_id]
+        want = referee.top_k(sketch, 3)
+        entry = base.entry(want[0].entry_id)
+        anchors = entry.shape.vertices[list(entry.copy.pair)]
+        if np.abs(anchors - [[0.0, 0.0], [1.0, 0.0]]).max() == \
+                np.spacing(1.0):
+            break
+    else:
+        pytest.fail("no copy with an anchor one ulp off")
+    engine = BoundaryDistance(normalize_about_diameter(sketch).shape)
+    rows = engine.distances(entry.shape.vertices)
+    rows[list(entry.copy.pair)] = engine.distances(
+        np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert float(rows.mean()) != want[0].distance
+    matches, _ = GeometricSimilarityMatcher(base).query(sketch, k=3)
+    assert triples(matches) == triples(want)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Shape
-from repro.geometry.nearest import BoundaryDistance, GridBoundaryDistance
+from repro.geometry.nearest import BoundaryDistance
 from repro.geometry.primitives import point_segment_distance
 
 
@@ -38,80 +38,3 @@ class TestBoundaryDistance:
             expected = min(point_segment_distance(p, a, b)
                            for a, b in zip(starts, ends))
             assert engine.distance(p) == pytest.approx(expected)
-
-
-class TestGridBoundaryDistance:
-    def test_agrees_with_exact_engine(self, shape_factory, rng):
-        shape = shape_factory(11)
-        exact = BoundaryDistance(shape)
-        grid = GridBoundaryDistance(shape, reach=0.5)
-        points = rng.uniform(-2, 2, (120, 2))
-        expected = exact.distances(points)
-        actual = grid.distances(points)
-        assert np.allclose(actual, expected, atol=1e-9)
-
-    def test_within_mask(self, square, rng):
-        grid = GridBoundaryDistance(square, reach=0.3)
-        exact = BoundaryDistance(square)
-        points = rng.uniform(-1, 2, (150, 2))
-        mask = grid.within(points, 0.25)
-        distances = exact.distances(points)
-        for dist, inside in zip(distances, mask):
-            if abs(dist - 0.25) > 1e-9:
-                assert inside == (dist <= 0.25)
-
-    def test_within_rejects_radius_beyond_reach(self, square):
-        grid = GridBoundaryDistance(square, reach=0.1)
-        with pytest.raises(ValueError):
-            grid.within(np.zeros((1, 2)), 0.5)
-
-    def test_rejects_nonpositive_reach(self, square):
-        with pytest.raises(ValueError):
-            GridBoundaryDistance(square, reach=0.0)
-
-    def test_far_point_falls_back(self, square):
-        grid = GridBoundaryDistance(square, reach=0.1)
-        exact = BoundaryDistance(square)
-        assert grid.distance((50.0, 50.0)) == \
-            pytest.approx(exact.distance((50.0, 50.0)))
-
-    def test_vectorized_distances_equal_exact(self, shape_factory, rng):
-        """Grouped batch path == exact engine, bit-for-bit.
-
-        Candidate distances come from the same segment kernel and the
-        fallback *is* the exact engine, so the vectorized path must
-        reproduce `BoundaryDistance.distances` exactly (no tolerance),
-        including near-boundary, far, and scalar-path points.
-        """
-        for seed in (3, 9, 11):
-            shape = shape_factory(seed)
-            exact = BoundaryDistance(shape)
-            for reach in (0.05, 0.3, 1.0):
-                grid = GridBoundaryDistance(shape, reach=reach)
-                points = np.vstack([
-                    rng.uniform(-2, 2, (200, 2)),     # mixed near/far
-                    rng.uniform(-30, 30, (40, 2)),    # mostly fallback
-                    shape.vertices,                   # zero distance
-                ])
-                expected = exact.distances(points)
-                assert np.array_equal(grid.distances(points), expected)
-                for p in points[:25]:
-                    assert grid.distance(p) == exact.distance(p)
-
-    def test_vectorized_within_equals_exact(self, shape_factory, rng):
-        for seed in (5, 11):
-            shape = shape_factory(seed)
-            exact = BoundaryDistance(shape)
-            grid = GridBoundaryDistance(shape, reach=0.4)
-            points = rng.uniform(-3, 3, (300, 2))
-            distances = exact.distances(points)
-            for radius in (0.1, 0.25, 0.4):
-                mask = grid.within(points, radius)
-                assert np.array_equal(mask, distances <= radius)
-
-    def test_vectorized_empty_and_single(self, square):
-        grid = GridBoundaryDistance(square, reach=0.3)
-        assert grid.distances(np.zeros((0, 2))).shape == (0,)
-        assert grid.within(np.zeros((0, 2)), 0.2).shape == (0,)
-        one = np.array([[0.5, 0.5]])
-        assert grid.distances(one)[0] == pytest.approx(0.5)

@@ -1,13 +1,15 @@
 """Unit tests for repro.geometry.primitives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.primitives import (as_points, bounding_box, cross,
+from repro.geometry.primitives import (CHUNK_ROWS, EPSILON, as_points,
+                                       bounding_box, cross,
                                        distance, dot, interior_angle,
                                        point_segment_distance,
                                        points_segment_distance,
@@ -141,6 +143,90 @@ class TestPointsSegmentsDistance:
                                        np.array([[0.0, 0.0]]),
                                        np.array([[0.0, 0.0]]))
         assert out[0] == pytest.approx(5.0)
+
+
+def reference_points_segments_distance(points, starts, ends):
+    """The expression the chunked engine must reproduce bit for bit:
+    one ``(n, m, 2)`` broadcast, as the engine was first written."""
+    d = ends - starts
+    length_sq = np.einsum("ij,ij->i", d, d)
+    degenerate = length_sq < EPSILON * EPSILON
+    safe_length_sq = np.where(degenerate, 1.0, length_sq)
+    diff = points[:, None, :] - starts[None, :, :]
+    t = np.einsum("nmj,mj->nm", diff, d) / safe_length_sq
+    t[:, degenerate] = 0.0
+    np.clip(t, 0.0, 1.0, out=t)
+    proj = starts[None, :, :] + t[..., None] * d[None, :, :]
+    delta = points[:, None, :] - proj
+    return np.hypot(delta[..., 0], delta[..., 1]).min(axis=1)
+
+
+@st.composite
+def engine_cases(draw):
+    """Points and segments: random, collinear runs, polygons with
+    zero-length and sub-``EPSILON`` edges, single edges; scales 1e-3 to
+    1e6; near and far points; point counts around the chunk size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    m = draw(st.integers(1, 40))
+    n = draw(st.sampled_from([1, 2, 17, CHUNK_ROWS - 1, CHUNK_ROWS,
+                              CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5]))
+    kind = draw(st.sampled_from(["random", "collinear", "polygon"]))
+    if kind == "collinear":
+        direction = rng.normal(size=2)
+        stops = np.sort(rng.uniform(-1, 1, m + 1))[:, None] * direction
+        starts, ends = stops[:-1], stops[1:]
+    elif kind == "polygon":
+        ring = rng.normal(size=(m, 2))
+        starts, ends = ring, np.roll(ring, -1, axis=0)
+    else:
+        starts, ends = rng.normal(size=(m, 2)), rng.normal(size=(m, 2))
+    starts, ends = starts * scale, ends * scale
+    short = rng.random(m) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    ends[short] = starts[short] + rng.choice(
+        [0.0, 1e-10, 1e-12], size=(short.sum(), 1))
+    near = starts[rng.integers(0, m, n)] + rng.normal(size=(n, 2)) * scale
+    far = rng.normal(size=(n, 2)) * scale * 1e3
+    points = np.where(rng.random((n, 1)) < 0.8, near, far)
+    return points, starts, ends
+
+
+class TestChunkedEngine:
+    @given(engine_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_the_broadcast_expression(self, case):
+        points, starts, ends = case
+        assert np.array_equal(
+            points_segments_distance(points, starts, ends),
+            reference_points_segments_distance(points, starts, ends))
+
+    def test_a_row_ignores_its_chunk(self, rng):
+        """The same point gives the same float alone and in any chunk."""
+        starts, ends = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+        points = rng.normal(size=(CHUNK_ROWS + 3, 2))
+        together = points_segments_distance(points, starts, ends)
+        for row in (0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 2):
+            alone = points_segments_distance(points[row:row + 1], starts,
+                                             ends)
+            assert alone[0] == together[row]
+
+    def test_peak_temporary_is_bounded_by_the_chunk(self, rng):
+        """Clock-free: beyond its ``(n,)`` answer one call allocates two
+        ``(m, chunk)`` work arrays and small change (numpy's ufunc
+        buffers are 8 192 elements), whatever ``n``."""
+        m = 24
+        starts, ends = rng.normal(size=(m, 2)), rng.normal(size=(m, 2))
+        bound = 2 * m * CHUNK_ROWS * 8 + 256 * 1024
+        for n in (2 * CHUNK_ROWS, 16 * CHUNK_ROWS):
+            points = rng.normal(size=(n, 2))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = points_segments_distance(points, starts, ends)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= bound, (n, peak)
 
 
 class TestArea:
