@@ -219,10 +219,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
                       "range_queries": stats.range_queries,
                       "prior_stops": stats.prior_stops,
                       "vertices_reported": stats.vertices_reported,
+                      "vertices_scanned": stats.vertices_scanned,
                       "vertices_processed": stats.vertices_processed,
                       "candidates_evaluated": stats.candidates_evaluated,
                       "guaranteed": stats.guaranteed,
                       "exhausted": stats.exhausted,
+                      "aborted": stats.aborted,
                       "timings": stats.timings},
         }, indent=1))
         return 0
@@ -237,7 +239,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"index work: triangles_queried={stats.triangles_queried} "
               f"range_queries={stats.range_queries} "
               f"prior_stops={stats.prior_stops} "
-              f"vertices_reported={stats.vertices_reported}")
+              f"vertices_reported={stats.vertices_reported} "
+              f"vertices_scanned={stats.vertices_scanned}")
     return 0
 
 

@@ -110,12 +110,19 @@ class DistanceMemo:
     :meth:`ShapeBase.reader_view`: ``distance[i]`` is ``points[i]``'s
     once ``measured[i]``, and no vertex is measured twice."""
 
-    __slots__ = ("distance", "measured", "points", "offsets")
+    __slots__ = ("distance", "measured", "points", "offsets", "anchor_at",
+                 "anchor_points")
 
     def __init__(self, num_points: int):
         self.distance = np.empty(num_points)
         self.measured = np.zeros(num_points, dtype=bool)
-        self.points = self.offsets = None
+        self.attach(None)
+
+    def attach(self, view) -> None:
+        """Measure over one :meth:`ShapeBase.reader_view` capture's
+        points, offsets and anchors (``None`` lets go of them)."""
+        (_, self.points, _, _, self.offsets, self.anchor_at,
+         self.anchor_points) = view or (None,) * 7
 
     def reset(self) -> None:
         self.measured[:] = False
@@ -131,22 +138,23 @@ class DistanceMemo:
         self.measured[new] = True
         return np.concatenate([self.distance[ids], computed[len(new):]])
 
-    def entry_rows(self, engine: BoundaryDistance, base,
+    def entry_rows(self, engine: BoundaryDistance,
                    entry_ids: Sequence[int]) -> Tuple[np.ndarray,
                                                       np.ndarray]:
         """The vertex distances of the distinct ``entry_ids`` laid out
         as :meth:`ShapeBase.entry_vertices_batch` lays out the vertices:
         indexed ones through :meth:`lookup`, with each copy's own two
         anchors (at ``copy.pair``; not exactly (0, 0) and (1, 0))."""
-        stacked, offsets = base.entry_vertices_batch(entry_ids)
-        at = (offsets[:-1, None] + np.array(
-            [base.entry(e).copy.pair for e in entry_ids],
-            dtype=np.int64).reshape(-1, 2)).ravel()
+        entry_ids = np.asarray(entry_ids, dtype=np.int64)
         first = self.offsets[entry_ids]
-        sizes = self.offsets[np.asarray(entry_ids) + 1] - first
+        sizes = self.offsets[entry_ids + 1] - first
+        offsets = np.zeros(len(entry_ids) + 1, dtype=np.int64)
+        np.cumsum(sizes + 2, out=offsets[1:])
+        at = (offsets[:-1, None] + self.anchor_at[entry_ids]).ravel()
         indexed = np.arange(sizes.sum()) + np.repeat(
             first - (np.cumsum(sizes) - sizes), sizes)
-        found = self.lookup(engine, indexed, stacked[at])
+        found = self.lookup(engine, indexed,
+                            self.anchor_points[entry_ids].reshape(-1, 2))
         rows = np.empty(offsets[-1])
         placed = np.ones(len(rows), dtype=bool)
         placed[at] = False
@@ -170,7 +178,7 @@ def entry_measures(engine: BoundaryDistance, base,
         stacked, offsets = base.entry_vertices_batch(entry_ids)
         rows = engine.distances(stacked)
     else:
-        rows, offsets = memo.entry_rows(engine, base, entry_ids)
+        rows, offsets = memo.entry_rows(engine, entry_ids)
     return slice_means(rows, offsets).tolist()
 
 

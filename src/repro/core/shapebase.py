@@ -158,6 +158,12 @@ class ShapeBase:
         self._vertex_owner: Optional[np.ndarray] = None
         self._entry_sizes: Optional[np.ndarray] = None
         self._entry_offsets: Optional[np.ndarray] = None
+        # Per entry, its two anchors' row positions in its full vertex
+        # set (``copy.pair``, ``(E, 2)``) and the anchor points
+        # themselves (``(E, 2, 2)``): what exact scoring adds to the
+        # indexed rows, without touching the ``ShapeEntry`` objects.
+        self._anchor_at: Optional[np.ndarray] = None
+        self._anchor_points: Optional[np.ndarray] = None
         # Cached per-entry hashing signatures: ``(num_curves, (E, 4)
         # int16 array)`` aligned with ``entries``.  Populated by the
         # hashing layer or a snapshot; extended/compacted alongside the
@@ -350,16 +356,18 @@ class ShapeBase:
                             first_new: int) -> np.ndarray:
         """Append a block of copies (entry ids from ``first_new``) to
         the flat arrays, minus each copy's two anchor rows (see
-        ``_ensure_arrays`` for why those stay out of the index);
-        returns the block's indexed points."""
+        ``_ensure_arrays`` for why those stay out of the index), which
+        go to the anchor arrays; returns the block's indexed points."""
         flat, counts, pairs = columns
         if np.any(pairs < 0) or np.any(pairs >= counts[:, None]):
             raise IndexError("entry anchor pair out of range")
         starts = np.cumsum(counts) - counts
+        anchor_rows = starts[:, None] + pairs
         mask = np.ones(len(flat), dtype=bool)
-        mask[starts + pairs[:, 0]] = False
-        mask[starts + pairs[:, 1]] = False
+        mask[anchor_rows.ravel()] = False
         new_points = points = flat[mask]
+        anchor_at = pairs
+        anchor_points = flat[anchor_rows]
         sizes = counts - 2
         owner = np.repeat(np.arange(first_new, first_new + len(sizes)),
                           sizes)
@@ -367,11 +375,16 @@ class ShapeBase:
             points = np.concatenate([self._vertex_points, points], axis=0)
             sizes = np.concatenate([self._entry_sizes, sizes])
             owner = np.concatenate([self._vertex_owner, owner])
+            anchor_at = np.concatenate([self._anchor_at, anchor_at])
+            anchor_points = np.concatenate([self._anchor_points,
+                                            anchor_points])
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         self._entry_sizes = sizes
         self._entry_offsets = offsets
         self._vertex_owner = owner
+        self._anchor_at = anchor_at
+        self._anchor_points = anchor_points
         # Points last: ``_register_new_entries`` and the lock-free
         # check in ``_ensure_arrays`` key off this field.
         self._vertex_points = points
@@ -474,6 +487,8 @@ class ShapeBase:
             self._entry_offsets = offsets
             self._vertex_owner = np.repeat(
                 np.arange(len(self.entries)), self._entry_sizes)
+            self._anchor_at = self._anchor_at[entry_keep]
+            self._anchor_points = self._anchor_points[entry_keep]
         else:
             # Arrays a snapshot load installed ahead of their index are
             # rebuilt lazily rather than left to describe removed copies.
@@ -519,6 +534,8 @@ class ShapeBase:
         clone._vertex_owner = self._vertex_owner
         clone._entry_sizes = self._entry_sizes
         clone._entry_offsets = self._entry_offsets
+        clone._anchor_at = self._anchor_at
+        clone._anchor_points = self._anchor_points
         clone._signature_cache = self._signature_cache
         clone._sketch_cache = self._sketch_cache
         clone.snapshot_backing = self.snapshot_backing
@@ -526,9 +543,11 @@ class ShapeBase:
         return clone
 
     def reader_view(self) -> Tuple[TriangleRangeIndex, np.ndarray,
-                                   np.ndarray, np.ndarray, np.ndarray]:
-        """A self-consistent ``(index, points, owner, sizes, offsets)``
-        capture for a lock-free reader under concurrent appends.
+                                   np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray, np.ndarray]:
+        """A self-consistent ``(index, points, owner, sizes, offsets,
+        anchor_at, anchor_points)`` capture for a lock-free reader under
+        concurrent appends.
 
         Appends publish the replaced arrays *before* the extended index
         (see ``_register_new_entries``), and every replacement keeps
@@ -540,7 +559,8 @@ class ShapeBase:
         self._ensure_arrays()
         index = self._index
         return (index, self._vertex_points, self._vertex_owner,
-                self._entry_sizes, self._entry_offsets)
+                self._entry_sizes, self._entry_offsets, self._anchor_at,
+                self._anchor_points)
 
     @property
     def index_delta_size(self) -> int:

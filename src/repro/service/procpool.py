@@ -42,6 +42,7 @@ boundary converts into a degraded (never failed) answer.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import shutil
@@ -225,17 +226,8 @@ def _matches_from_wire(wire: Tuple[np.ndarray, ...]) -> List[Match]:
 
 
 def _stats_to_wire(stats: MatchStats) -> Dict[str, Any]:
-    return {"iterations": stats.iterations,
-            "epsilons": list(stats.epsilons),
-            "triangles_queried": stats.triangles_queried,
-            "range_queries": stats.range_queries,
-            "vertices_reported": stats.vertices_reported,
-            "vertices_processed": stats.vertices_processed,
-            "candidates_evaluated": stats.candidates_evaluated,
-            "guaranteed": stats.guaranteed,
-            "exhausted": stats.exhausted,
-            "prior_stops": stats.prior_stops,
-            "timings": dict(stats.timings)}
+    """Every ``MatchStats`` field, as plain containers."""
+    return dataclasses.asdict(stats)
 
 
 def _stats_from_wire(wire: Dict[str, Any]) -> MatchStats:

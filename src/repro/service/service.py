@@ -292,6 +292,7 @@ def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
         merged.triangles_queried += stats.triangles_queried
         merged.range_queries += stats.range_queries
         merged.vertices_reported += stats.vertices_reported
+        merged.vertices_scanned += stats.vertices_scanned
         merged.vertices_processed += stats.vertices_processed
         merged.candidates_evaluated += stats.candidates_evaluated
         merged.prior_stops += stats.prior_stops
@@ -301,6 +302,7 @@ def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
     merged.guaranteed = bool(per_shard) and \
         all(s.guaranteed for s in per_shard)
     merged.exhausted = any(s.exhausted for s in per_shard)
+    merged.aborted = any(s.aborted for s in per_shard)
     return merged
 
 

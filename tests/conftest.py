@@ -45,7 +45,7 @@ def assert_same_base(a: ShapeBase, b: ShapeBase):
     for base in (a, b):
         base._ensure_arrays()
     for name in ("_vertex_points", "_vertex_owner", "_entry_sizes",
-                 "_entry_offsets"):
+                 "_entry_offsets", "_anchor_at", "_anchor_points"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 

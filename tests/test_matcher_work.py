@@ -11,12 +11,16 @@ without a clock:
 * **answers**: the matcher and the reference agree on matches and on
   every schedule-level counter, on every backend;
 * **memo**: no vertex's distance is computed twice in one query, by
-  the band pass or the exact scoring, and the engine sees at most one
-  row per indexed vertex plus two anchors per scored copy;
+  the band pass, the one-pass fill or the exact scoring, and the engine
+  sees at most one row per indexed vertex plus two anchors per scored
+  copy;
 * **work gate**: summed over a fixed query list the matcher issues at
   most a third as many index queries as it runs iterations, and a
   quarter of the reference's triangles — so a change that quietly
-  reintroduces per-step traversals fails here, not in a timer.
+  reintroduces per-step traversals fails here, not in a timer;
+* **fill**: the index is given up for one scan exactly where the cost
+  rule says, and a query that fills issues fewer index queries than
+  the band rule alone would.
 
 The last section covers ``priors`` — exact distances of shapes held
 elsewhere, which only ever move the stopping test: an empty prior is
@@ -51,10 +55,11 @@ def per_band_reference(matcher, query, k=None, threshold=None, abort=None):
 
     Returns ``(matches, work)``: ``(shape_id, entry_id, distance)``
     triples in rank order and a dict of the :data:`COUNTERS` plus
-    ``triangles_queried``.
+    ``triangles_queried`` and ``trace``, the scored entry ids in
+    scoring order.
     """
     base = matcher.base
-    index, points, owner, sizes, _ = base.reader_view()
+    index, points, owner, sizes = base.reader_view()[:4]
     thresholds = np.maximum(
         np.ceil((1.0 - matcher.beta) * sizes).astype(np.int64), 1)
     normalized = matcher.normalize_query(query)
@@ -71,7 +76,7 @@ def per_band_reference(matcher, query, k=None, threshold=None, abort=None):
     best = {}
     work = dict(iterations=0, epsilons=[], vertices_processed=0,
                 candidates_evaluated=0, guaranteed=False, exhausted=True,
-                triangles_queried=0)
+                triangles_queried=0, trace=[])
     eps_prev = 0.0
     for eps in schedule.widths():
         if abort is not None and abort():
@@ -94,6 +99,7 @@ def per_band_reference(matcher, query, k=None, threshold=None, abort=None):
         entries = [base.entry(int(e)) for e in fresh]
         values = matcher._entry_measures(entries, fresh, engine, normalized)
         work["candidates_evaluated"] += len(fresh)
+        work["trace"] += fresh.tolist()
         best_per_shape(base, fresh, values, best)
         if threshold is None:
             ranked = sorted(value for value, _ in best.values())
@@ -117,11 +123,30 @@ def match_triples(matches):
 
 
 def assert_agree(answer, reference):
+    """The two drivers agree; returns whether the matcher filled."""
     (matches, stats), (expected, work) = answer, reference
     assert match_triples(matches) == expected
     for counter in COUNTERS:
         assert getattr(stats, counter) == work[counter], counter
     assert stats.range_queries <= stats.iterations
+    return stats.vertices_scanned > 0
+
+
+def banded(base):
+    """Whether the base's index resolves less than a whole schedule per
+    query (the brute backend answers every band at once, so it never
+    issues a second query and never fills)."""
+    return base.backend == "kdtree"
+
+
+class OnlyWidths:
+    """A schedule that is just the given widths."""
+
+    def __init__(self, widths):
+        self._widths = widths
+
+    def widths(self):
+        return iter(self._widths)
 
 
 class AbortAfter:
@@ -177,30 +202,38 @@ class TestAgreesWithPerBandReference:
     @pytest.mark.parametrize("measure",
                              ["discrete", "continuous", "symmetric"])
     def test_top_k(self, base, corpus, k, measure):
-        """One batch, so the memo is also reset between queries."""
+        """One batch, so the memo is also reset between queries; each
+        list holds a foreign sketch, so the fill is covered."""
         matcher = GeometricSimilarityMatcher(base, measure=measure)
         queries = corpus[1][6:11] if measure == "discrete" \
-            else corpus[1][8:10]
-        for answer, query in zip(matcher.query_batch(queries, k=k),
-                                 queries):
-            assert_agree(answer, per_band_reference(matcher, query, k=k))
+            else corpus[1][8:11]
+        filled = [assert_agree(answer,
+                               per_band_reference(matcher, query, k=k))
+                  for answer, query in zip(
+                      matcher.query_batch(queries, k=k), queries)]
+        assert any(filled) == banded(base)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.02, 0.3])
     def test_threshold(self, base, corpus, threshold):
         matcher = GeometricSimilarityMatcher(base)
-        for query in corpus[1][::3]:
-            assert_agree(
-                matcher.query_threshold(query, threshold),
-                per_band_reference(matcher, query, threshold=threshold))
+        filled = [assert_agree(
+            matcher.query_threshold(query, threshold),
+            per_band_reference(matcher, query, threshold=threshold))
+            for query in corpus[1][::3]]
+        if threshold == 0.3 and banded(base):
+            assert all(filled)
 
     @pytest.mark.parametrize("polls", [1, 2, 5, 9])
     def test_abort_mid_schedule(self, base, corpus, polls):
         matcher = GeometricSimilarityMatcher(base)
-        for query in corpus[1][::3]:
+        for query in corpus[1][::3] + corpus[1][-1:]:
             answer = matcher.query(query, k=3, abort=AbortAfter(polls))
             assert_agree(answer, per_band_reference(
                 matcher, query, k=3, abort=AbortAfter(polls)))
-            assert answer[1].iterations < polls
+            stats = answer[1]
+            assert stats.iterations < polls
+            assert stats.aborted == stats.exhausted == \
+                (not stats.guaranteed)
 
 
 # ----------------------------------------------------------------------
@@ -293,10 +326,16 @@ class TestMemo:
             # evaluated once, by the band pass or by scoring, and
             # scoring adds each copy's two anchors.
             assert len(np.unique(rows, axis=0)) == len(rows)
-            assert len(rows) <= len(reported)
-            distinct = np.union1d(reported, indexed_rows(base, scored))
-            assert len(rows) + len(scoring) - 2 * len(scored) == \
-                len(distinct)
+            if stats.vertices_scanned == 0:
+                assert len(rows) <= len(reported)
+                distinct = np.union1d(reported, indexed_rows(base, scored))
+                assert len(rows) + len(scoring) - 2 * len(scored) == \
+                    len(distinct)
+            else:
+                # The fill measured what no band or score had: every
+                # indexed vertex exactly once.
+                assert len(rows) + len(scoring) - 2 * len(scored) == \
+                    base.total_vertices
 
     def test_engine_rows_stay_within_one_scan(self, base, corpus,
                                               monkeypatch):
@@ -324,15 +363,126 @@ class TestWorkGate:
         evaluations = distinct_reported = 0
         for query in queries:
             _, stats = matcher.query(query, k=3)
-            reported, rows, _, _ = probe.drain()
+            reported, rows, scoring, scored = probe.drain()
             iterations += stats.iterations
             range_queries += stats.range_queries
             triangles += stats.triangles_queried
-            evaluations += len(rows)
-            distinct_reported += len(reported)
+            if stats.vertices_scanned == 0:
+                evaluations += len(rows)
+                distinct_reported += len(reported)
+            else:
+                assert len(rows) + len(scoring) - 2 * len(scored) == \
+                    bases["kdtree"].total_vertices
         assert range_queries <= iterations / 3
         assert triangles <= 0.25 * reference_triangles
         assert evaluations <= distinct_reported
+
+
+class TestFill:
+    """Where the index gives way to one scan (``_drive``'s cost rule)."""
+
+    def test_range_queries_per_sketch(self, corpus):
+        """Pinned on the kd-tree corpus at k = 3: one fill each on
+        sketches 8, 11 and 12, where the band rule alone (the driver
+        before the fill existed) issues 3, 4 and 3 index queries."""
+        bases, queries = corpus
+        matcher = GeometricSimilarityMatcher(bases["kdtree"])
+        answers = [stats for _, stats in
+                   (matcher.query(query, k=3) for query in queries)]
+        assert [s.range_queries for s in answers] == \
+            [2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1]
+        assert [i + 1 for i, s in enumerate(answers)
+                if s.vertices_scanned] == [8, 11, 12]
+        assert [self.band_rule_queries(matcher, query, s)
+                for query, s in zip(queries, answers)] == \
+            [2, 1, 1, 2, 1, 1, 1, 3, 1, 1, 4, 3]
+
+    def test_fill_keeps_the_access_trace(self, base, corpus):
+        """``on_candidate`` sees the per-band loop's scoring order —
+        each step's copies in ascending entry id — with or without a
+        fill (the storage experiments replay that trace)."""
+        matcher = GeometricSimilarityMatcher(base)
+        for query in corpus[1]:
+            trace = []
+            _, stats = matcher.query(
+                query, k=3, on_candidate=lambda e: trace.append(e.entry_id))
+            assert trace == per_band_reference(matcher, query,
+                                               k=3)[1]["trace"]
+
+    def test_widths_half_an_epsilon_below_vertices(self, base, corpus,
+                                                    monkeypatch):
+        """Every width moved to half an ``EPSILON`` below a vertex's
+        distance: that vertex belongs to the step (``d <= eps +
+        EPSILON``) whether the query fills or not."""
+        matcher = GeometricSimilarityMatcher(base)
+        make_schedule = matcher.make_schedule
+        filled = 0
+        for query in corpus[1]:
+            normalized = matcher.normalize_query(query)
+            distances = np.sort(BoundaryDistance(normalized).distances(
+                base.vertex_points))
+            widths = []
+            for width in make_schedule(normalized).widths():
+                below = distances[max(np.searchsorted(distances, width) - 1,
+                                      0)] - EPSILON / 2
+                if not widths or below > widths[-1]:
+                    widths.append(float(below))
+            monkeypatch.setattr(matcher, "make_schedule",
+                                lambda _, widths=widths: OnlyWidths(widths))
+            filled += assert_agree(matcher.query(query, k=3),
+                                   per_band_reference(matcher, query, k=3))
+        assert bool(filled) == banded(base)
+
+    def test_fill_stays_within_the_captured_index(self, corpus,
+                                                  monkeypatch):
+        """Appends publish the arrays before the extended index, so a
+        reader can capture an index one ingest older than its arrays:
+        the fill measures and promotes only what that index covers."""
+        bases, queries = corpus
+        shapes = [(shape, image_id) for _, shape, image_id
+                  in bases["kdtree"].iter_shapes()]
+        base = ShapeBase(alpha=0.05)
+        for shape, image_id in shapes[:-6]:
+            base.add_shape(shape, image_id=image_id)
+        stale, head = base.index, base.num_entries
+        base.auto_fold = False
+        for shape, image_id in shapes[-6:]:
+            base.add_shape(shape, image_id=image_id)
+        view = base.reader_view
+        monkeypatch.setattr(base, "reader_view",
+                            lambda: (stale,) + view()[1:])
+        matcher = GeometricSimilarityMatcher(base)
+        for query in queries[-2:]:
+            trace = []
+            _, stats = matcher.query(
+                query, k=3, on_candidate=lambda e: trace.append(e.entry_id))
+            assert stats.vertices_scanned
+            assert stats.vertices_processed <= len(stale)
+            assert 0 < len(trace) and max(trace) < head
+
+    @staticmethod
+    def band_rule_queries(matcher, query, stats):
+        """The index queries the band rule issues over the steps the
+        query ran, with no fill."""
+        widths = np.array(stats.epsilons)
+        return matcher._bands_to(widths, 0, 0.0,
+                                 matcher.base.index.resolution,
+                                 len(widths) - 1)
+
+    def test_fill_only_ever_saves_index_queries(self, base, corpus):
+        """Clock-free, on every backend: a query without a fill issues
+        exactly the band rule's index queries, one with a fill strictly
+        fewer, and the foreign sketches fill."""
+        matcher = GeometricSimilarityMatcher(base)
+        for position, query in enumerate(corpus[1]):
+            _, stats = matcher.query(query, k=3)
+            rule = self.band_rule_queries(matcher, query, stats)
+            if stats.vertices_scanned:
+                assert stats.range_queries < rule
+            else:
+                assert stats.range_queries == rule
+            if position >= 10 and banded(base):      # random blobs
+                assert stats.vertices_scanned
 
 
 # ----------------------------------------------------------------------

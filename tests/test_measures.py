@@ -244,9 +244,10 @@ class TestEntryMeasures:
         rng = np.random.default_rng(seed)
         sketch = sketches[int(rng.integers(len(sketches)))]
         engine = BoundaryDistance(normalize_about_diameter(sketch).shape)
-        _, points, _, _, offsets = base.reader_view()
+        view = base.reader_view()
+        points, offsets = view[1], view[4]
         memo = DistanceMemo(len(points))
-        memo.points, memo.offsets = points, offsets
+        memo.attach(view)
         known = np.flatnonzero(rng.random(len(points)) < known_share)
         memo.lookup(engine, known)
         entry_ids = rng.permutation(base.num_entries)[

@@ -16,6 +16,7 @@ regressions for the matcher scratch pool and the storage BufferPool
 (satellite: two processes must never observe each other's scratch).
 """
 
+import dataclasses
 import os
 import time
 import multiprocessing
@@ -27,7 +28,10 @@ from repro import GeometricSimilarityMatcher, ShapeBase
 from repro.imaging import generate_workload, make_query_set
 from repro.service import (ProcessWorkerPool, RetrievalService,
                            ServiceConfig, shard_for)
-from repro.service.procpool import ProcessShardView, WorkerOperationError
+from repro.core.matcher import MatchStats
+from repro.service.procpool import (ProcessShardView, WorkerOperationError,
+                                    _stats_from_wire, _stats_to_wire)
+from repro.service.service import _merge_stats
 
 NUM_SHARDS = 3
 PROCESSES = 2
@@ -521,3 +525,48 @@ class TestForkSafety:
         # of inheriting — and counting into — the parent's.
         assert child_stats == (0, 1)
         assert (pool.stats.hits, pool.stats.misses) == (1, 1)
+
+
+def _busy_stats(seed: int) -> MatchStats:
+    """A ``MatchStats`` with no field at its default."""
+    stats = MatchStats()
+    for spec in dataclasses.fields(MatchStats):
+        value = getattr(stats, spec.name)
+        if isinstance(value, bool):
+            value = True
+        elif isinstance(value, int):
+            value = seed + len(spec.name)
+        elif isinstance(value, list):
+            value = [0.01 * seed, 0.02 * seed]
+        elif isinstance(value, dict):
+            value = {"filter": 0.001 * seed}
+        else:
+            raise AssertionError(f"no busy value for {spec.name}")
+        setattr(stats, spec.name, value)
+    return stats
+
+
+class TestStatsWire:
+    """Every ``MatchStats`` field reaches the parent: a field added to
+    the dataclass cannot be dropped by the pipe or the shard merge."""
+
+    def test_every_field_survives_the_wire(self):
+        stats = _busy_stats(3)
+        assert _stats_from_wire(_stats_to_wire(stats)) == stats
+        assert _stats_to_wire(stats).keys() == \
+            {spec.name for spec in dataclasses.fields(MatchStats)}
+
+    def test_every_field_survives_the_merge(self):
+        stats = _busy_stats(5)
+        assert _merge_stats([_stats_from_wire(_stats_to_wire(stats))]) == \
+            stats
+
+    def test_merge_sums_work_and_ors_the_abort(self):
+        a, b = _busy_stats(2), _busy_stats(7)
+        b.aborted = b.guaranteed = False
+        merged = _merge_stats([a, b])
+        assert merged.vertices_scanned == \
+            a.vertices_scanned + b.vertices_scanned
+        assert merged.aborted and merged.exhausted
+        assert not merged.guaranteed
+        assert not _merge_stats([b, MatchStats()]).aborted

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Shape, ShapeBase
+from repro.storage.persist import (apply_base_delta, encode_base_delta,
+                                   load_base, save_base)
 
 
 class TestPopulation:
@@ -126,3 +128,51 @@ class TestIndexLifecycle:
             v = entry.shape.vertices
             assert v[i] == pytest.approx((0, 0), abs=1e-9)
             assert v[j] == pytest.approx((1, 0), abs=1e-9)
+
+
+def assert_anchor_arrays(base):
+    """The anchor arrays a reader captures are the entries' own."""
+    view = base.reader_view()
+    anchor_at, anchor_points = view[5], view[6]
+    assert anchor_at.tolist() == [list(e.copy.pair) for e in base]
+    assert np.array_equal(anchor_points.reshape(-1, 2, 2), np.array(
+        [e.shape.vertices[list(e.copy.pair)] for e in base]).reshape(
+            -1, 2, 2))
+
+
+class TestAnchorArrays:
+    """Per-entry anchor positions and points follow every mutation."""
+
+    def test_every_mutation_path(self, shape_factory, tmp_path):
+        shapes = [shape_factory(int(n)) for n in (7, 9, 11, 8, 10, 12)]
+        base = ShapeBase(alpha=0.1)
+        base.add_shapes(shapes[:3], image_ids=[0, 0, 1])
+        assert_anchor_arrays(base)
+        prior = (base.num_shapes, base.num_entries)
+        base.add_shape(shapes[3], image_id=2)        # incremental append
+        assert base.index_delta_size > 0
+        assert_anchor_arrays(base)
+        clone = base.clone_cow()
+        assert clone.reader_view()[6] is base.reader_view()[6]
+        clone.remove_shape(1)
+        assert_anchor_arrays(clone)
+        assert_anchor_arrays(base)                   # the donor kept its
+        base.add_shapes(shapes[4:], image_ids=[3, 3])
+        assert_anchor_arrays(base.subset([0, 2, 4]))
+        path = tmp_path / "base.gsb"
+        save_base(base, path)
+        for mmap in (False, True):
+            assert_anchor_arrays(load_base(path, mmap=mmap))
+        replica = base.subset(list(range(prior[0])))
+        apply_base_delta(replica, encode_base_delta(base, *prior))
+        assert_anchor_arrays(replica)
+        base.remove_shape(4)
+        assert_anchor_arrays(base)
+
+    def test_an_empty_base_has_empty_anchor_arrays(self):
+        base = ShapeBase()
+        base.add_shape(Shape([(0, 0), (2, 0), (1, 1)]))
+        base.remove_shape(0)
+        assert base.num_entries == 0
+        view = base.reader_view()
+        assert view[5].shape == (0, 2) and view[6].shape == (0, 2, 2)
