@@ -186,7 +186,7 @@ class GeoSIR:
         config = ServiceConfig(
             num_shards=num_shards, workers=workers,
             cache_capacity=cache_capacity, max_pending=max_pending,
-            deadline=deadline, alpha=self.base.alpha, beta=self.beta,
+            deadline=deadline, beta=self.beta,
             backend=self.base.backend, hash_curves=self.hash_curves,
             match_threshold=self.match_threshold, ann=ann,
             ann_mode=ann_mode)

@@ -8,12 +8,18 @@ the geometric-hashing tier instead — the paper's own two-method
 combination, repurposed as graceful degradation: the fallback is
 approximate but its cost is (expected) constant, so a late query's
 residual budget is always enough for *an* answer.
+
+:func:`backoff_delay` is the one retry-spacing rule: the service's
+shard retries and the balancer's replica failover both sleep for it.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Callable, Optional
+
+#: Ceiling of one retry backoff, in seconds.
+BACKOFF_CAP = 0.25
 
 
 class Deadline:
@@ -63,3 +69,22 @@ class Deadline:
         if self._expires_at is None:
             return "Deadline(unlimited)"
         return f"Deadline(remaining={self.remaining():.4f}s)"
+
+
+def backoff_delay(attempt: int, base: float, deadline: Deadline,
+                  jitter: float = 0.0,
+                  draw: Optional[Callable[[], float]] = None) -> float:
+    """Seconds to wait before retry number ``attempt`` (1-based).
+
+    The delay doubles from ``base`` up to :data:`BACKOFF_CAP`.  With
+    ``jitter`` > 0 that fraction of it is scaled by ``draw()``, a
+    uniform draw in [0, 1) that decorrelates retry storms (``draw`` is
+    called only then, so a seeded source replays exactly).  The
+    result never outlasts ``deadline``.
+    """
+    delay = min(BACKOFF_CAP, base * (2 ** (attempt - 1)))
+    if jitter > 0:
+        delay *= (1.0 - jitter) + jitter * draw()
+    if deadline.bounded:
+        delay = min(delay, deadline.remaining())
+    return max(0.0, delay)

@@ -79,7 +79,7 @@ from ..geometry.io import shape_from_dict, shape_to_dict
 from ..geometry.polyline import Shape
 from .breaker import BreakerConfig, CircuitBreaker, OPEN
 from .cache import sketch_signature
-from .deadline import Deadline
+from .deadline import Deadline, backoff_delay
 from .metrics import MetricsRegistry
 from .procpool import ChildProcess, parent_messages
 from .service import OVERLOADED, RetrievalService, ServiceConfig, \
@@ -758,7 +758,8 @@ class Balancer:
     Retrieval is a pure read, so ``POST /query`` is idempotent and a
     failed attempt may be replayed on a sibling without double-effect.
     Each request gets ``retry_budget`` extra attempts with capped
-    exponential backoff, never exceeding the request's own deadline.
+    exponential backoff (:func:`~repro.service.deadline.backoff_delay`,
+    without jitter), never exceeding the request's own deadline.
     Replica health is tracked two ways: a background thread probes
     ``/readyz`` every ``health_interval`` seconds (connection refusal
     = confirmed down, excluded immediately), and every routed request
@@ -774,18 +775,22 @@ class Balancer:
                  request_timeout: float = 30.0,
                  retry_budget: int = 2,
                  retry_backoff: float = 0.02,
-                 retry_backoff_max: float = 0.25,
                  breaker: Optional[BreakerConfig] = None,
                  metrics: Optional[MetricsRegistry] = None):
         if not endpoints:
             raise ValueError("balancer needs at least one endpoint")
+        if health_interval <= 0:
+            raise ValueError("health_interval must be positive")
+        if retry_budget < 0:
+            raise ValueError("retry_budget must be non-negative")
+        if retry_backoff < 0:
+            raise ValueError("retry_backoff must be non-negative")
         self._endpoints: List[Tuple[str, int]] = [
             (str(host), int(port)) for host, port in endpoints]
         self.health_interval = float(health_interval)
         self.request_timeout = float(request_timeout)
         self.retry_budget = int(retry_budget)
         self.retry_backoff = float(retry_backoff)
-        self.retry_backoff_max = float(retry_backoff_max)
         self.metrics = metrics or MetricsRegistry()
         breaker_config = breaker or BreakerConfig(
             window=8, failure_threshold=0.5, min_volume=2,
@@ -889,13 +894,6 @@ class Balancer:
                 return index
         return None
 
-    def _backoff(self, attempt: int, deadline: Deadline) -> float:
-        delay = min(self.retry_backoff_max,
-                    self.retry_backoff * (2 ** (attempt - 1)))
-        if deadline.bounded:
-            delay = min(delay, deadline.remaining())
-        return max(0.0, delay)
-
     def request(self, method: str, path: str,
                 body: Optional[dict] = None,
                 deadline_ms: Optional[float] = None,
@@ -993,7 +991,7 @@ class Balancer:
         if attempts > self.retry_budget:
             return
         self.metrics.counter("balancer.retries").increment()
-        delay = self._backoff(attempts, deadline)
+        delay = backoff_delay(attempts, self.retry_backoff, deadline)
         if delay > 0:
             time.sleep(delay)
 

@@ -9,7 +9,7 @@ most overgrown tails *without holding any lock*, and swaps each result
 in as an atomic epoch bump (:meth:`Shard.fold`).  Ingest, meanwhile,
 extends tails unconditionally (``auto_fold`` off).
 
-Per-cycle budget: at most ``folds_per_cycle`` shards fold per scan, so
+Per-cycle budget: one shard — the most overgrown — folds per scan, so
 a burst that overgrows every shard at once amortizes its rebuilds
 across cycles instead of stalling the process on all of them —
 queries answer from the (slightly slower, still exact) brute tails in
@@ -24,6 +24,9 @@ from typing import List, Optional
 
 from .metrics import MetricsRegistry
 
+#: Seconds between scans while idle.
+FOLD_INTERVAL = 0.05
+
 
 class FoldScheduler:
     """Daemon that folds overgrown incremental-index tails.
@@ -35,22 +38,11 @@ class FoldScheduler:
     metrics:
         Fold durations land in the ``ingest.fold_ms`` histogram and
         completed folds in the ``ingest.folds`` counter.
-    interval:
-        Seconds between scans while idle.
-    folds_per_cycle:
-        Per-cycle budget: the most overgrown shards fold first.
     """
 
-    def __init__(self, shards, metrics: Optional[MetricsRegistry] = None,
-                 interval: float = 0.05, folds_per_cycle: int = 1):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if folds_per_cycle < 1:
-            raise ValueError("folds_per_cycle must be at least 1")
+    def __init__(self, shards, metrics: Optional[MetricsRegistry] = None):
         self.shards = shards
         self.metrics = metrics
-        self.interval = float(interval)
-        self.folds_per_cycle = int(folds_per_cycle)
         self._stop = threading.Event()
         self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -88,25 +80,29 @@ class FoldScheduler:
         return [shard.index for shard in self.shards
                 if shard.needs_fold()]
 
-    def fold_cycle(self) -> int:
-        """One budgeted pass: fold the most overgrown shards.
+    def _fold(self, shard) -> bool:
+        """Fold one shard and record it; False when the swap lost."""
+        started = time.perf_counter()
+        if not shard.fold():
+            return False
+        if self.metrics is not None:
+            self.metrics.histogram("ingest.fold_ms").observe(
+                (time.perf_counter() - started) * 1e3)
+            self.metrics.counter("ingest.folds").increment()
+        return True
 
-        Returns the number of folds that landed.  Public so tests and
-        quiesce points can drive the scheduler deterministically.
+    def fold_cycle(self) -> int:
+        """One budgeted pass: fold the most overgrown shard.
+
+        Returns the number of folds that landed (0 or 1).  Public so
+        tests and quiesce points can drive the scheduler
+        deterministically.
         """
-        ranked = sorted((shard for shard in self.shards
-                         if shard.needs_fold()),
-                        key=lambda s: s.delta_points, reverse=True)
-        folded = 0
-        for shard in ranked[:self.folds_per_cycle]:
-            started = time.perf_counter()
-            if shard.fold():
-                folded += 1
-                if self.metrics is not None:
-                    self.metrics.histogram("ingest.fold_ms").observe(
-                        (time.perf_counter() - started) * 1e3)
-                    self.metrics.counter("ingest.folds").increment()
-        return folded
+        overgrown = [shard for shard in self.shards if shard.needs_fold()]
+        if not overgrown:
+            return 0
+        return int(self._fold(max(overgrown,
+                                  key=lambda s: s.delta_points)))
 
     def drain(self, max_passes: int = 64) -> int:
         """Fold until no shard needs it (checkpoint quiesce helper).
@@ -117,18 +113,11 @@ class FoldScheduler:
         """
         total = 0
         for _ in range(max_passes):
-            ranked = [shard for shard in self.shards if shard.needs_fold()]
-            if not ranked:
+            overgrown = [shard for shard in self.shards
+                         if shard.needs_fold()]
+            if not overgrown:
                 break
-            landed = 0
-            for shard in ranked:
-                started = time.perf_counter()
-                if shard.fold():
-                    landed += 1
-                    if self.metrics is not None:
-                        self.metrics.histogram("ingest.fold_ms").observe(
-                            (time.perf_counter() - started) * 1e3)
-                        self.metrics.counter("ingest.folds").increment()
+            landed = sum(self._fold(shard) for shard in overgrown)
             total += landed
             if not landed:
                 time.sleep(0.001)
@@ -143,5 +132,5 @@ class FoldScheduler:
                 folded = 0          # poisoned shard must not kill folds
             if folded:
                 continue            # more may be pending; no idle wait
-            self._wake.wait(self.interval)
+            self._wake.wait(FOLD_INTERVAL)
             self._wake.clear()

@@ -245,9 +245,7 @@ def _attach_shards(specs: Sequence[Dict[str, Any]],
     for spec in specs:
         base = load_base(spec["path"], backend=spec["backend"], mmap=True)
         shard = Shard(spec["index"], base, beta=params["beta"],
-                      hash_curves=params["hash_curves"],
-                      neighbor_radius=params["neighbor_radius"],
-                      ann=params["ann"])
+                      hash_curves=params["hash_curves"], ann=params["ann"])
         # Warm the tiers this worker serves (index, matcher, ANN);
         # the hash tier stays parent-side.
         if base.num_entries:
@@ -409,10 +407,8 @@ class ProcessWorkerPool(WorkerPool):
     """
 
     def __init__(self, processes: int = 2, workers: Optional[int] = None,
-                 publish_dir: Optional[str] = None,
-                 backend: str = "kdtree", beta: float = 0.25,
-                 hash_curves: int = 50, neighbor_radius: int = 1,
-                 ann=None, compact_every: int = 16):
+                 publish_dir: Optional[str] = None, beta: float = 0.25,
+                 hash_curves: int = 50, ann=None, compact_every: int = 16):
         if processes < 1:
             raise ValueError("processes must be at least 1")
         if compact_every < 1:
@@ -425,9 +421,8 @@ class ProcessWorkerPool(WorkerPool):
         self._owns_publish_dir = publish_dir is None
         self.publish_dir = publish_dir if publish_dir is not None \
             else tempfile.mkdtemp(prefix="repro-publish-")
-        self._params = {"backend": backend, "beta": beta,
-                        "hash_curves": hash_curves,
-                        "neighbor_radius": neighbor_radius, "ann": ann}
+        self._params = {"beta": beta, "hash_curves": hash_curves,
+                        "ann": ann}
         self._req_counter = 0
         self._req_lock = threading.Lock()
         self._sync_lock = threading.Lock()

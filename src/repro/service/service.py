@@ -59,7 +59,7 @@ from ..core.shapebase import ShapeBase
 from ..geometry.polyline import Shape
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import QueryResultCache, sketch_signature
-from .deadline import Deadline
+from .deadline import Deadline, backoff_delay
 from .faults import (CorruptShardAnswer, FaultPlan, FaultyShard,
                      ShardTimeoutError)
 from .ingest import FoldScheduler
@@ -78,6 +78,11 @@ DEGRADED = "degraded"
 TIER_EXACT = "exact"
 TIER_ANN = "ann"
 TIER_HASH = "hash"
+
+#: ``ann_mode="auto"``'s rung thresholds, in seconds of remaining
+#: budget (see :meth:`RetrievalService._select_tier`).
+ANN_EXACT_BUDGET = 0.05
+ANN_HASH_BUDGET = 0.002
 
 
 class _Rung(NamedTuple):
@@ -108,9 +113,10 @@ _LADDER = {
 class ServiceConfig:
     """Knobs of one :class:`RetrievalService`.
 
-    The geometric parameters (``alpha``, ``beta``, ``backend``,
-    ``hash_curves``, ``match_threshold``) mirror
-    :class:`~repro.geosir.GeoSIR`; the rest size the serving tier.
+    The geometric parameters (``beta``, ``backend``, ``hash_curves``,
+    ``match_threshold``) mirror :class:`~repro.geosir.GeoSIR` (a served
+    base keeps the ``alpha`` it was built with); the rest size the
+    serving tier.
     ``deadline`` is the default per-query budget in seconds (``None``
     = unlimited); ``max_pending`` bounds admitted-but-unfinished
     queries (``None`` = unbounded).
@@ -121,21 +127,19 @@ class ServiceConfig:
     cache_capacity: int = 256
     max_pending: Optional[int] = None
     deadline: Optional[float] = None
-    alpha: float = 0.1
     beta: float = 0.25
     backend: str = "kdtree"
     hash_curves: int = 50
-    neighbor_radius: int = 1
     match_threshold: float = 0.05
     #: -- fault tolerance ------------------------------------------------
     #: Attempts per shard per query (1 = no retry); backoff between
     #: attempts doubles from ``retry_backoff`` up to
-    #: ``retry_backoff_max``, randomized by ``retry_jitter`` (the
-    #: fraction of the delay that is uniform-random, decorrelating
-    #: retry storms; ``retry_seed`` makes the jitter reproducible).
+    #: :data:`~repro.service.deadline.BACKOFF_CAP`, randomized by
+    #: ``retry_jitter`` (the fraction of the delay that is
+    #: uniform-random, decorrelating retry storms; ``retry_seed`` makes
+    #: the jitter reproducible).
     retry_attempts: int = 2
     retry_backoff: float = 0.02
-    retry_backoff_max: float = 0.25
     retry_jitter: float = 0.5
     retry_seed: Optional[int] = None
     #: Per-attempt time budget in seconds (cooperative — enforced via
@@ -156,13 +160,11 @@ class ServiceConfig:
     #: original two-tier behaviour (exact -> hashing).
     ann: Optional[AnnConfig] = None
     #: ``"auto"`` picks the tier per query from the deadline's
-    #: remaining budget (exact above ``ann_exact_budget`` seconds, ANN
-    #: above ``ann_hash_budget``, the hash tier below that);
+    #: remaining budget (exact above :data:`ANN_EXACT_BUDGET` seconds,
+    #: ANN above :data:`ANN_HASH_BUDGET`, the hash tier below that);
     #: ``"always"`` routes every query through the ANN tier — the mode
     #: benchmarks and ``query --ann`` use.
     ann_mode: str = "auto"
-    ann_exact_budget: float = 0.05
-    ann_hash_budget: float = 0.002
     #: -- execution tier ---------------------------------------------------
     #: ``"thread"`` runs shard fan-out on the worker thread pool (the
     #: original mode — fine until the exact matcher saturates the
@@ -185,8 +187,6 @@ class ServiceConfig:
     #: admission queue is saturated, so a write burst cannot starve the
     #: read path of either index quality or admission slots.
     streaming: bool = False
-    fold_interval: float = 0.05
-    folds_per_cycle: int = 1
     ingest_max_delta: int = 4096
     ingest_backpressure_timeout: float = 1.0
     #: Process-mode publication cadence: pure-append version bumps ship
@@ -317,6 +317,18 @@ class RetrievalService:
             raise ValueError("ann_mode must be 'auto' or 'always'")
         if self.config.execution not in ("thread", "process"):
             raise ValueError("execution must be 'thread' or 'process'")
+        if self.config.retry_attempts < 1:
+            raise ValueError("retry_attempts must be at least 1")
+        if self.config.retry_backoff < 0:
+            raise ValueError("retry_backoff must be non-negative")
+        if not 0.0 <= self.config.retry_jitter <= 1.0:
+            raise ValueError("retry_jitter must be within [0, 1]")
+        if self.config.match_threshold < 0:
+            raise ValueError("match_threshold must be non-negative")
+        if self.config.publish_compact_every < 1:
+            raise ValueError("publish_compact_every must be at least 1")
+        if self.config.ingest_max_delta < 0:
+            raise ValueError("ingest_max_delta must be non-negative")
         self.shards = shards
         self.metrics = metrics or MetricsRegistry()
         self.cache = QueryResultCache(self.config.cache_capacity)
@@ -327,10 +339,8 @@ class RetrievalService:
                 processes=self.config.processes,
                 workers=self.config.workers,
                 publish_dir=self.config.snapshot_dir,
-                backend=self.config.backend, beta=self.config.beta,
-                hash_curves=self.config.hash_curves,
-                neighbor_radius=self.config.neighbor_radius,
-                ann=self.config.ann,
+                beta=self.config.beta,
+                hash_curves=self.config.hash_curves, ann=self.config.ann,
                 compact_every=self.config.publish_compact_every)
             self.pool: WorkerPool = self._procpool
         else:
@@ -355,10 +365,7 @@ class RetrievalService:
         self._engines: "weakref.WeakSet" = weakref.WeakSet()
         self._fold_scheduler: Optional[FoldScheduler] = None
         if self.config.streaming:
-            self._fold_scheduler = FoldScheduler(
-                self.shards, self.metrics,
-                interval=self.config.fold_interval,
-                folds_per_cycle=self.config.folds_per_cycle)
+            self._fold_scheduler = FoldScheduler(self.shards, self.metrics)
             self._fold_scheduler.start()
         self.metrics.gauge("queue.pending", lambda: self.admission.pending)
         self.metrics.gauge("cache.size", lambda: len(self.cache))
@@ -374,14 +381,13 @@ class RetrievalService:
                   ) -> "RetrievalService":
         """Shard an existing :class:`ShapeBase` and serve it.
 
-        The base's ``alpha``/``backend`` win over the config's (the
+        The shards keep the base's ``alpha`` and ``backend`` (the
         corpus was built with them); shapes keep their ids.
         """
         config = config or ServiceConfig()
         shard_set = ShardSet.from_base(
             base, num_shards=config.num_shards, beta=config.beta,
-            hash_curves=config.hash_curves,
-            neighbor_radius=config.neighbor_radius, ann=config.ann)
+            hash_curves=config.hash_curves, ann=config.ann)
         service = cls(shard_set, config, metrics)
         service.warm()
         return service
@@ -417,9 +423,7 @@ class RetrievalService:
         """
         self.shards = ShardSet.from_base(
             base, num_shards=self.config.num_shards, beta=self.config.beta,
-            hash_curves=self.config.hash_curves,
-            neighbor_radius=self.config.neighbor_radius,
-            ann=self.config.ann)
+            hash_curves=self.config.hash_curves, ann=self.config.ann)
         if self._fold_scheduler is not None:
             # Repoint the background folder at the fresh shard set (the
             # old one is garbage now) and keep folds off the write path.
@@ -678,19 +682,10 @@ class RetrievalService:
                     f"shard {shard.index} returned foreign shape id "
                     f"{match.shape_id}")
 
-    def _backoff_delay(self, attempt: int, budget: Deadline) -> float:
-        """Capped exponential backoff with decorrelating jitter."""
-        config = self.config
-        delay = min(config.retry_backoff_max,
-                    config.retry_backoff * (2 ** (attempt - 1)))
-        if config.retry_jitter > 0:
-            with self._retry_lock:
-                draw = self._retry_rng.random()
-            delay *= (1.0 - config.retry_jitter) + \
-                config.retry_jitter * draw
-        if budget.bounded:
-            delay = min(delay, budget.remaining())
-        return max(0.0, delay)
+    def _retry_draw(self) -> float:
+        """One jitter draw from the seeded retry stream."""
+        with self._retry_lock:
+            return self._retry_rng.random()
 
     def _resilient_call(self, shard: Shard, budget: Deadline,
                         op: Callable[[Callable[[], bool]], Any],
@@ -705,7 +700,7 @@ class RetrievalService:
         the failure-isolation boundary.
         """
         breaker = self._breaker_for(shard.index)
-        attempts_allowed = max(1, self.config.retry_attempts)
+        attempts_allowed = self.config.retry_attempts
         attempt_timeout = self.config.attempt_timeout
         outcome = _ShardOutcome(shard_index=shard.index)
         while True:
@@ -745,7 +740,9 @@ class RetrievalService:
                     outcome.failed = True
                     return outcome
                 self.metrics.counter("shards.retries").increment()
-                delay = self._backoff_delay(outcome.attempts, budget)
+                delay = backoff_delay(
+                    outcome.attempts, self.config.retry_backoff, budget,
+                    self.config.retry_jitter, self._retry_draw)
                 if delay > 0:
                     time.sleep(delay)
                 continue
@@ -803,8 +800,8 @@ class RetrievalService:
         (exact now, hashing on expiry).  With one, ``"always"`` pins
         the ANN tier (measurement mode) while ``"auto"`` spends the
         budget greedily: exact when there is comfortably enough time
-        (``>= ann_exact_budget``), the LSH-pruned tier when at least
-        ``ann_hash_budget`` remains, and the constant-cost hash tier
+        (``>= ANN_EXACT_BUDGET``), the LSH-pruned tier when at least
+        ``ANN_HASH_BUDGET`` remains, and the constant-cost hash tier
         for whatever is left.
         """
         if self.config.ann is None:
@@ -814,9 +811,9 @@ class RetrievalService:
         if not budget.bounded:
             return TIER_EXACT
         remaining = budget.remaining()
-        if remaining >= self.config.ann_exact_budget:
+        if remaining >= ANN_EXACT_BUDGET:
             return TIER_EXACT
-        if remaining >= self.config.ann_hash_budget:
+        if remaining >= ANN_HASH_BUDGET:
             return TIER_ANN
         return TIER_HASH
 

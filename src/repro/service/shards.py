@@ -91,13 +91,11 @@ class Shard:
     """
 
     def __init__(self, index: int, base: ShapeBase, beta: float = 0.25,
-                 hash_curves: int = 50, neighbor_radius: int = 1,
-                 ann: Optional[AnnConfig] = None):
+                 hash_curves: int = 50, ann: Optional[AnnConfig] = None):
         self.index = index
         self.base = base
         self.beta = float(beta)
         self.hash_curves = int(hash_curves)
-        self.neighbor_radius = int(neighbor_radius)
         self.ann_config = ann
         self._matcher: Optional[GeometricSimilarityMatcher] = None
         self._retriever: Optional[ApproximateRetriever] = None
@@ -126,8 +124,7 @@ class Shard:
             with self.write_lock:
                 if self._retriever is None:
                     self._retriever = ApproximateRetriever(
-                        self.base, k_curves=self.hash_curves,
-                        neighbor_radius=self.neighbor_radius)
+                        self.base, k_curves=self.hash_curves)
         return self._retriever
 
     @property
@@ -358,14 +355,12 @@ class ShardSet:
 
     def __init__(self, num_shards: int = 4, alpha: float = 0.1,
                  backend: str = "kdtree", beta: float = 0.25,
-                 hash_curves: int = 50, neighbor_radius: int = 1,
-                 ann: Optional[AnnConfig] = None):
+                 hash_curves: int = 50, ann: Optional[AnnConfig] = None):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.num_shards = int(num_shards)
         self.shards = [Shard(i, ShapeBase(alpha=alpha, backend=backend),
-                             beta=beta, hash_curves=hash_curves,
-                             neighbor_radius=neighbor_radius, ann=ann)
+                             beta=beta, hash_curves=hash_curves, ann=ann)
                        for i in range(self.num_shards)]
         self.version = 0
         self._next_shape_id = 0
@@ -374,13 +369,11 @@ class ShardSet:
     @classmethod
     def from_base(cls, base: ShapeBase, num_shards: int = 4,
                   beta: float = 0.25, hash_curves: int = 50,
-                  neighbor_radius: int = 1,
                   ann: Optional[AnnConfig] = None) -> "ShardSet":
         """Partition an existing base (shape ids preserved)."""
         shard_set = cls(num_shards=num_shards, alpha=base.alpha,
                         backend=base.backend, beta=beta,
-                        hash_curves=hash_curves,
-                        neighbor_radius=neighbor_radius, ann=ann)
+                        hash_curves=hash_curves, ann=ann)
         if ann is not None and base.num_entries:
             # Sketch the whole base once before splitting: subsets
             # carry the cache rows, so shards (and later re-splits of

@@ -57,8 +57,7 @@ def build_base(workload):
 
 
 def service_config(**overrides):
-    defaults = dict(num_shards=NUM_SHARDS, workers=2, alpha=0.05,
-                    cache_capacity=0)
+    defaults = dict(num_shards=NUM_SHARDS, workers=2, cache_capacity=0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

@@ -1,0 +1,140 @@
+"""Serving knobs: every config field is live, bad values are refused,
+and one backoff rule spaces every retry.
+
+* the knob census — each :class:`ServiceConfig` field is read as
+  ``config.<name>`` somewhere in the package, so a field nothing reads
+  cannot come back unnoticed;
+* constructor validation of :class:`RetrievalService` and
+  :class:`Balancer` for values that would otherwise run silently wrong;
+* :func:`backoff_delay`, shared by shard retries and balancer failover;
+* the :class:`FoldScheduler` fold step both of its loops share.
+"""
+
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.service import RetrievalService, ServiceConfig
+from repro.service.deadline import BACKOFF_CAP, Deadline, backoff_delay
+from repro.service.http import Balancer
+from repro.service.ingest import FoldScheduler
+from repro.service.metrics import MetricsRegistry
+from repro.service.shards import ShardSet
+
+
+class TestKnobCensus:
+    def test_every_field_is_read(self):
+        package = Path(repro.__file__).parent
+        body = inspect.getsource(ServiceConfig)
+        read = set()
+        for path in package.rglob("*.py"):
+            text = path.read_text().replace(body, "")
+            read.update(re.findall(r"\bconfig\.(\w+)", text))
+        fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+        assert fields - read == set()
+
+
+class TestServiceValidation:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"retry_attempts": 0}, "retry_attempts"),
+        ({"retry_attempts": -3}, "retry_attempts"),
+        ({"retry_backoff": -1.0}, "retry_backoff"),
+        ({"retry_jitter": 2.0}, "retry_jitter"),
+        ({"retry_jitter": -0.1}, "retry_jitter"),
+        ({"match_threshold": -1.0}, "match_threshold"),
+        ({"publish_compact_every": 0}, "publish_compact_every"),
+        ({"ingest_max_delta": -1, "streaming": True}, "ingest_max_delta"),
+    ])
+    def test_rejects(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            RetrievalService(ShardSet(num_shards=1),
+                             ServiceConfig(**overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        {"retry_attempts": 1, "retry_backoff": 0.0, "retry_jitter": 0.0},
+        {"retry_jitter": 1.0, "match_threshold": 0.0},
+        {"publish_compact_every": 1, "ingest_max_delta": 0},
+    ])
+    def test_accepts_edges(self, overrides):
+        RetrievalService(ShardSet(num_shards=1),
+                         ServiceConfig(**overrides)).close()
+
+
+class TestBalancerValidation:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"retry_budget": -1}, "retry_budget"),
+        ({"retry_backoff": -0.01}, "retry_backoff"),
+        ({"health_interval": 0.0}, "health_interval"),
+        ({"health_interval": -1.0}, "health_interval"),
+    ])
+    def test_rejects(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            Balancer([("127.0.0.1", 9)], **overrides)
+
+
+class TestBackoffDelay:
+    def test_doubles_to_the_cap(self):
+        got = [backoff_delay(a, 0.02, Deadline.unlimited())
+               for a in range(1, 7)]
+        assert got == [0.02, 0.04, 0.08, 0.16, BACKOFF_CAP, BACKOFF_CAP]
+
+    def test_jitter_scales_only_its_fraction(self):
+        draws = []
+
+        def draw():
+            draws.append(None)
+            return 0.5
+
+        assert backoff_delay(2, 0.1, Deadline.unlimited(),
+                             jitter=0.4, draw=draw) == 0.2 * (0.6 + 0.2)
+        assert len(draws) == 1
+        # No jitter, no draw: a seeded stream is not advanced.
+        backoff_delay(2, 0.1, Deadline.unlimited(), draw=draw)
+        assert len(draws) == 1
+
+    def test_clipped_to_the_deadline(self):
+        now = [0.0]
+        deadline = Deadline(0.01, clock=lambda: now[0])
+        assert backoff_delay(5, 0.02, deadline) == 0.01
+        now[0] = 1.0
+        assert backoff_delay(1, 0.02, deadline) == 0.0
+
+
+class _FakeShard:
+    def __init__(self, index, delta, loses=False):
+        self.index = index
+        self.delta_points = delta
+        self.loses = loses
+
+    def needs_fold(self):
+        return self.delta_points > 0
+
+    def fold(self):
+        if self.loses:
+            return False
+        self.delta_points = 0
+        return True
+
+
+class TestFoldStep:
+    def test_cycle_folds_the_most_overgrown_shard(self):
+        shards = [_FakeShard(0, 3), _FakeShard(1, 9), _FakeShard(2, 9)]
+        metrics = MetricsRegistry()
+        scheduler = FoldScheduler(shards, metrics)
+        assert scheduler.fold_cycle() == 1
+        assert [s.delta_points for s in shards] == [3, 0, 9]
+        assert metrics.counter("ingest.folds").value == 1
+        assert metrics.histogram("ingest.fold_ms").count == 1
+
+    def test_drain_records_only_landed_folds(self):
+        shards = [_FakeShard(0, 3), _FakeShard(1, 5, loses=True),
+                  _FakeShard(2, 7)]
+        metrics = MetricsRegistry()
+        assert FoldScheduler(shards, metrics).drain(max_passes=2) == 2
+        assert metrics.counter("ingest.folds").value == 2
+        assert metrics.histogram("ingest.fold_ms").count == 2
+        assert FoldScheduler(shards).fold_cycle() == 0
