@@ -22,7 +22,6 @@ from ..core.matcher import Match, MatchStats, best_per_shape, rank
 from ..core.measures import entry_measures
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
-from ..geometry.transform import normalize_about_diameter
 from .lsh import LshIndex
 from .sketch import SketchConfig, compute_entry_sketches, \
     sketch_normalized_shape
@@ -159,7 +158,7 @@ class AnnPrunedMatcher:
         """
         stats = MatchStats()
         t0 = perf_counter()
-        normalized = normalize_about_diameter(query).shape
+        normalized = query.normalized.shape
         sketch = sketch_normalized_shape(normalized, self.config.sketch)
         stats.timings["ann_sketch"] = perf_counter() - t0
         t0 = perf_counter()

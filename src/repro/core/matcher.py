@@ -51,7 +51,6 @@ from ..geometry.envelope import band_cover_triangles
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
 from ..geometry.primitives import EPSILON
-from ..geometry.transform import normalize_about_diameter
 from .epsilon import EpsilonSchedule, schedule_for
 from .measures import (DistanceMemo, continuous_average_distance,
                        directed_average_distance, entry_measures)
@@ -341,7 +340,7 @@ class GeometricSimilarityMatcher:
     # ------------------------------------------------------------------
     def normalize_query(self, query: Shape) -> Shape:
         """Normalize the query about its diameter (Section 2.3)."""
-        return normalize_about_diameter(query).shape
+        return query.normalized.shape
 
     def _entry_measure(self, entry: ShapeEntry, engine: BoundaryDistance,
                        normalized_query: Shape) -> float:

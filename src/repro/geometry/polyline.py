@@ -32,7 +32,8 @@ class Shape:
         polylines either open or closed").
     """
 
-    __slots__ = ("_vertices", "closed", "_perimeter", "_edge_lengths")
+    __slots__ = ("_vertices", "closed", "_perimeter", "_edge_lengths",
+                 "_normalized")
 
     def __init__(self, vertices: Iterable[Sequence[float]], closed: bool = True):
         array = as_points(vertices)
@@ -48,6 +49,7 @@ class Shape:
         self.closed = bool(closed)
         self._perimeter: Optional[float] = None
         self._edge_lengths: Optional[np.ndarray] = None
+        self._normalized = None
 
     @classmethod
     def _trusted(cls, vertices: np.ndarray, closed: bool) -> "Shape":
@@ -64,6 +66,7 @@ class Shape:
         shape.closed = closed
         shape._perimeter = None
         shape._edge_lengths = None
+        shape._normalized = None
         return shape
 
     # ------------------------------------------------------------------
@@ -130,6 +133,16 @@ class Shape:
         if self._perimeter is None:
             self._perimeter = float(self.edge_lengths().sum())
         return self._perimeter
+
+    @property
+    def normalized(self):
+        """This shape normalized about its diameter, cached: the
+        :func:`~repro.geometry.transform.normalize_about_diameter` copy
+        that the cache key, the ETag and every query tier read."""
+        if self._normalized is None:
+            from .transform import normalize_about_diameter
+            self._normalized = normalize_about_diameter(self)
+        return self._normalized
 
     @property
     def area(self) -> float:

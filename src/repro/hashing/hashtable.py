@@ -136,7 +136,7 @@ class ApproximateRetriever:
         """Up to ``k`` approximate matches: the candidates' exact
         measures from one :func:`~repro.core.measures.entry_measures`
         call, ranked by the matcher's one rule."""
-        normalized = normalize_about_diameter(query).shape
+        normalized = query.normalized.shape
         radius = self.neighbor_radius if neighbor_radius is None \
             else neighbor_radius
         candidates = sorted(self.table.candidates(

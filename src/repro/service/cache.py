@@ -25,7 +25,6 @@ from typing import Any, Hashable, Optional, Tuple
 import numpy as np
 
 from ..geometry.polyline import Shape
-from ..geometry.transform import normalize_about_diameter
 
 #: Quantization grid for normalized vertices.  Normalized coordinates
 #: live in the lune (|x|, |y| <= 1.5 in practice); 1e-6 is far below any
@@ -42,7 +41,7 @@ def sketch_signature(sketch: Shape, *, kind: str = "topk",
     ``kind``/``parameter`` distinguish top-k from threshold queries
     (and their k / threshold values) so they never alias.
     """
-    normalized = normalize_about_diameter(sketch).shape
+    normalized = sketch.normalized.shape
     quantized = np.rint(normalized.vertices / grid).astype(np.int64)
     digest = hashlib.blake2b(digest_size=16)
     digest.update(b"closed" if normalized.closed else b"open")

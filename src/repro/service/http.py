@@ -53,9 +53,12 @@ the wire.  This module is that wire, stdlib only:
 
 The replica server and the front door share one request handler base
 (body draining, 400/404/500 mapping) and one server lifecycle; each
-role adds only its routes and payloads.  :func:`json_request` is the
-one HTTP client, and replica processes are spawned, stopped and killed
-by the process tier's :class:`~repro.service.procpool.ChildProcess`.
+role adds only its routes and payloads.  Every server socket has Nagle
+off and an idle timeout.  The balancer keeps its replica connections
+open between requests; :func:`json_request` is the one-shot client for
+everything else, over the same response parser.  Replica processes are
+spawned, stopped and killed by the process tier's
+:class:`~repro.service.procpool.ChildProcess`.
 
 The fleet-level invariant (chaos-tested by ``serve-bench --http
 --chaos`` and the CI ``http-smoke`` job): killing one replica
@@ -175,11 +178,24 @@ class _Handler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted socket: a keep-alive response
+    #: is written as headers then body, and with Nagle on the body
+    #: waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    #: Seconds a connection may stay silent (idle between keep-alive
+    #: requests, or stalled mid-request) before it is closed, so no
+    #: client can pin a handler thread.  Matches the balancer's default
+    #: ``request_timeout``.
+    timeout = 30.0
     #: ``(method, path) -> endpoint function`` of the role.
     routes: Dict[Tuple[str, str], Callable[["_Handler"], None]] = {}
 
     def log_message(self, *args) -> None:     # keep benches quiet
         pass
+
+    def setup(self) -> None:
+        self.app.metrics.counter("http.connections").increment()
+        super().setup()
 
     @property
     def app(self):
@@ -221,12 +237,13 @@ class _Handler(BaseHTTPRequestHandler):
                 length = int(self.headers.get("Content-Length") or 0)
                 if length < 0:
                     raise ValueError("negative Content-Length")
-            except ValueError:
-                # Where this body ends is unknown, so nothing after it
-                # on this connection can be parsed.
+                self._body = self.rfile.read(length)
+            except (ValueError, OSError):
+                # Where this body ends is unknown (a bad length, or a
+                # client that stalled past the timeout mid-body), so
+                # nothing after it on this connection can be parsed.
                 self.close_connection = True
                 raise
-            self._body = self.rfile.read(length)
         return self._body
 
     def body(self) -> dict:
@@ -321,34 +338,44 @@ class _HttpServer:
         self.close()
 
 
+def _exchange(conn: http.client.HTTPConnection, method: str, path: str,
+              body: Optional[bytes], headers: Optional[Dict[str, str]]
+              ) -> Tuple[int, Dict[str, str], dict, bool]:
+    """Send one request on ``conn`` and read the whole response:
+    ``(status, lower-cased headers, JSON payload, will_close)``."""
+    send_headers = {"Content-Type": "application/json"}
+    send_headers.update(headers or {})
+    conn.request(method, path, body=body, headers=send_headers)
+    response = conn.getresponse()
+    raw = response.read()
+    payload: dict = {}
+    if raw:
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            payload = {"error": "unparseable body"}
+    return (response.status,
+            {k.lower(): v for k, v in response.getheaders()},
+            payload, response.will_close)
+
+
 def json_request(endpoint: Tuple[str, int], method: str, path: str,
                  body: Optional[bytes] = None,
                  headers: Optional[Dict[str, str]] = None,
                  timeout: float = 30.0) -> Tuple[int, Dict[str, str], dict]:
-    """One request on a fresh connection; returns ``(status,
-    lower-cased response headers, JSON payload)``.
+    """One request on a fresh connection, closed afterwards; returns
+    ``(status, lower-cased response headers, JSON payload)``.
 
-    Raises ``OSError`` (refused, reset, timed out) or
-    ``http.client.HTTPException`` (a torn response); a body that is
-    not JSON comes back as ``{"error": "unparseable body"}``.
+    The one-shot helper for health probes (which must test that the
+    replica still accepts connections), the CLI's admin hook and
+    scripts; routed traffic goes over the :class:`Balancer`'s pooled
+    connections instead.  Raises ``OSError`` (refused, reset, timed
+    out) or ``http.client.HTTPException`` (a torn response); a body
+    that is not JSON comes back as ``{"error": "unparseable body"}``.
     """
-    host, port = endpoint
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    conn = http.client.HTTPConnection(*endpoint, timeout=timeout)
     try:
-        send_headers = {"Content-Type": "application/json"}
-        send_headers.update(headers or {})
-        conn.request(method, path, body=body, headers=send_headers)
-        response = conn.getresponse()
-        raw = response.read()
-        payload: dict = {}
-        if raw:
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                payload = {"error": "unparseable body"}
-        return (response.status,
-                {k.lower(): v for k, v in response.getheaders()},
-                payload)
+        return _exchange(conn, method, path, body, headers)[:3]
     finally:
         conn.close()
 
@@ -768,6 +795,17 @@ class Balancer:
     breaker's state machine reused at fleet scope, so a flapping
     replica is quarantined for a cooldown and re-admitted through a
     bounded half-open probe.
+
+    Routed requests reuse HTTP/1.1 keep-alive connections: per replica
+    address a LIFO stack of idle connections, so the pool never holds
+    more than the requests that were once in flight together.  A
+    connection goes back on its stack only after a whole response that
+    did not announce ``Connection: close``.  A *reused* connection the
+    replica has since closed (its idle timeout, a restart) fails with
+    a reset or an empty reply before any answer; that request is sent
+    once more on a fresh connection to the same replica, and only a
+    second failure counts against the replica.  Timeouts are never
+    replayed.  Health probes always open a fresh connection.
     """
 
     def __init__(self, endpoints: Sequence[Tuple[str, int]], *,
@@ -799,6 +837,9 @@ class Balancer:
                           for _ in self._endpoints]
         self._down: set = set()
         self._rr = 0
+        #: Idle keep-alive connections per replica address (LIFO).
+        self._idle: Dict[Tuple[str, int],
+                         List[http.client.HTTPConnection]] = {}
         self._lock = threading.Lock()
         self._closed = False
         self._stop = threading.Event()
@@ -818,8 +859,11 @@ class Balancer:
         with self._lock:
             self._breakers[index] = CircuitBreaker(
                 self._breakers[index].config)
+            stale = self._idle.pop(self._endpoints[index], [])
             self._endpoints[index] = (str(endpoint[0]), int(endpoint[1]))
             self._down.discard(index)
+        for conn in stale:
+            conn.close()
 
     def endpoints(self) -> List[Tuple[str, int]]:
         with self._lock:
@@ -947,7 +991,7 @@ class Balancer:
             if deadline.bounded:
                 timeout = min(timeout, deadline.remaining() + 1.0)
             try:
-                code, response_headers, payload = json_request(
+                code, response_headers, payload = self._send(
                     endpoint, method, path, encoded, send_headers,
                     timeout)
             except (OSError, http.client.HTTPException) as exc:
@@ -986,6 +1030,50 @@ class Balancer:
         return last if last is not None else BalancedResponse(
             502, {"status": "error", "error": "retry budget exhausted"})
 
+    def _send(self, endpoint: Tuple[str, int], method: str, path: str,
+              body: Optional[bytes], headers: Dict[str, str],
+              timeout: float) -> Tuple[int, Dict[str, str], dict]:
+        """One exchange with ``endpoint``, on an idle pooled connection
+        when there is one."""
+        with self._lock:
+            stack = self._idle.get(endpoint)
+            conn = stack.pop() if stack else None
+        if conn is not None:
+            conn.sock.settimeout(timeout)     # pooled => still open
+            try:
+                return self._exchange_pooled(endpoint, conn, method, path,
+                                             body, headers)
+            except (ConnectionResetError, BrokenPipeError):
+                # (RemoteDisconnected is a ConnectionResetError.)
+                # Closed by the replica while it sat idle here; the
+                # read is idempotent, so replay it on a fresh one.
+                self.metrics.counter("balancer.stale_replays").increment()
+        conn = http.client.HTTPConnection(*endpoint, timeout=timeout)
+        return self._exchange_pooled(endpoint, conn, method, path, body,
+                                     headers)
+
+    def _exchange_pooled(self, endpoint: Tuple[str, int],
+                         conn: http.client.HTTPConnection, method: str,
+                         path: str, body: Optional[bytes],
+                         headers: Dict[str, str]
+                         ) -> Tuple[int, Dict[str, str], dict]:
+        """Exchange on ``conn``, then pool it again unless the response
+        closes it, the exchange failed or the balancer is closed."""
+        try:
+            code, response_headers, payload, will_close = _exchange(
+                conn, method, path, body, headers)
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            keep = not (will_close or self._closed) and \
+                endpoint in self._endpoints
+            if keep:
+                self._idle.setdefault(endpoint, []).append(conn)
+        if not keep:
+            conn.close()
+        return code, response_headers, payload
+
     def _sleep_before_retry(self, attempts: int,
                             deadline: Deadline) -> None:
         if attempts > self.retry_budget:
@@ -1021,11 +1109,16 @@ class Balancer:
         return snap
 
     def close(self) -> None:
-        """Stop health checking; idempotent under concurrent callers."""
+        """Stop health checking and close every idle connection;
+        idempotent under concurrent callers."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            idle, self._idle = self._idle, {}
+        for stack in idle.values():
+            for conn in stack:
+                conn.close()
         self._stop.set()
         self._health_thread.join(timeout=5.0)
 

@@ -10,14 +10,18 @@ parsing, similarity-invariant ETags), the per-replica server surface
 (healthz/readyz/stats, ETag/304 validation, 503 load shedding with
 body draining on keep-alive connections, degraded answers marked
 ``no-store``), the balancer's failover/retry behavior, the
-single-address front door, and the lifecycle satellites (idempotent
-concurrent close, uptime/snapshot-version stats, histogram
-quantiles).
+single-address front door, connection reuse (the balancer's
+keep-alive pool, Nagle off, the idle timeout, stale-connection replay,
+the ``http.connections`` counter, one sketch normalization per
+request), and the lifecycle satellites (idempotent concurrent close,
+uptime/snapshot-version stats, histogram quantiles).
 """
 
 import http.client
+import inspect
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -25,14 +29,17 @@ import numpy as np
 import pytest
 
 from repro import Shape, ShapeBase
+from repro.ann import AnnConfig
+from repro.geometry import transform
 from repro.geometry.io import shape_to_dict
 from repro.imaging import generate_workload, make_query_set
 from repro.service import (Balancer, BalancerServer, BreakerConfig,
                            HttpRetrievalServer, NoHealthyReplicas,
                            ReplicaSet, RetrievalService, ServiceConfig)
 from repro.service.faults import ALL_OPS, FaultPlan, FaultSpec
-from repro.service.http import (DEADLINE_HEADER, parse_deadline_ms,
-                                query_etag, result_payload)
+from repro.service.http import (DEADLINE_HEADER, _Handler,
+                                parse_deadline_ms, query_etag,
+                                result_payload)
 from repro.service.metrics import Histogram
 from repro.storage import save_base
 
@@ -442,6 +449,204 @@ class TestSatellites:
             assert service.ready()
         finally:
             service.close()
+
+
+# ----------------------------------------------------------------------
+# Connection reuse: pooled keep-alive, Nagle off, idle timeout
+# ----------------------------------------------------------------------
+def connections(*servers):
+    """Connections the servers have accepted so far."""
+    return sum(srv.metrics.counter("http.connections").value
+               for srv in servers)
+
+
+@pytest.fixture
+def replica_pair(corpus):
+    """Two in-process replicas, each over its own thread service."""
+    base, _ = corpus
+    services = [RetrievalService.from_base(base, ServiceConfig(
+        num_shards=NUM_SHARDS, workers=2, cache_capacity=32))
+        for _ in range(2)]
+    servers = [HttpRetrievalServer(service, replica_id=i).start()
+               for i, service in enumerate(services)]
+    yield servers
+    for srv, service in zip(servers, services):
+        srv.close()
+        service.close()
+
+
+class TestConnectionReuse:
+    def test_keepalive_answers_without_delayed_ack_stall(self, door):
+        """With Nagle on, each keep-alive response's body waits for the
+        client's delayed ACK (>= 40 ms): 20 requests took ~0.84 s."""
+        conn = http.client.HTTPConnection(*door.address, timeout=30.0)
+        try:
+            conn.request("GET", "/healthz")   # connect outside the clock
+            conn.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert json.loads(response.read())["status"] == "alive"
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
+    @pytest.mark.parametrize("partial", [
+        b"GET /hea",
+        b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+    ], ids=["request-line", "body"])
+    def test_stalled_request_is_closed_after_the_timeout(
+            self, door, partial, monkeypatch):
+        """Half a request must not pin a handler thread, nor end in a
+        server error.  The idle timeout defaults to the balancer's
+        request timeout."""
+        default = inspect.signature(Balancer).parameters["request_timeout"]
+        assert _Handler.timeout == default.default
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        errors = []
+        monkeypatch.setattr(type(door._httpd), "handle_error",
+                            lambda self, request, address:
+                            errors.append(address))
+        with socket.create_connection(door.address, timeout=10.0) as sock:
+            sock.sendall(partial)
+            while sock.recv(4096):                # closed, not hanging
+                pass
+        assert not errors
+
+    def test_sequential_requests_reuse_one_connection_per_replica(
+            self, replica_pair, corpus):
+        _, queries = corpus
+        with Balancer([srv.address for srv in replica_pair],
+                      health_interval=30.0) as balancer:
+            for index in range(50):
+                response = balancer.query(queries[index % len(queries)],
+                                          k=2)
+                assert response.status_code == 200
+        assert connections(*replica_pair) == 2    # one per request before
+        status, _, snap = request(replica_pair[0].address, "GET",
+                                  "/stats")
+        assert status == 200
+        # /stats counts the connection it arrived on.
+        assert snap["counters"]["http.connections"] == 2
+
+    def test_concurrent_clients_open_at_most_one_connection_each(
+            self, replica_pair, corpus):
+        """More clients than cores, switching threads often: a pooled
+        connection handed to two requests at once would garble both."""
+        _, queries = corpus
+        clients = 4
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Balancer([srv.address for srv in replica_pair],
+                          health_interval=30.0) as balancer:
+                def client(offset):
+                    for index in range(20):
+                        response = balancer.query(
+                            queries[(offset + index) % len(queries)], k=2)
+                        if response.status_code != 200:
+                            errors.append(response.payload)
+
+                threads = [threading.Thread(target=client, args=(offset,))
+                           for offset in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                assert not any(thread.is_alive() for thread in threads)
+                counters = balancer.metrics.as_dict()["counters"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert counters.get("balancer.conn_failures", 0) == 0
+        assert connections(*replica_pair) <= clients * len(replica_pair)
+
+    def test_connection_closed_while_idle_is_replayed(
+            self, replica_pair, corpus, monkeypatch):
+        """A pooled connection the replica timed out is not a replica
+        failure: the request goes again on a fresh connection."""
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        _, queries = corpus
+        replica = replica_pair[0]
+        with Balancer([replica.address], health_interval=30.0) as balancer:
+            assert balancer.query(queries[0], k=2).status_code == 200
+            time.sleep(1.0)                        # > the idle timeout
+            response = balancer.query(queries[1], k=2)
+            assert response.status_code == 200
+            assert response.attempts == 1
+            counters = balancer.metrics.as_dict()["counters"]
+            assert counters.get("balancer.stale_replays") == 1
+            assert counters.get("balancer.conn_failures", 0) == 0
+            assert balancer.stats()["breakers"]["0"]["failure_rate"] == 0.0
+        assert connections(replica) == 2
+
+    def test_replace_endpoint_and_close_drop_idle_connections(
+            self, replica_pair, corpus):
+        _, queries = corpus
+        first, second = replica_pair
+        balancer = Balancer([first.address], health_interval=30.0)
+        try:
+            assert balancer.query(queries[0], k=1).status_code == 200
+            (idle,) = balancer._idle[first.address]
+            balancer.replace_endpoint(0, second.address)
+            assert idle.sock is None                # closed
+            assert first.address not in balancer._idle
+            assert balancer.query(queries[0], k=1).endpoint == \
+                second.address
+            (idle,) = balancer._idle[second.address]
+        finally:
+            balancer.close()
+        assert idle.sock is None
+        balancer.close()                            # still idempotent
+        assert connections(second) == 1
+
+
+def test_each_sketch_is_normalized_once_per_request(corpus, monkeypatch):
+    """The ETag, the cache key and every shard's tier read one memoized
+    normalization (it took 4 on a 2-shard ANN miss at a replica, 2 on
+    a replica cache hit and 2 on an in-process exact query)."""
+    base, queries = corpus
+    calls = []
+    real = transform.normalize_about_diameter
+
+    def counting(shape):
+        calls.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(transform, "normalize_about_diameter", counting)
+
+    def normalizations(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    sketch = queries[5]
+    assert sketch.normalized is sketch.normalized
+    assert np.array_equal(sketch.normalized.shape.vertices,
+                          real(sketch).shape.vertices)
+
+    ann = ServiceConfig(num_shards=2, cache_capacity=8, ann=AnnConfig(),
+                        ann_mode="always")
+    with RetrievalService.from_base(base, ann) as service, \
+            HttpRetrievalServer(service) as srv:
+        def post():
+            status, _, payload = request(
+                srv.address, "POST", "/query",
+                {"sketch": shape_to_dict(queries[4]), "k": 2})
+            assert status == 200
+            return payload["cached"]
+
+        assert normalizations(post) == 1           # miss: ETag, key, 2 shards
+        assert normalizations(post) == 1           # hit: ETag, key
+        assert post() is True
+
+    exact = ServiceConfig(num_shards=1, cache_capacity=0)
+    with RetrievalService.from_base(base, exact) as service:
+        assert normalizations(
+            lambda: service.retrieve(queries[6], k=2)) == 1
 
 
 # ----------------------------------------------------------------------
