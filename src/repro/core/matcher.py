@@ -97,10 +97,6 @@ class MatchStats:
     #: of the CLI's ``--profile`` breakdown.
     timings: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def total_reported(self) -> int:
-        return self.vertices_reported
-
 
 #: Per-shape best: shape id -> (measure value, entry id).
 BestByShape = Dict[int, Tuple[float, int]]

@@ -14,50 +14,55 @@ One facade over the whole stack:
   explicitly through :mod:`repro.query.algebra` or derived from a
   multi-shape sketch whose own pairwise relations become the
   predicates.
+
+All of it runs on a one-shard, one-worker
+:class:`~repro.service.RetrievalService` the facade owns; its ingest
+path patches the matcher and hashing tier in place.  Sharded,
+concurrent serving builds a ``RetrievalService`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
-from ..core.matcher import GeometricSimilarityMatcher, Match, MatchStats
+import numpy as np
+
+from ..core.matcher import Match
 from ..core.shapebase import ShapeBase
 from ..geometry.polyline import Shape
-from ..hashing.hashtable import ApproximateRetriever
 from ..imaging.contours import extract_contour_shapes
 from ..imaging.decompose import decompose_all
 from ..imaging.raster import BinaryImage
 from ..query.algebra import QueryNode, Similar, Topological
 from ..query.executor import QueryEngine
 from ..query.graph import DISJOINT, diameter_angle, relation_between
+from ..service.service import (RetrievalService, ServiceConfig,
+                               ServiceResult)
+from ..service.shards import ShardSet
 
-if TYPE_CHECKING:                  # pragma: no cover - import cycle guard
-    from ..ann import AnnConfig
-    from ..service import RetrievalService
 
+def ingestible_pieces(shapes: Sequence[Shape]) -> List[Shape]:
+    """The simple pieces of ``shapes`` a shape base accepts.
 
-@dataclass
-class RetrievalResult:
-    """Outcome of one sketch retrieval."""
-
-    matches: List[Match]
-    stats: MatchStats
-    method: str          # "envelope" or "hashing"
-
-    @property
-    def best(self) -> Optional[Match]:
-        return self.matches[0] if self.matches else None
+    Decomposition (Section 2.4) can cut a valid contour into a sliver
+    with fewer than three distinct vertices, which has no diameter
+    pair to normalize about; such pieces are dropped here rather than
+    failing the whole image.
+    """
+    return [piece for piece in decompose_all(list(shapes))
+            if len(np.unique(piece.vertices, axis=0)) >= 3]
 
 
 class GeoSIR:
     """The interactive prototype, as a library object.
 
-    Parameters mirror the knobs of the underlying stages; see
-    :class:`~repro.core.ShapeBase`,
-    :class:`~repro.core.GeometricSimilarityMatcher`,
-    :class:`~repro.hashing.ApproximateRetriever` and
-    :class:`~repro.query.QueryEngine`.
+    ``alpha`` and ``backend`` shape the base
+    (:class:`~repro.core.ShapeBase`), ``beta`` the envelope matcher
+    (:class:`~repro.core.GeometricSimilarityMatcher`), ``hash_curves``
+    the hashing tier (:class:`~repro.hashing.ApproximateRetriever`),
+    ``similarity_threshold`` the algebra's ``similar`` leaves
+    (:class:`~repro.query.QueryEngine`) and ``extraction_tolerance``
+    the raster pipeline's Douglas-Peucker step.
 
     ``match_threshold`` decides when the envelope matcher's answer is
     "good enough": a best distance above it (or no answer at all)
@@ -69,17 +74,31 @@ class GeoSIR:
                  match_threshold: float = 0.05,
                  similarity_threshold: float = 0.05,
                  extraction_tolerance: float = 1.2):
-        self.base = ShapeBase(alpha=alpha, backend=backend)
-        self.beta = beta
-        self.hash_curves = hash_curves
-        self.match_threshold = float(match_threshold)
+        config = ServiceConfig(num_shards=1, workers=1, beta=beta,
+                               backend=backend, hash_curves=hash_curves,
+                               match_threshold=match_threshold)
+        # One worker runs every shard op on the caller's thread: the
+        # service starts no thread and needs no close().
+        self._service = RetrievalService(
+            ShardSet(num_shards=1, alpha=alpha, backend=backend,
+                     beta=beta, hash_curves=hash_curves), config)
         self.similarity_threshold = float(similarity_threshold)
         self.extraction_tolerance = float(extraction_tolerance)
-        self._matcher: Optional[GeometricSimilarityMatcher] = None
-        self._retriever: Optional[ApproximateRetriever] = None
         self._engine: Optional[QueryEngine] = None
-        self._service: Optional["RetrievalService"] = None
         self._next_image_id = 0
+
+    @property
+    def base(self) -> ShapeBase:
+        """The shape base as it stands now (read-only use).
+
+        A removal swaps in a copy-on-write clone, so this is looked up
+        on every access, never kept.
+        """
+        return self._service.shards.shards[0].base
+
+    @property
+    def match_threshold(self) -> float:
+        return self._service.config.match_threshold
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -92,7 +111,7 @@ class GeoSIR:
         Raster input runs the extraction pipeline (boundary tracing +
         Douglas-Peucker); all shapes, wherever they came from, are
         decomposed into simple polylines before storage, per
-        Section 2.4.
+        Section 2.4 (see :func:`ingestible_pieces`).
         """
         if shapes is None and raster is None:
             raise ValueError("provide shapes, a raster, or both")
@@ -100,155 +119,67 @@ class GeoSIR:
         if raster is not None:
             collected.extend(extract_contour_shapes(
                 raster, tolerance=self.extraction_tolerance))
-        if not collected:
+        pieces = ingestible_pieces(collected)
+        if not pieces:
             raise ValueError("no shapes could be extracted for this image")
-        simple = decompose_all(collected)
         if image_id is None:
             image_id = self._next_image_id
         self._next_image_id = max(self._next_image_id, image_id + 1)
-        self.base.add_shapes(simple, image_id=image_id)
-        self._invalidate()
+        self._service.ingest(pieces, image_id=image_id)
         return image_id
 
     def remove_image(self, image_id: int) -> int:
-        """Remove an image and all its shapes; returns shapes removed.
-
-        Rebuilds the derived structures lazily, like :meth:`add_image`.
-        """
+        """Remove an image and all its shapes; returns shapes removed."""
         shape_ids = self.base.shapes_of_image(image_id)
         if not shape_ids:
             raise KeyError(f"image {image_id} not in the base")
         for shape_id in shape_ids:
-            self.base.remove_shape(shape_id)
-        self._invalidate()
+            self._service.remove(shape_id)
         return len(shape_ids)
-
-    def _invalidate(self) -> None:
-        self._matcher = None
-        self._retriever = None
-        self._engine = None
-        if self._service is not None:
-            self._service.reload(self.base)
-
-    # ------------------------------------------------------------------
-    # Lazily-built stages
-    # ------------------------------------------------------------------
-    @property
-    def matcher(self) -> GeometricSimilarityMatcher:
-        if self._matcher is None:
-            self._matcher = GeometricSimilarityMatcher(self.base,
-                                                       beta=self.beta)
-        return self._matcher
-
-    @property
-    def retriever(self) -> ApproximateRetriever:
-        if self._retriever is None:
-            self._retriever = ApproximateRetriever(self.base,
-                                                   k_curves=self.hash_curves)
-        return self._retriever
 
     @property
     def engine(self) -> QueryEngine:
+        """The algebra engine, mounted on the facade's service."""
         if self._engine is None:
-            self._engine = QueryEngine(
-                self.base, similarity_threshold=self.similarity_threshold,
-                matcher=self.matcher)
+            self._engine = self._service.query_engine(
+                similarity_threshold=self.similarity_threshold)
         return self._engine
-
-    # ------------------------------------------------------------------
-    # Service delegation (repro.service)
-    # ------------------------------------------------------------------
-    @property
-    def service(self) -> Optional["RetrievalService"]:
-        """The attached retrieval service, if one is enabled."""
-        return self._service
-
-    def enable_service(self, num_shards: int = 4, workers: int = 2,
-                       cache_capacity: int = 256,
-                       max_pending: Optional[int] = None,
-                       deadline: Optional[float] = None,
-                       ann: Optional["AnnConfig"] = None,
-                       ann_mode: str = "auto") -> "RetrievalService":
-        """Serve retrievals through a sharded, cached, concurrent tier.
-
-        Builds a :class:`repro.service.RetrievalService` over the
-        current base (geometric knobs inherited from this facade) and
-        delegates :meth:`retrieve` to it from now on.  Ingest keeps
-        working through this facade; the service is re-sharded on every
-        mutation, exactly as the matcher and retriever are rebuilt.
-
-        ``ann`` (an :class:`repro.ann.AnnConfig`) adds the LSH-pruned
-        approximate tier as the middle rung of the service's
-        degradation ladder; ``ann_mode="always"`` routes every query
-        through it.
-        """
-        from ..service import RetrievalService, ServiceConfig
-        config = ServiceConfig(
-            num_shards=num_shards, workers=workers,
-            cache_capacity=cache_capacity, max_pending=max_pending,
-            deadline=deadline, beta=self.beta,
-            backend=self.base.backend, hash_curves=self.hash_curves,
-            match_threshold=self.match_threshold, ann=ann,
-            ann_mode=ann_mode)
-        self._service = RetrievalService.from_base(self.base, config)
-        return self._service
-
-    def disable_service(self) -> None:
-        """Back to direct (unsharded, single-threaded) retrieval."""
-        if self._service is not None:
-            self._service.close()
-            self._service = None
 
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
-    def retrieve(self, sketch: Shape, k: int = 1) -> RetrievalResult:
+    def retrieve(self, sketch: Shape, k: int = 1) -> ServiceResult:
         """Best-match retrieval with automatic hashing fallback (a
         batch of one through :meth:`retrieve_batch`)."""
         return self.retrieve_batch([sketch], k=k)[0]
 
     def retrieve_batch(self, sketches: Sequence[Shape], k: int = 1
-                       ) -> List[RetrievalResult]:
+                       ) -> List[ServiceResult]:
         """Batched best-match retrieval, one result per sketch.
 
-        With a service enabled (:meth:`enable_service`) the batch goes
-        through the sharded concurrent tier — same answers (shard
-        merging is exact), plus caching, coalescing and graceful
-        degradation.  Without one, the matcher's ``query_batch``
-        amortizes the per-query scratch and each sketch whose envelope
-        answer is not within ``match_threshold`` is handed to the
-        hashing retriever.
+        The matcher answers the whole batch in one pass; each sketch
+        whose envelope answer is not within ``match_threshold`` is
+        handed to the hashing retriever (``method="hashing"``).
+        Until the next mutation, a sketch similar to one already asked
+        (same canonical signature) gets that answer back, ``cached``.
         """
-        sketches = list(sketches)
-        if self._service is not None:
-            served = self._service.retrieve_batch(sketches, k=k)
-            if any(result.overloaded for result in served):
-                raise RuntimeError("retrieval service overloaded; "
-                                   "retry or raise max_pending")
-            return [RetrievalResult(matches=result.matches,
-                                    stats=result.stats,
-                                    method=result.method)
-                    for result in served]
-        results = []
-        for sketch, (matches, stats) in zip(
-                sketches, self.matcher.query_batch(sketches, k=k)):
-            method = "envelope"
-            if not any(m.distance <= self.match_threshold
-                       for m in matches):
-                approx = self.retriever.query(sketch, k=k)
-                if approx:    # nothing hashed either: keep the matcher's
-                    matches, method = approx, "hashing"
-            results.append(RetrievalResult(matches=matches, stats=stats,
-                                           method=method))
-        return results
+        return _checked(self._service.retrieve_batch(sketches, k=k))
 
     def retrieve_similar(self, sketch: Shape,
                          threshold: Optional[float] = None) -> List[Match]:
-        """All shapes within a distance threshold of the sketch."""
+        """All shapes within a distance threshold of the sketch, ranked
+        by ``(distance, shape_id)``."""
+        return self.retrieve_similar_batch([sketch], threshold)[0]
+
+    def retrieve_similar_batch(self, sketches: Sequence[Shape],
+                               threshold: Optional[float] = None
+                               ) -> List[List[Match]]:
+        """:meth:`retrieve_similar` for many sketches in one pass."""
         if threshold is None:
             threshold = self.similarity_threshold
-        matches, _ = self.matcher.query_threshold(sketch, threshold)
-        return matches
+        answers = _checked(self._service.similar_shapes_batch(
+            sketches, threshold))
+        return [answer.matches for answer in answers]
 
     # ------------------------------------------------------------------
     # Query processing
@@ -290,18 +221,33 @@ class GeoSIR:
     # ------------------------------------------------------------------
     def statistics(self) -> dict:
         """A snapshot of base/system statistics (diagnostics, README)."""
+        base = self.base
         return {
-            "images": self.base.num_images,
-            "shapes": self.base.num_shapes,
-            "entries": self.base.num_entries,
-            "vertices": self.base.total_vertices,
-            "copies_per_shape": (self.base.num_entries /
-                                 max(1, self.base.num_shapes)),
-            "alpha": self.base.alpha,
-            "beta": self.beta,
+            "images": base.num_images,
+            "shapes": base.num_shapes,
+            "entries": base.num_entries,
+            "vertices": base.total_vertices,
+            "copies_per_shape": (base.num_entries /
+                                 max(1, base.num_shapes)),
+            "alpha": base.alpha,
+            "beta": self._service.config.beta,
         }
 
     def __repr__(self) -> str:
         stats = self.statistics()
         return (f"GeoSIR(images={stats['images']}, shapes={stats['shapes']}, "
                 f"entries={stats['entries']})")
+
+
+def _checked(answers):
+    """The service's answers, or an error where one is incomplete.
+
+    A shard failure (the matcher raised, or answered garbage) would
+    leave a partial answer; the facade reports it instead of
+    returning it.
+    """
+    for answer in answers:
+        if answer.failed_shards:
+            raise RuntimeError(
+                f"retrieval failed on shard(s) {answer.failed_shards}")
+    return answers

@@ -4,9 +4,10 @@ system").
 
 A video clip is a sequence of frames, each carrying object-boundary
 shapes (vector input, or rasters run through the Section 6 extraction
-pipeline).  Every frame becomes one "image" of the underlying shape
-base, so all of GeoSIR's machinery applies unchanged; on top of it this
-module adds the two video-specific operations:
+pipeline).  Every frame becomes one "image" of an underlying
+:class:`~repro.geosir.GeoSIR`, so all of its machinery applies
+unchanged; on top of it this module adds the two video-specific
+operations:
 
 * ``query``   — rank clips by their best-matching frame for a sketch;
 * ``track``   — the appearance intervals of a sketched object within
@@ -21,10 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.matcher import GeometricSimilarityMatcher
 from ..core.shapebase import ShapeBase
 from ..geometry.polyline import Shape
-from ..imaging.decompose import decompose_all
+from .engine import GeoSIR, ingestible_pieces
 
 
 @dataclass
@@ -65,41 +65,33 @@ class VideoIndex:
 
     def __init__(self, alpha: float = 0.1, beta: float = 0.25,
                  backend: str = "kdtree"):
-        self.base = ShapeBase(alpha=alpha, backend=backend)
-        self.beta = beta
-        self._matcher: Optional[GeometricSimilarityMatcher] = None
+        self._system = GeoSIR(alpha=alpha, beta=beta, backend=backend)
         #: image id -> (clip id, frame index)
         self._frame_of_image: Dict[int, Tuple[int, int]] = {}
         self._frames_per_clip: Dict[int, int] = {}
-        self._next_image_id = 0
+
+    @property
+    def base(self) -> ShapeBase:
+        return self._system.base
 
     # ------------------------------------------------------------------
     def add_clip(self, clip_id: int,
                  frames: Sequence[Sequence[Shape]]) -> None:
         """Register one clip given per-frame shape lists.
 
-        Frames with no shapes are allowed (the object may be absent).
+        Frames with no usable shapes are allowed (the object may be
+        absent); they become no image.
         """
         if clip_id in self._frames_per_clip:
             raise ValueError(f"clip {clip_id} already indexed")
         if not frames:
             raise ValueError("a clip needs at least one frame")
         for frame_index, shapes in enumerate(frames):
-            simple = decompose_all(list(shapes))
-            if simple:
-                image_id = self._next_image_id
-                self._next_image_id += 1
-                self.base.add_shapes(simple, image_id=image_id)
+            pieces = ingestible_pieces(shapes)
+            if pieces:
+                image_id = self._system.add_image(shapes=pieces)
                 self._frame_of_image[image_id] = (clip_id, frame_index)
         self._frames_per_clip[clip_id] = len(frames)
-        self._matcher = None
-
-    @property
-    def matcher(self) -> GeometricSimilarityMatcher:
-        if self._matcher is None:
-            self._matcher = GeometricSimilarityMatcher(self.base,
-                                                       beta=self.beta)
-        return self._matcher
 
     @property
     def num_clips(self) -> int:
@@ -113,11 +105,10 @@ class VideoIndex:
     def _frame_hits_batch(self, sketches: Sequence[Shape],
                           threshold: float) -> List[List[FrameHit]]:
         """``_frame_hits`` for many sketches through one matcher
-        scratch checkout (:meth:`query_threshold_batch`)."""
-        answers = self.matcher.query_threshold_batch(list(sketches),
-                                                     threshold)
+        scratch checkout (:meth:`GeoSIR.retrieve_similar_batch`)."""
+        answers = self._system.retrieve_similar_batch(sketches, threshold)
         per_sketch: List[List[FrameHit]] = []
-        for matches, _ in answers:
+        for matches in answers:
             hits = []
             for match in matches:
                 clip_id, frame_index = self._frame_of_image[match.image_id]

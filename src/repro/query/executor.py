@@ -625,15 +625,6 @@ class QueryEngine:
                                 frozenset(report.images))
         return report
 
-    def _execute_term(self, term: ConjunctiveTerm) -> Set[int]:
-        """One conjunctive term (kept as a direct entry point)."""
-        term_report = TermReport(signature="")
-        if self.planner:
-            self._execute_term_planned(term, term_report)
-        else:
-            self._execute_term_unplanned(term, term_report)
-        return term_report.images
-
     def _execute_term_planned(self, term: ConjunctiveTerm,
                               report: TermReport) -> None:
         self.counters.add(terms_planned=1)

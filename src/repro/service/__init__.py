@@ -1,8 +1,8 @@
 """repro.service — the concurrent, sharded retrieval service layer.
 
-Turns the single-threaded GeoSIR facade into an embeddable service:
-the corpus is partitioned into :class:`ShardSet` shards (each with its
-own matcher and hashing retriever), queries fan out across shards on a
+The embeddable, concurrent form of the GeoSIR pipeline: the corpus is
+partitioned into :class:`ShardSet` shards (each with its own matcher
+and hashing retriever), queries fan out across shards on a
 :class:`WorkerPool` and merge exactly, results are cached under
 similarity-invariant sketch signatures, per-query :class:`Deadline`
 budgets walk a three-rung degradation ladder (exact envelope →
@@ -11,9 +11,10 @@ LSH-pruned exact via :mod:`repro.ann` → hashing tier), and a bounded
 without bound.  :class:`MetricsRegistry` instruments all of it.
 
 Entry points: :meth:`RetrievalService.from_base` over an existing
-:class:`~repro.core.ShapeBase`, or
-:meth:`repro.geosir.GeoSIR.enable_service` to put the service behind
-the familiar facade.  ``repro serve-bench`` exercises it from the CLI.
+:class:`~repro.core.ShapeBase`, or :meth:`RetrievalService.ingest` into
+an empty :class:`ShardSet` (the :class:`repro.geosir.GeoSIR` facade
+owns a one-shard, one-worker service built that way).  ``repro
+serve-bench`` exercises it from the CLI.
 
 Fault tolerance lives in :mod:`~repro.service.breaker` (per-shard
 circuit breakers) and :mod:`~repro.service.faults` (the deterministic

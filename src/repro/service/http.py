@@ -71,6 +71,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
 import tempfile
 import threading
 import time
@@ -271,8 +272,38 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _ThreadingServer(ThreadingHTTPServer):
+    """Keeps the sockets of the connections it is serving, so that
+    :meth:`close_connections` can end kept-alive ones too."""
+
     daemon_threads = True
     allow_reuse_address = True
+
+    def __init__(self, *args, **kwargs):
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down in both directions: a
+        handler waiting for the next keep-alive request reads EOF and
+        its client sees the connection close."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass                          # already gone
 
 
 class _HttpServer:
@@ -319,7 +350,8 @@ class _HttpServer:
         return self._closed
 
     def close(self) -> None:
-        """Stop serving; idempotent under concurrent callers."""
+        """Stop serving, kept-alive connections included; idempotent
+        under concurrent callers."""
         with self._lifecycle:
             if self._closed:
                 return
@@ -328,6 +360,7 @@ class _HttpServer:
         if thread is not None:
             self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections()
         if thread is not None:
             thread.join(timeout=5.0)
 

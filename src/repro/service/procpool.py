@@ -427,11 +427,12 @@ class ProcessWorkerPool(WorkerPool):
         self._req_lock = threading.Lock()
         self._sync_lock = threading.Lock()
         # Synced state is the *pair* (shard set identity, version):
-        # versions restart at 1 for every fresh ShardSet (reload swaps
-        # in a new set via from_base), so the version alone cannot
-        # distinguish "already attached" from "different corpus at the
-        # same count".  A weakref keeps the pool from pinning a
-        # replaced shard set alive; a dead ref simply forces a resync.
+        # versions restart at 1 for every fresh ShardSet (a caller may
+        # sync a second set through the same pool), so the version
+        # alone cannot distinguish "already attached" from "different
+        # corpus at the same count".  A weakref keeps the pool from
+        # pinning a replaced shard set alive; a dead ref simply forces
+        # a resync.
         self._synced_set: Optional["weakref.ref"] = None
         self._synced_version: Optional[int] = None
         self._publish_round = 0
@@ -467,7 +468,7 @@ class ProcessWorkerPool(WorkerPool):
         directory = Path(self.publish_dir)
         directory.mkdir(parents=True, exist_ok=True)
         # The round id keeps paths unique across shard-set swaps: a
-        # reloaded set restarts its version counter, and reusing a live
+        # second set restarts its version counter, and reusing a live
         # publication's path would let the stale-release in _full_sync
         # unlink the file just published.
         path = directory / (f"shard-{shard.index:02d}"
@@ -489,7 +490,7 @@ class ProcessWorkerPool(WorkerPool):
         each changed shard's *delta* — just the appended rows, via
         :func:`~repro.storage.persist.encode_base_delta` — over the
         worker pipes, typically orders of magnitude less data than a
-        republish.  Removals, a swapped shard set (service reload), a
+        republish.  Removals, a swapped shard set, a
         trimmed log, or ``compact_every`` consecutive delta rounds
         fall back to the full publish + re-attach round (which also
         compacts worker heaps back onto one zero-copy snapshot).  A

@@ -243,16 +243,20 @@ class ServiceResult:
 class SimilarResult:
     """Outcome of one ``shape_similar`` leaf served by the service.
 
-    ``shape_ids`` is the union over the surviving shards (exact when
-    ``failed_shards`` is empty, since shards are disjoint); the algebra
-    engine consumes these through
-    :meth:`RetrievalService.similar_shapes_batch`.
+    ``matches`` are the surviving shards' answers merged and ranked by
+    ``(distance, shape_id)`` (exact when ``failed_shards`` is empty,
+    since shards are disjoint); the algebra engine consumes their
+    ``shape_ids`` through :meth:`RetrievalService.similar_shapes_batch`.
     """
 
-    shape_ids: frozenset = frozenset()
+    matches: List[Match] = field(default_factory=list)
     candidates_evaluated: int = 0
     cached: bool = False
     failed_shards: List[int] = field(default_factory=list)
+
+    @property
+    def shape_ids(self) -> frozenset:
+        return frozenset(match.shape_id for match in self.matches)
 
     @property
     def partial(self) -> bool:
@@ -414,24 +418,6 @@ class RetrievalService:
         service.snapshot_source = str(path)
         return service
 
-    def reload(self, base: ShapeBase) -> None:
-        """Re-shard from a mutated base; cache and metrics survive.
-
-        The cache is version-keyed, so entries computed against the
-        old corpus become unreachable the moment the new shard set's
-        version differs; we also clear eagerly to free memory.
-        """
-        self.shards = ShardSet.from_base(
-            base, num_shards=self.config.num_shards, beta=self.config.beta,
-            hash_curves=self.config.hash_curves, ann=self.config.ann)
-        if self._fold_scheduler is not None:
-            # Repoint the background folder at the fresh shard set (the
-            # old one is garbage now) and keep folds off the write path.
-            self._fold_scheduler.shards = self.shards
-            self.shards.set_auto_fold(False)
-        self.cache.invalidate()
-        self.warm()
-
     def ingest(self, shapes: Sequence[Shape],
                image_id: Optional[int] = None) -> List[int]:
         """Add shapes (routed to their shards); invalidates the cache.
@@ -556,9 +542,9 @@ class RetrievalService:
         results are cached under the similarity-invariant signature at
         the current shard version, identical sketches coalesce, and the
         remaining misses fan out with one resilient call per shard — and
-        keeps its own union merge: a failed shard drops out of the
-        union (``failed_shards`` notes it) and the partial answer is
-        *not* cached.
+        keeps its own merge (every match, ranked like the top-k merge):
+        a failed shard drops out of the union (``failed_shards`` notes
+        it) and the partial answer is *not* cached.
         """
         if self._closed:
             raise RuntimeError(
@@ -586,15 +572,13 @@ class RetrievalService:
                 self.metrics.counter("algebra.leaf_degraded").increment(
                     len(positions))
             for offset, position in enumerate(positions):
-                ids: set = set()
-                candidates = 0
-                for outcome in survivors:
-                    matches, stats = outcome.value[offset]
-                    ids.update(m.shape_id for m in matches)
-                    candidates += stats.candidates_evaluated
-                leaf = SimilarResult(shape_ids=frozenset(ids),
-                                     candidates_evaluated=candidates,
-                                     failed_shards=list(failed_ids))
+                answers = [outcome.value[offset] for outcome in survivors]
+                matched = [matches for matches, _ in answers]
+                leaf = SimilarResult(
+                    matches=merge_topk(matched, sum(map(len, matched))),
+                    candidates_evaluated=sum(
+                        stats.candidates_evaluated for _, stats in answers),
+                    failed_shards=list(failed_ids))
                 if not failed_ids and not budget.expired():
                     self.cache.put(keys[position], version, leaf)
                 results[position] = leaf

@@ -166,14 +166,6 @@ class Shard:
         parent-side readiness, where workers own the other tiers."""
         return self._retriever is not None
 
-    def invalidate(self) -> None:
-        """Drop derived structures (base replaced wholesale, e.g. a
-        re-split or snapshot reload — *not* the ingest path, which
-        patches instead)."""
-        self._matcher = None
-        self._retriever = None
-        self._ann = None
-
     # -- ingest ---------------------------------------------------------
     def add_shapes(self, shapes: Sequence[Shape],
                    image_ids: Sequence[Optional[int]],
@@ -380,10 +372,8 @@ class ShardSet:
             # the same base) never recompute.  A v4 snapshot arrives
             # with this cache pre-filled — zero sketching on warm-up.
             compute_entry_sketches(base, ann.sketch)
-        for part_index, part in enumerate(base.split(num_shards)):
-            shard = shard_set.shards[part_index]
-            shard.base = part
-            shard.invalidate()
+        for shard, part in zip(shard_set.shards, base.split(num_shards)):
+            shard.base = part               # nothing built on it yet
         with shard_set._lock:
             shard_set._next_shape_id = (max(base.shapes) + 1
                                         if base.shapes else 0)

@@ -583,6 +583,25 @@ class TestConnectionReuse:
             assert balancer.stats()["breakers"]["0"]["failure_rate"] == 0.0
         assert connections(replica) == 2
 
+    def test_close_ends_kept_alive_connections(self, corpus):
+        """A connection kept alive across ``close()`` must see the
+        connection close, not a 503/500 from a closed service."""
+        base, _ = corpus
+        service = RetrievalService.from_base(base, ServiceConfig(
+            num_shards=NUM_SHARDS, workers=1))
+        srv = HttpRetrievalServer(service).start()
+        conn = http.client.HTTPConnection(*srv.address, timeout=10.0)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            srv.close()
+            service.close()
+            with pytest.raises(ConnectionError):
+                conn.request("GET", "/healthz")
+                conn.getresponse().read()
+        finally:
+            conn.close()
+
     def test_replace_endpoint_and_close_drop_idle_connections(
             self, replica_pair, corpus):
         _, queries = corpus

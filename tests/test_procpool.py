@@ -27,7 +27,7 @@ import pytest
 from repro import GeometricSimilarityMatcher, ShapeBase
 from repro.imaging import generate_workload, make_query_set
 from repro.service import (ProcessWorkerPool, RetrievalService,
-                           ServiceConfig, shard_for)
+                           ServiceConfig, ShardSet, shard_for)
 from repro.core.matcher import MatchStats
 from repro.service.procpool import (ProcessShardView, WorkerOperationError,
                                     _stats_from_wire, _stats_to_wire)
@@ -120,28 +120,29 @@ class TestProcessEqualsThread:
             after = procs.snapshot()["procpool"]["synced_version"]
             assert after > before        # workers re-attached
 
-    def test_reload_resyncs_worker_processes(self, corpus):
-        """reload() swaps in a fresh ShardSet whose version counter
-        restarts at 1 — the same number the old set was synced at, so
-        a version-only check would skip the re-attach and leave the
-        workers serving the old corpus (regression)."""
+    def test_second_shard_set_resyncs_worker_processes(self, corpus):
+        """A fresh ShardSet's version counter restarts at 1 — the same
+        number the first set was synced at, so a version-only check
+        would skip the re-attach and leave the workers serving the
+        first corpus (regression)."""
         workload, queries = corpus
         small = ShapeBase(alpha=0.05)
         for image in workload.images[:4]:
             for shape in image.shapes:
                 small.add_shape(shape, image_id=image.image_id)
-        with RetrievalService.from_base(small.subset(
-                small.shape_ids()), service_config()) as threads, \
-             RetrievalService.from_base(small.subset(
-                 small.shape_ids()), process_config()) as procs:
-            full = build_base(workload)
-            threads.reload(full)
-            procs.reload(full)
-            for query in queries:
-                a = threads.retrieve(query, k=5)
-                b = procs.retrieve(query, k=5)
-                assert exact(a.matches) == exact(b.matches)
-                assert not b.failed_shards
+        first = ShardSet.from_base(small, num_shards=NUM_SHARDS)
+        second = ShardSet.from_base(build_base(workload),
+                                    num_shards=NUM_SHARDS)
+        assert first.version == second.version
+        with ProcessWorkerPool(processes=PROCESSES) as pool:
+            pool.sync(first)
+            assert pool.sync(second)
+            for shard in second:
+                remote = ProcessShardView(pool, shard).query_batch(
+                    queries, 5)
+                local = shard.query_batch(queries, 5)
+                assert [exact(m) for m, _ in remote] == \
+                    [exact(m) for m, _ in local]
 
     def test_file_publish_mode(self, corpus, tmp_path):
         workload, queries = corpus

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import GeometricSimilarityMatcher, Shape, ShapeBase
-from repro.geosir import GeoSIR
 from repro.imaging import generate_workload, make_query_set
 from repro.service import (AdmissionQueue, Deadline, MetricsRegistry,
                            QueryResultCache, RetrievalService,
@@ -571,46 +570,6 @@ class TestBufferPoolResetStats:
         assert closed.hits == 1 and closed.misses == 1
         assert pool.stats.accesses == 0
         assert pool.resident == 1      # frames kept, unlike reset()
-
-
-# ----------------------------------------------------------------------
-# GeoSIR delegation
-# ----------------------------------------------------------------------
-class TestGeoSIRDelegation:
-    @pytest.fixture()
-    def geosir(self, corpus):
-        base, workload, _ = corpus
-        system = GeoSIR(alpha=0.05)
-        for image in workload.images:
-            system.add_image(shapes=image.shapes,
-                             image_id=image.image_id)
-        return system
-
-    def test_service_answers_match_direct(self, geosir, corpus):
-        _, _, queries = corpus
-        direct = geosir.retrieve(queries[0], k=2)
-        service = geosir.enable_service(num_shards=3, workers=2)
-        try:
-            delegated = geosir.retrieve(queries[0], k=2)
-            assert delegated.method == direct.method
-            assert ranked(delegated.matches) == ranked(direct.matches)
-            assert geosir.service is service
-        finally:
-            geosir.disable_service()
-        assert geosir.service is None
-
-    def test_ingest_reloads_service(self, geosir, corpus, shape_factory):
-        _, _, queries = corpus
-        geosir.enable_service(num_shards=2, workers=1)
-        try:
-            geosir.retrieve(queries[0], k=1)
-            novel = shape_factory(12)
-            image_id = geosir.add_image(shapes=[novel])
-            result = geosir.retrieve(novel, k=1)
-            assert result.best is not None
-            assert result.best.image_id == image_id
-        finally:
-            geosir.disable_service()
 
 
 # ----------------------------------------------------------------------
