@@ -433,23 +433,36 @@ class ShapeBase:
             self.set_sketch_cache(*sketches)
 
     def remove_shape(self, shape_id: int) -> None:
-        """Remove a shape and all its normalized copies.
+        """Remove one shape: a batch of one through :meth:`remove_shapes`."""
+        self.remove_shapes([shape_id])
 
-        Entry ids are compacted (entries are renumbered), so any
+    def remove_shapes(self, shape_ids: Sequence[int]) -> None:
+        """Remove shapes and all their normalized copies in one pass.
+
+        Every id is checked first: an unknown one raises ``KeyError``
+        and nothing is mutated.  A repeated id is removed once.  Entry
+        ids are then compacted once (entries are renumbered), so any
         externally held entry ids become stale — rebuild dependent
-        structures (hash tables, external stores) after removals.  The
-        range index is rebuilt lazily on next use.  This is the
-        "dynamic environments" operation the paper's related-work
+        structures (hash tables, external stores) after removals.  This
+        is the "dynamic environments" operation the paper's related-work
         section contrasts against [5, 7].
         """
-        if shape_id not in self.shapes:
-            raise KeyError(f"shape id {shape_id} not in the base")
-        del self.shapes[shape_id]
-        image_id = self.shape_image.pop(shape_id)
-        removed_ids = self._entries_by_shape.pop(shape_id)
-        if image_id is not None:
+        gone = list(dict.fromkeys(shape_ids))
+        for shape_id in gone:
+            if shape_id not in self.shapes:
+                raise KeyError(f"shape id {shape_id} not in the base")
+        if not gone:
+            return
+        removed_ids: List[int] = []
+        images = set()
+        for shape_id in gone:
+            del self.shapes[shape_id]
+            images.add(self.shape_image.pop(shape_id))
+            removed_ids.extend(self._entries_by_shape.pop(shape_id))
+        images.discard(None)
+        for image_id in images:
             remaining = [s for s in self._shapes_by_image[image_id]
-                         if s != shape_id]
+                         if s in self.shapes]
             if remaining:
                 self._shapes_by_image[image_id] = remaining
             else:

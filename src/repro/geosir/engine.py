@@ -133,8 +133,7 @@ class GeoSIR:
         shape_ids = self.base.shapes_of_image(image_id)
         if not shape_ids:
             raise KeyError(f"image {image_id} not in the base")
-        for shape_id in shape_ids:
-            self._service.remove(shape_id)
+        self._service.remove(*shape_ids)
         return len(shape_ids)
 
     @property

@@ -11,7 +11,8 @@ many-searcher model of production retrieval engines:
   columnar snapshot file — under ``publish_dir`` when one is
   configured, otherwise under a private temporary directory the pool
   removes at shutdown — and hands workers nothing but small *attach
-  specs* (a path).
+  specs*: the path plus the shard's own ``beta``, ``hash_curves`` and
+  ANN config, so a worker scores exactly as the parent's shard would.
 * **Attach.**  Every worker maps every shard zero-copy with
   :func:`~repro.storage.persist.load_base` and ``mmap=True``: the
   kernel page cache backs all workers with one physical copy.  A
@@ -59,7 +60,7 @@ import numpy as np
 from ..core.matcher import Match, MatchStats
 from ..geometry.polyline import Shape
 from .deadline import Deadline
-from .faults import ShardTimeoutError
+from .faults import ANN_OPS, MATCHER_OPS, ShardTimeoutError
 from .pool import WorkerPool
 from .shards import Shard, ShardSet
 
@@ -237,27 +238,26 @@ def _stats_from_wire(wire: Dict[str, Any]) -> MatchStats:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _attach_shards(specs: Sequence[Dict[str, Any]],
-                   params: Dict[str, Any]) -> Dict[int, Shard]:
+def _attach_shards(specs: Sequence[Dict[str, Any]]) -> Dict[int, Shard]:
     """Map + warm every published shard file (runs inside the worker)."""
     from ..storage.persist import load_base
     shards: Dict[int, Shard] = {}
     for spec in specs:
         base = load_base(spec["path"], backend=spec["backend"], mmap=True)
-        shard = Shard(spec["index"], base, beta=params["beta"],
-                      hash_curves=params["hash_curves"], ann=params["ann"])
+        shard = Shard(spec["index"], base, beta=spec["beta"],
+                      hash_curves=spec["hash_curves"], ann=spec["ann"])
         # Warm the tiers this worker serves (index, matcher, ANN);
         # the hash tier stays parent-side.
         if base.num_entries:
             base.index
         shard.matcher
-        if params["ann"] is not None:
+        if shard.ann_config is not None:
             shard.ann
         shards[spec["index"]] = shard
     return shards
 
 
-def _worker_main(conn, worker_index: int, params: Dict[str, Any]) -> None:
+def _worker_main(conn, worker_index: int) -> None:
     """One shard worker: attach to published shards, serve query ops.
 
     The loop is strictly request/reply over one pipe; every reply
@@ -269,7 +269,7 @@ def _worker_main(conn, worker_index: int, params: Dict[str, Any]) -> None:
         kind, req_id = message[0], message[1]
         try:
             if kind == "attach":
-                shards = _attach_shards(message[2], params)
+                shards = _attach_shards(message[2])
                 conn.send((req_id, "ok", {
                     "worker": worker_index,
                     "pid": os.getpid(),
@@ -344,22 +344,20 @@ def _serve_run(shards: Dict[int, Shard], worker_index: int,
 
 
 def _run_op(shard: Shard, op: str, payload: Dict[str, Any]) -> list:
-    """Execute one query op; results as wire pairs (matches, stats)."""
-    sketches = [_shape_from_wire(w) for w in payload["sketches"]]
-    remaining = payload.get("remaining")
+    """Execute one query op; results as wire pairs (matches, stats).
+
+    ``op`` names a shard method; only the query ops are accepted, so a
+    pipe message can never reach a mutating one.
+    """
+    if op not in MATCHER_OPS + ANN_OPS:
+        raise ValueError(f"unknown op {op!r}")
+    params = dict(payload)
+    sketches = [_shape_from_wire(w) for w in params.pop("sketches")]
+    remaining = params.pop("remaining", None)
     abort = None
     if remaining is not None:
         abort = Deadline(max(0.0, remaining)).expired
-    if op == "query_batch":
-        pairs = shard.query_batch(sketches, payload["k"], abort=abort,
-                                  priors=payload.get("priors"))
-    elif op == "query_threshold_batch":
-        pairs = shard.query_threshold_batch(sketches, payload["threshold"],
-                                            abort=abort)
-    elif op == "ann_query_batch":
-        pairs = shard.ann_query_batch(sketches, payload["k"], abort=abort)
-    else:
-        raise ValueError(f"unknown op {op!r}")
+    pairs = getattr(shard, op)(sketches, abort=abort, **params)
     return [(_matches_to_wire(matches), _stats_to_wire(stats))
             for matches, stats in pairs]
 
@@ -372,8 +370,8 @@ class _Worker(ChildProcess):
     request/reply in flight at a time) and a liveness flag that the
     first sign of death clears."""
 
-    def __init__(self, index: int, params: Dict[str, Any]):
-        super().__init__(_worker_main, (index, params),
+    def __init__(self, index: int):
+        super().__init__(_worker_main, (index,),
                          name=f"repro-shard-worker-{index}")
         self.index = index
         self.lock = threading.Lock()
@@ -403,12 +401,13 @@ class ProcessWorkerPool(WorkerPool):
     Shards are published as per-shard snapshot files that workers
     mmap (zero-copy through the kernel page cache).  ``publish_dir``
     names where; ``None`` means a private temporary directory that
-    :meth:`shutdown` removes.
+    :meth:`shutdown` removes.  Everything a worker scores with
+    (``beta``, ``hash_curves``, the ANN config) comes from the shards
+    themselves, in each attach spec.
     """
 
     def __init__(self, processes: int = 2, workers: Optional[int] = None,
-                 publish_dir: Optional[str] = None, beta: float = 0.25,
-                 hash_curves: int = 50, ann=None, compact_every: int = 16):
+                 publish_dir: Optional[str] = None, compact_every: int = 16):
         if processes < 1:
             raise ValueError("processes must be at least 1")
         if compact_every < 1:
@@ -421,8 +420,6 @@ class ProcessWorkerPool(WorkerPool):
         self._owns_publish_dir = publish_dir is None
         self.publish_dir = publish_dir if publish_dir is not None \
             else tempfile.mkdtemp(prefix="repro-publish-")
-        self._params = {"beta": beta, "hash_curves": hash_curves,
-                        "ann": ann}
         self._req_counter = 0
         self._req_lock = threading.Lock()
         self._sync_lock = threading.Lock()
@@ -437,13 +434,13 @@ class ProcessWorkerPool(WorkerPool):
         self._synced_version: Optional[int] = None
         self._publish_round = 0
         self._publications: List[Dict[str, Any]] = []
-        # Delta-publication state: per shard index, the (mutation-log
-        # cursor, shape count, entry count) the workers hold — the
+        # Delta-publication state: per shard index, the (removal
+        # epoch, shape count, entry count) the workers hold — the
         # prior state the next delta is cut against.  ``None`` forces
-        # a full republish (fresh pool, revive, or an append window
-        # broken by a removal).  Every ``compact_every`` consecutive
-        # delta rounds a full republish runs anyway, so worker heaps
-        # re-converge onto one compact zero-copy snapshot.
+        # a full republish (fresh pool or revive); a moved epoch does
+        # too.  Every ``compact_every`` consecutive delta rounds a full
+        # republish runs anyway, so worker heaps re-converge onto one
+        # compact zero-copy snapshot.
         self.compact_every = int(compact_every)
         self._delta_state: Optional[Dict[int, Tuple[int, int, int]]] = None
         self._delta_rounds = 0
@@ -451,7 +448,7 @@ class ProcessWorkerPool(WorkerPool):
                             "full_bytes": 0, "delta_bytes": 0,
                             "last_kind": None, "last_bytes": 0}
         self._proc_workers: List[_Worker] = [
-            _Worker(index, self._params) for index in range(self.processes)]
+            _Worker(index) for index in range(self.processes)]
 
     def _next_req_id(self) -> int:
         with self._req_lock:
@@ -463,7 +460,7 @@ class ProcessWorkerPool(WorkerPool):
                        round_id: int) -> Dict[str, Any]:
         """Write one shard's snapshot file; returns its attach spec."""
         from ..storage.persist import save_base
-        ann = self._params["ann"]
+        ann = shard.ann_config
         sketch = ann.sketch if ann is not None else None
         directory = Path(self.publish_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -478,33 +475,34 @@ class ProcessWorkerPool(WorkerPool):
                          version=4 if sketch is not None else 3,
                          ann_sketch=sketch)
         return {"index": shard.index, "backend": shard.base.backend,
-                "path": str(path), "size": size}
+                "path": str(path), "size": size, "beta": shard.beta,
+                "hash_curves": shard.hash_curves, "ann": ann}
 
     def sync(self, shard_set: ShardSet, force: bool = False) -> bool:
         """Converge every live worker onto the shard set's current state.
 
         No-op when the workers already hold *this* shard set at its
         current version.  On a version bump the pool first tries the
-        cheap path: when the change since the last sync is pure append
-        (per-shard mutation logs show only ``add`` events), it ships
-        each changed shard's *delta* — just the appended rows, via
+        cheap path: when no shard's removal epoch moved since the last
+        sync, the change is pure append, and it ships each changed
+        shard's *delta* — just the appended rows, via
         :func:`~repro.storage.persist.encode_base_delta` — over the
         worker pipes, typically orders of magnitude less data than a
-        republish.  Removals, a swapped shard set, a
-        trimmed log, or ``compact_every`` consecutive delta rounds
-        fall back to the full publish + re-attach round (which also
-        compacts worker heaps back onto one zero-copy snapshot).  A
+        republish.  A removal, a swapped shard set, or
+        ``compact_every`` consecutive delta rounds fall back to the full
+        publish + re-attach round (which also compacts worker heaps
+        back onto one zero-copy snapshot).  A
         worker that fails either path is taken out of rotation rather
         than left serving stale answers; on any error new publications
         are released, never leaked.  Returns True when any round ran.
         """
         with self._sync_lock:
             # Version is captured *before* the per-shard state walk:
-            # shard mutations publish their rows and log events before
-            # bumping the set version, so everything implied by this
-            # version is visible to the walk below.  Rows landing
-            # mid-walk may ship early — harmless, the cursors keep the
-            # next round from double-applying them.
+            # shard mutations publish their rows before bumping the set
+            # version, so everything implied by this version is visible
+            # to the walk below.  Rows landing mid-walk may ship early —
+            # harmless, the counts keep the next round from
+            # double-applying them.
             version = shard_set.version
             synced = (self._synced_set()
                       if self._synced_set is not None else None)
@@ -521,11 +519,10 @@ class ProcessWorkerPool(WorkerPool):
     def _delta_sync(self, shard_set: ShardSet, version: int) -> bool:
         """Ship append-only deltas to the workers; False = ineligible.
 
-        Eligibility is per-window: every shard's mutation log since
-        the last sync must be complete (not trimmed past our cursor)
-        and contain only ``add`` events.  Each shard's delta is
+        Eligible when no shard's removal epoch moved since the last
+        sync: the change is then pure append.  Each shard's delta is
         encoded under its write lock, so the payload and the new
-        cursor describe the same instant.
+        counts describe the same instant.
         """
         assert self._delta_state is not None
         deltas: List[Tuple[int, bytes]] = []
@@ -535,23 +532,20 @@ class ProcessWorkerPool(WorkerPool):
             state = self._delta_state.get(shard.index)
             if state is None:
                 return False
-            cursor, prior_shapes, prior_entries = state
+            epoch, prior_shapes, prior_entries = state
             with shard.write_lock:
-                events, complete = shard.events_since(cursor)
-                if not complete or \
-                        any(kind != "add" for _, kind, _ in events):
+                if shard.epoch != epoch:
                     return False
                 num_shapes = len(shard.base.shapes)
                 num_entries = shard.base.num_entries
                 if num_shapes < prior_shapes or \
                         num_entries < prior_entries:
-                    return False     # shrunk without a logged remove?
+                    return False     # shrunk without a removal?
                 if (num_shapes, num_entries) != (prior_shapes,
                                                  prior_entries):
                     deltas.append((shard.index, encode_base_delta(
                         shard.base, prior_shapes, prior_entries)))
-                new_state[shard.index] = (shard.log_seq, num_shapes,
-                                          num_entries)
+                new_state[shard.index] = (epoch, num_shapes, num_entries)
         if deltas:
             for worker in self._proc_workers:
                 if not worker.is_alive():
@@ -585,13 +579,13 @@ class ProcessWorkerPool(WorkerPool):
         try:
             for shard in shard_set:
                 # The write lock holds the base still across the
-                # encode *and* the cursor capture, so the published
+                # encode *and* the baseline capture, so the published
                 # snapshot and the delta baseline agree exactly.
                 with shard.write_lock:
                     publications.append(
                         self._publish_shard(shard, version,
                                             self._publish_round))
-                    state[shard.index] = (shard.log_seq,
+                    state[shard.index] = (shard.epoch,
                                           len(shard.base.shapes),
                                           shard.base.num_entries)
             for worker in self._proc_workers:
@@ -719,8 +713,7 @@ class ProcessWorkerPool(WorkerPool):
                 with worker.lock:
                     worker.request_stop()
                     worker.reap(grace=1.0)
-                self._proc_workers[slot] = _Worker(worker.index,
-                                                   self._params)
+                self._proc_workers[slot] = _Worker(worker.index)
                 revived.append(worker.index)
             if revived:
                 self._synced_set = None
@@ -823,9 +816,6 @@ class ProcessShardView:
     @property
     def num_shapes(self) -> int:
         return self._shard.num_shapes
-
-    def warm(self) -> None:
-        self._shard.warm()
 
     def hash_query(self, sketch: Shape, k: int) -> List[Match]:
         return self._shard.hash_query(sketch, k)

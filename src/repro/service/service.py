@@ -343,8 +343,6 @@ class RetrievalService:
                 processes=self.config.processes,
                 workers=self.config.workers,
                 publish_dir=self.config.snapshot_dir,
-                beta=self.config.beta,
-                hash_curves=self.config.hash_curves, ann=self.config.ann,
                 compact_every=self.config.publish_compact_every)
             self.pool: WorkerPool = self._procpool
         else:
@@ -464,21 +462,31 @@ class RetrievalService:
                 return
             time.sleep(0.002)
 
-    def remove(self, shape_id: int) -> None:
-        """Remove one shape from its shard; invalidates the cache."""
-        self.shards.remove_shape(shape_id)
+    def remove(self, *shape_ids: int) -> None:
+        """Remove shapes as one batch; invalidates the cache once.
+
+        An unknown id raises ``KeyError`` and nothing is removed.
+        """
+        self.shards.remove_shapes(shape_ids)
         self.cache.invalidate()
-        self.metrics.counter("ingest.removed").increment()
+        self.metrics.counter("ingest.removed").increment(len(shape_ids))
 
     def warm(self) -> None:
         """Build all shard structures before admitting traffic.
 
-        In process mode this additionally publishes the shards and
-        attaches every worker (their own warm-up), so the first query
-        pays no snapshot-encode or index-build latency.
+        In process mode the parent builds only the hash tier it serves
+        itself (the degradation ladder's salvage rung), then publishes
+        the shards and attaches every worker, which builds its own
+        index, matcher and ANN tier: the first query pays no
+        snapshot-encode or index-build latency, and no structure is
+        built twice.
         """
-        self.shards.warm(pool=self.pool,
-                         execution=self.config.execution)
+        if self._procpool is None:
+            self.shards.warm(pool=self.pool)
+            return
+        self.pool.map_over(lambda shard: shard.retriever,
+                           list(self.shards))
+        self._procpool.sync(self.shards)
 
     @property
     def fold_scheduler(self) -> Optional[FoldScheduler]:

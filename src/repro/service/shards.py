@@ -28,11 +28,6 @@ from ..geometry.polyline import Shape
 from ..hashing.hashtable import ApproximateRetriever
 from ..rangesearch import IncrementalIndex
 
-#: Mutation-log events retained per shard.  A delta consumer whose
-#: cursor falls behind the retained window gets ``complete=False`` from
-#: :meth:`Shard.events_since` and must republish in full.
-_LOG_KEEP = 512
-
 _MASK64 = (1 << 64) - 1
 _SPLITMIX = 0x9E3779B97F4A7C15
 
@@ -77,17 +72,17 @@ class Shard:
       matcher's scratch checkout) stays valid through any interleaving.
     * **Removals** — the id-compacting mutation no prefix property can
       cover — build a :meth:`ShapeBase.clone_cow`, remove on the clone
-      and swap it in as a new epoch; in-flight readers finish against
-      the old base, new structures rebuild lazily from the compacted
-      caches.
+      and swap it in as a new ``epoch``; in-flight readers finish
+      against the old base, new structures rebuild lazily from the
+      compacted caches.
     * **Folds** of the incremental index tail run off the write path
       (:meth:`fold`): the static rebuild happens without the lock and
       the swap is a single guarded reference assignment.
 
     ``write_lock`` serializes mutations, structure builds and delta
-    publication; the query path never acquires it.  Every mutation is
-    appended to a bounded per-shard log the process tier consumes to
-    ship deltas instead of full snapshots.
+    publication; the query path never acquires it.  ``epoch`` moves
+    only on a removal, so the process tier can ship every other change
+    as an append delta.
     """
 
     def __init__(self, index: int, base: ShapeBase, beta: float = 0.25,
@@ -101,12 +96,9 @@ class Shard:
         self._retriever: Optional[ApproximateRetriever] = None
         self._ann: Optional[AnnPrunedMatcher] = None
         self.write_lock = threading.RLock()
-        #: Bumped on every mutation *and* every fold/epoch swap (unlike
-        #: ``base.version``, which folds leave alone).
+        #: Bumped only when a removal swaps in a copy-on-write clone;
+        #: appends and folds leave it alone.
         self.epoch = 0
-        self._delta_log: List[Tuple[int, str, object]] = []
-        self._log_seq = 0
-        self._log_floor = 0
 
     # -- structures -----------------------------------------------------
     @property
@@ -176,8 +168,6 @@ class Shard:
             ids = self.base.add_shapes(shapes, image_ids=image_ids,
                                        shape_ids=shape_ids)
             self._patch_added(first_entry)
-            self._log_event("add", tuple(ids))
-            self.epoch += 1
         return ids
 
     def _patch_added(self, first_entry: int) -> None:
@@ -190,23 +180,22 @@ class Shard:
         if self._ann is not None:
             self._ann.add_entries(new_ids)
 
-    def remove_shape(self, shape_id: int) -> None:
-        """Remove a shape by swapping in a copy-on-write epoch.
+    def remove_shapes(self, shape_ids: Sequence[int]) -> None:
+        """Remove shapes by swapping in one copy-on-write epoch.
 
         Entry-id compaction breaks the append-only prefix contract the
         lock-free readers rely on, so removal is the slow path: clone
-        the base (structure-shared), remove on the clone, swap.  Derived
-        structures rebuild lazily — cheaply, since the clone carries the
-        compacted signature/sketch caches.
+        the base (structure-shared), remove the whole batch on the
+        clone, swap.  Derived structures rebuild lazily — cheaply, since
+        the clone carries the compacted signature/sketch caches.
         """
         with self.write_lock:
             clone = self.base.clone_cow()
-            clone.remove_shape(shape_id)        # KeyError leaves us intact
+            clone.remove_shapes(shape_ids)      # KeyError leaves us intact
             self.base = clone
             self._matcher = None
             self._retriever = None
             self._ann = None
-            self._log_event("remove", shape_id)
             self.epoch += 1
 
     # -- folds (amortized off the write path) ---------------------------
@@ -240,36 +229,8 @@ class Shard:
         with self.write_lock:
             if self.base is base and base._index is index:
                 base._index = folded
-                self.epoch += 1
                 return True
         return False
-
-    # -- mutation log (delta publication feed) --------------------------
-    def _log_event(self, kind: str, payload) -> None:
-        self._delta_log.append((self._log_seq, kind, payload))
-        self._log_seq += 1
-        overflow = len(self._delta_log) - _LOG_KEEP
-        if overflow > 0:
-            del self._delta_log[:overflow]
-            self._log_floor = self._delta_log[0][0]
-
-    @property
-    def log_seq(self) -> int:
-        """Sequence number the next mutation event will get."""
-        return self._log_seq
-
-    def events_since(self, cursor: int
-                     ) -> Tuple[List[Tuple[int, str, object]], bool]:
-        """Mutation events with seq >= ``cursor``.
-
-        Returns ``(events, complete)``; ``complete=False`` means the
-        log has been trimmed past the cursor and the consumer must fall
-        back to a full republish.
-        """
-        with self.write_lock:
-            if cursor < self._log_floor:
-                return [], False
-            return [e for e in self._delta_log if e[0] >= cursor], True
 
     # -- retrieval: one sequence-form op per tier ------------------------
     def query_batch(self, sketches: Sequence[Shape], k: int,
@@ -427,22 +388,30 @@ class ShardSet:
                                                 group_ids)
         # Version bumps *after* the shard mutations: an observer that
         # sees the new version (cache keys, process-tier sync) is
-        # guaranteed the rows — and the shards' mutation-log events —
-        # are already in place.
+        # guaranteed the rows are already in place.
         with self._lock:
             self.version += 1
         return ids
 
-    def remove_shape(self, shape_id: int) -> None:
-        """Remove one shape from its shard (version bump included).
+    def remove_shapes(self, shape_ids: Sequence[int]) -> None:
+        """Remove shapes from their shards with one version bump.
 
-        Raises ``KeyError`` (from the shard's base) when the id is
-        unknown; nothing mutates in that case.  The shard applies the
-        removal as a copy-on-write epoch swap, so concurrent readers
-        are never exposed to the id compaction mid-flight.
+        Every id is checked against its shard before any shard is
+        touched: an unknown id raises ``KeyError`` and nothing mutates.
+        Each touched shard applies its part as one copy-on-write epoch
+        swap, so concurrent readers never see the id compaction
+        mid-flight.
         """
-        shard = self.shard_of(shape_id)
-        shard.remove_shape(shape_id)
+        by_shard: dict = {}
+        for shape_id in shape_ids:
+            shard = self.shard_of(shape_id)
+            if shape_id not in shard.base.shapes:
+                raise KeyError(f"shape id {shape_id} not in the base")
+            by_shard.setdefault(shard.index, []).append(shape_id)
+        if not by_shard:
+            return
+        for shard_index, ids in sorted(by_shard.items()):
+            self.shards[shard_index].remove_shapes(ids)
         with self._lock:
             self.version += 1
 
@@ -465,35 +434,14 @@ class ShardSet:
         for shard in self.shards:
             shard.base.auto_fold = bool(enabled)
 
-    def warm(self, pool=None, execution: str = "thread") -> None:
+    def warm(self, pool=None) -> None:
         """Build every shard's structures; in parallel when given a
-        :class:`~repro.service.pool.WorkerPool`.
-
-        With ``execution="process"`` and a
-        :class:`~repro.service.procpool.ProcessWorkerPool`, the warm
-        publishes the shards and attaches every worker process, which
-        build their own index/matcher/ANN structures; the parent only
-        builds the constant-cost hash tier it actually serves (the
-        degradation ladder's salvage rung) — duplicating the full
-        builds parent-side would roughly double warm-up CPU time and
-        resident memory for structures the parent never queries.
-        """
-        if execution == "process" and hasattr(pool, "sync"):
-            build = self._warm_hash_tier
-        else:
-            build = lambda shard: shard.warm()
+        :class:`~repro.service.pool.WorkerPool`."""
         if pool is not None:
-            pool.map_over(build, list(self.shards))
+            pool.map_over(Shard.warm, list(self.shards))
         else:
             for shard in self.shards:
-                build(shard)
-        if execution == "process" and hasattr(pool, "sync"):
-            pool.sync(self)
-
-    @staticmethod
-    def _warm_hash_tier(shard: Shard) -> None:
-        """Parent-side warm for process mode: hash tables only."""
-        shard.retriever
+                shard.warm()
 
     # -- statistics -----------------------------------------------------
     @property

@@ -231,6 +231,23 @@ class TestStructuresBuiltOnce:
         assert methods.count("hashing") == 1
         assert built == {"matcher": 1, "retriever": 1, "from_base": 0}
 
+    def test_remove_image_is_one_batch(self, corpus, monkeypatch):
+        """A removal swaps in one copy-on-write clone and bumps the
+        shard-set version once, however many shapes the image has."""
+        workload, _ = corpus
+        facade, _ = both(workload)
+        clones = []
+        clone_cow = ShapeBase.clone_cow
+
+        def counting(self):
+            clones.append(self)
+            return clone_cow(self)
+        monkeypatch.setattr(ShapeBase, "clone_cow", counting)
+        shards = facade._service.shards
+        version = shards.version
+        assert facade.remove_image(3) == len(workload.images[3].shapes) > 1
+        assert (len(clones), shards.version) == (1, version + 1)
+
 
 class TestErrorsSurface:
     def test_a_failing_matcher_raises(self, corpus, monkeypatch):

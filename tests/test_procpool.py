@@ -177,6 +177,55 @@ class TestProcessEqualsThread:
                 assert exact(a.matches) == exact(b.matches)
 
 
+@pytest.fixture(scope="module")
+def seed_one():
+    """8 images and 6 sketches, both drawn from seed 1."""
+    rng = np.random.default_rng(1)
+    workload = generate_workload(8, rng)
+    return workload, [q for q, _ in make_query_set(workload, 6, rng)]
+
+
+class TestWorkersScoreWithTheShardsParameters:
+    """A caller may build the ShardSet with other parameters than the
+    service config's defaults; workers must score with the shards'
+    own ``beta`` and ANN config, exactly as thread mode does."""
+
+    @staticmethod
+    def pair(workload, shard_params, **config):
+        """A thread and a one-process service over equal shard sets."""
+        def serve(**execution):
+            shards = ShardSet.from_base(build_base(workload), num_shards=2,
+                                        **shard_params)
+            return RetrievalService(shards,
+                                    ServiceConfig(**config, **execution))
+        return serve(), serve(execution="process", processes=1)
+
+    def test_non_default_beta(self, seed_one):
+        workload, queries = seed_one
+        threads, procs = self.pair(workload, {"beta": 0.5})
+        with threads, procs:
+            a = threads.retrieve_batch(queries, k=3)
+            b = procs.retrieve_batch(queries, k=3)
+            assert [exact(r.matches) for r in a] == \
+                [exact(r.matches) for r in b]
+            assert [r.stats.candidates_evaluated for r in a] == \
+                [r.stats.candidates_evaluated for r in b]
+
+    def test_shards_built_without_ann(self, seed_one):
+        from repro.ann import AnnConfig
+        workload, queries = seed_one
+        threads, procs = self.pair(workload, {}, ann=AnnConfig(),
+                                   ann_mode="always")
+        with threads, procs:
+            for query in queries[:4]:
+                a = threads.retrieve(query, k=3)
+                b = procs.retrieve(query, k=3)
+                assert (a.status, a.method, a.failed_shards,
+                        exact(a.matches)) == \
+                    (b.status, b.method, b.failed_shards,
+                     exact(b.matches))
+
+
 # ----------------------------------------------------------------------
 # Sync robustness: attach failures degrade, publications never leak
 # ----------------------------------------------------------------------
@@ -258,6 +307,65 @@ class TestSyncRobustness:
             # The exact tier still answers (from the workers).
             result = service.retrieve(queries[0], k=3)
             assert result.status == "ok"
+
+    def test_a_mutating_op_is_refused_and_the_worker_serves_on(
+            self, corpus):
+        workload, queries = corpus
+        with RetrievalService.from_base(build_base(workload),
+                                        process_config()) as service:
+            shard = service.shards.shards[0]
+            victim = next(iter(shard.base.shapes))
+            with pytest.raises(WorkerOperationError, match="unknown op"):
+                service.procpool.call(0, "remove_shapes",
+                                      {"sketches": [], "remaining": None,
+                                       "shape_ids": [victim]})
+            remote = ProcessShardView(service.procpool,
+                                      shard).query_batch(queries, 3)
+            local = shard.query_batch(queries, 3)
+            assert [exact(m) for m, _ in remote] == \
+                [exact(m) for m, _ in local]
+
+
+class TestPublicationRounds:
+    """What each sync ships: appends go out as row deltas, a removal
+    forces a full republish, and so does every ``compact_every``-th
+    delta round in a row."""
+
+    @staticmethod
+    def rounds(service):
+        sync = service.procpool.info()["sync"]
+        return sync["full_rounds"], sync["delta_rounds"]
+
+    @staticmethod
+    def append_and_read(service, workload, queries, step):
+        shape = workload.images[0].shapes[0].translated(0.3 * step, 0.1)
+        service.ingest([shape])
+        service.retrieve(queries[0], k=3)
+        return service.procpool.info()["sync"]["last_kind"]
+
+    def test_appends_ship_deltas_and_a_removal_ships_in_full(
+            self, corpus):
+        workload, queries = corpus
+        with RetrievalService.from_base(build_base(workload),
+                                        process_config()) as service:
+            assert self.rounds(service) == (1, 0)
+            kinds = [self.append_and_read(service, workload, queries, i)
+                     for i in range(5)]
+            assert kinds == ["delta"] * 5
+            assert self.rounds(service) == (1, 5)
+            service.remove(next(iter(service.shards.shards[0].base.shapes)))
+            service.retrieve(queries[0], k=3)
+            assert self.rounds(service) == (2, 5)
+
+    def test_every_third_round_is_full_at_compact_every_2(self, corpus):
+        workload, queries = corpus
+        with RetrievalService.from_base(
+                build_base(workload),
+                process_config(publish_compact_every=2)) as service:
+            kinds = [self.append_and_read(service, workload, queries, i)
+                     for i in range(6)]
+            assert kinds == ["delta", "delta", "full"] * 2
+            assert self.rounds(service) == (3, 4)
 
 
 # ----------------------------------------------------------------------

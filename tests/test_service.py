@@ -635,3 +635,47 @@ class TestSimilarShapesBatch:
                 svc.remove(victim)
         finally:
             svc.close()
+
+
+# ----------------------------------------------------------------------
+# Batch removal: one copy-on-write epoch per touched shard
+# ----------------------------------------------------------------------
+class TestBatchRemoval:
+    def test_one_clone_per_touched_shard_and_one_version_bump(
+            self, corpus, monkeypatch):
+        base, _, _ = corpus
+        svc = RetrievalService.from_base(
+            base, ServiceConfig(num_shards=3, workers=1))
+        try:
+            shards = svc.shards
+            victims = sorted(base.shapes)[:6]
+            touched = sorted({shard_for(s, 3) for s in victims})
+            owner = {id(shard.base): shard.index for shard in shards}
+            cloned = []
+            clone_cow = ShapeBase.clone_cow
+
+            def counting(self):
+                cloned.append(owner[id(self)])
+                return clone_cow(self)
+            monkeypatch.setattr(ShapeBase, "clone_cow", counting)
+            version = shards.version
+            svc.remove(*victims)
+            assert sorted(cloned) == touched
+            assert shards.version == version + 1
+            assert shards.num_shapes == base.num_shapes - len(victims)
+            assert not any(s in shards.shard_of(s).base.shapes
+                           for s in victims)
+        finally:
+            svc.close()
+
+    def test_an_unknown_id_leaves_every_shard_untouched(self, corpus):
+        base, _, _ = corpus
+        shards = ShardSet.from_base(base, num_shards=3)
+        known = sorted(base.shapes)[:4]
+        before = ([shard.base for shard in shards],
+                  [shard.epoch for shard in shards], shards.version)
+        with pytest.raises(KeyError):
+            shards.remove_shapes(known[:2] + [10 ** 9] + known[2:])
+        assert ([shard.base for shard in shards],
+                [shard.epoch for shard in shards], shards.version) == before
+        assert shards.num_shapes == base.num_shapes

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Shape, ShapeBase
-from repro.storage.persist import (apply_base_delta, encode_base_delta,
-                                   load_base, save_base)
+from repro.storage.persist import (apply_base_delta, encode_base,
+                                   encode_base_delta, load_base, save_base)
 
 
 class TestPopulation:
@@ -176,3 +176,43 @@ class TestAnchorArrays:
         assert base.num_entries == 0
         view = base.reader_view()
         assert view[5].shape == (0, 2) and view[6].shape == (0, 2, 2)
+
+
+class TestBatchRemoval:
+    """``remove_shapes`` compacts once and lands exactly where one
+    ``remove_shape`` per id lands."""
+
+    @staticmethod
+    def state(base):
+        entries = [(e.entry_id, e.shape_id, e.image_id, id(e.copy))
+                   for e in base.entries]
+        return (entries, base._entries_by_shape, base._shapes_by_image,
+                base.reader_view()[1:], encode_base(base))
+
+    def test_a_batch_equals_single_removals(self, small_base):
+        encode_base(small_base, hash_curves=8)   # warm the signature rows
+        small_base.index                         # and the flat arrays
+        # 3, 13 and 23 are all of image 3; 17 is of image 7.  A
+        # repeated id is removed once.
+        for victims in ([3, 17], [13, 3, 23], [17, 3, 17]):
+            batch, single = small_base.clone_cow(), small_base.clone_cow()
+            batch.remove_shapes(victims)
+            for shape_id in dict.fromkeys(victims):
+                single.remove_shape(shape_id)
+            (entries, by_shape, by_image, arrays, payload) = \
+                self.state(batch)
+            expected = self.state(single)
+            assert (entries, by_shape, by_image) == expected[:3]
+            for got, want in zip(arrays, expected[3]):
+                assert np.array_equal(got, want)
+            assert payload == expected[4]
+            assert 3 not in by_shape
+
+    def test_an_unknown_id_mutates_nothing(self, small_base):
+        before = (small_base.version, small_base.num_shapes,
+                  small_base.num_entries)
+        with pytest.raises(KeyError):
+            small_base.remove_shapes([3, 10 ** 9, 17])
+        assert (small_base.version, small_base.num_shapes,
+                small_base.num_entries) == before
+        assert 3 in small_base.shapes and 17 in small_base.shapes
