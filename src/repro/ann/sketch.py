@@ -137,19 +137,35 @@ def _boundary_samples(flat: np.ndarray, counts: np.ndarray,
     return points, point_owner
 
 
+def grid_cells(points: np.ndarray, grid: int) -> np.ndarray:
+    """The cell ``ix * grid + iy`` of every point in a ``grid``² grid
+    over the box, points outside it clamped to the border cells."""
+    ix = np.clip(((points[:, 0] - _BOX_X0) /
+                  ((_BOX_X1 - _BOX_X0) / grid)).astype(np.int64),
+                 0, grid - 1)
+    iy = np.clip(((points[:, 1] - _BOX_Y0) /
+                  ((_BOX_Y1 - _BOX_Y0) / grid)).astype(np.int64),
+                 0, grid - 1)
+    return ix * grid + iy
+
+
+def grid_centers(grid: int) -> np.ndarray:
+    """``(grid², 2)``: the center of every cell, row ``ix * grid + iy``
+    (:func:`grid_cells`' numbering)."""
+    side = np.arange(grid) + 0.5
+    return np.column_stack([
+        np.repeat(_BOX_X0 + side * ((_BOX_X1 - _BOX_X0) / grid), grid),
+        np.tile(_BOX_Y0 + side * ((_BOX_Y1 - _BOX_Y0) / grid), grid)])
+
+
 def _occupied_cells(flat: np.ndarray, counts: np.ndarray,
                     closed: np.ndarray, grid: int
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Unique ``(owner, cell)`` pairs of boundary-occupied grid cells."""
-    cell_w = (_BOX_X1 - _BOX_X0) / grid
-    cell_h = (_BOX_Y1 - _BOX_Y0) / grid
-    spacing = 0.5 * min(cell_w, cell_h)
+    spacing = 0.5 * min((_BOX_X1 - _BOX_X0) / grid,
+                        (_BOX_Y1 - _BOX_Y0) / grid)
     points, owner = _boundary_samples(flat, counts, closed, spacing)
-    ix = np.clip(((points[:, 0] - _BOX_X0) / cell_w).astype(np.int64),
-                 0, grid - 1)
-    iy = np.clip(((points[:, 1] - _BOX_Y0) / cell_h).astype(np.int64),
-                 0, grid - 1)
-    cell = ix * grid + iy
+    cell = grid_cells(points, grid)
     combined = np.unique(owner * np.int64(grid * grid) + cell)
     return combined // (grid * grid), combined % (grid * grid)
 

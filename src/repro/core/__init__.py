@@ -5,7 +5,8 @@ measure and the incremental envelope-fattening retrieval algorithm.
 from .elastic import elastic_matching_distance
 from .epsilon import (EpsilonSchedule, expected_band_count, initial_epsilon,
                       schedule_for, termination_epsilon)
-from .matcher import GeometricSimilarityMatcher, Match, MatchStats
+from .matcher import (BestFirstMatcher, GeometricSimilarityMatcher, Match,
+                      MatchStats)
 from .measures import (average_distance, continuous_average_distance,
                        directed_average_distance, directed_hausdorff,
                        directed_kth_hausdorff, hausdorff, kth_hausdorff,
@@ -13,8 +14,8 @@ from .measures import (average_distance, continuous_average_distance,
 from .shapebase import ShapeBase, ShapeEntry
 
 __all__ = [
-    "EpsilonSchedule", "GeometricSimilarityMatcher", "Match", "MatchStats",
-    "ShapeBase", "ShapeEntry", "average_distance",
+    "BestFirstMatcher", "EpsilonSchedule", "GeometricSimilarityMatcher",
+    "Match", "MatchStats", "ShapeBase", "ShapeEntry", "average_distance",
     "continuous_average_distance", "directed_average_distance",
     "directed_hausdorff", "directed_kth_hausdorff",
     "elastic_matching_distance", "expected_band_count", "hausdorff",

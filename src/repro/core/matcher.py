@@ -54,7 +54,7 @@ from ..geometry.primitives import EPSILON
 from .epsilon import EpsilonSchedule, schedule_for
 from .measures import (DistanceMemo, continuous_average_distance,
                        directed_average_distance, entry_measures)
-from .shapebase import ShapeBase, ShapeEntry
+from .shapebase import BOUND_MARGIN, ShapeBase, ShapeEntry
 
 
 @dataclass
@@ -83,6 +83,7 @@ class MatchStats:
     range_queries: int = 0        # index queries issued (<= iterations)
     vertices_reported: int = 0    # ids the index handed back
     vertices_scanned: int = 0     # rows the one-pass memo fill measured
+    copies_bounded: int = 0       # copies the best-first finish bounded
     vertices_processed: int = 0
     candidates_evaluated: int = 0
     guaranteed: bool = False      # early-terminated with a guarantee
@@ -437,6 +438,7 @@ class GeometricSimilarityMatcher:
                schedule: EpsilonSchedule, stats: MatchStats,
                on_candidate: Optional[Callable[[ShapeEntry], None]],
                should_stop: Callable[[float, BestByShape], bool],
+               cutoffs: Callable[[], Tuple[float, float]],
                scratch: _QueryScratch,
                abort: Optional[Callable[[], bool]] = None,
                on_improved: Optional[Callable[[int, float], None]] = None
@@ -466,7 +468,9 @@ class GeometricSimilarityMatcher:
         to reach the first remaining width at which ``should_stop``
         already holds for the answers in hand (the last width if none
         does; :meth:`_bands_to`) times the ids the last band reported
-        is at least the number of vertices not yet known, one engine
+        is at least the number of vertices not yet known, the query
+        leaves the index through :meth:`_leave_index`.  Here that step
+        is the paper's loop carried on without the index: one engine
         pass *fills* the memo with every vertex's distance
         (``stats.vertices_scanned``), those vertices join the pool as a
         band's would, and the index is never asked again.  The rest of
@@ -476,6 +480,14 @@ class GeometricSimilarityMatcher:
         ``triangles_queried`` and ``vertices_reported`` fall.  The fill
         covers the captured index's vertices only: ids past them belong
         to an ingest the query's generation does not include.
+        :class:`BestFirstMatcher` finishes the query there instead.
+
+        ``cutoffs()`` returns ``(bar, own)``: the value the stopping
+        test compares with — the k-th best of (own ∪ priors), or a
+        threshold query's threshold — and the same without priors
+        (``inf`` while fewer than k are known).  When the stop fires
+        with ``own > bar`` and ``own`` alone would not have passed,
+        ``stats.prior_stops`` is 1.
 
         ``abort`` is a cooperative cancellation hook (e.g. a deadline):
         it is polled once per envelope iteration, and a ``True`` return
@@ -527,9 +539,14 @@ class GeometricSimilarityMatcher:
                     schedule_widths[h], best_by_shape)), last)
                 if reported * self._bands_to(widths, step, complete_to,
                                              resolution, target) >= unknown:
-                    ids = np.flatnonzero(~known[:indexed])
-                    stats.vertices_scanned += int(
-                        np.count_nonzero(~memo.measured[ids]))
+                    timings["filter"] += perf_counter() - started
+                    ids = self._leave_index(
+                        normalized_query, engine, scratch, stats,
+                        best_by_shape, on_candidate, on_improved, abort,
+                        cutoffs)
+                    if ids is None:
+                        return best_by_shape
+                    started = perf_counter()
                     complete_to = math.inf
                 else:
                     outer = schedule_widths[self._band_end(
@@ -568,27 +585,58 @@ class GeometricSimilarityMatcher:
                              thresholds[touched]) & ~evaluated[touched]]
             timings["filter"] += perf_counter() - started
             if len(fresh):
-                started = perf_counter()
-                evaluated[fresh] = True
-                entries = [self.base.entry(int(e)) for e in fresh]
-                values = self._entry_measures(entries, fresh, engine,
-                                              normalized_query, memo)
-                stats.candidates_evaluated += len(fresh)
-                if on_candidate is not None:
-                    for entry in entries:
-                        on_candidate(entry)
-                best_per_shape(self.base, fresh, values, best_by_shape)
-                if on_improved is not None:
-                    for shape_id in dict.fromkeys(
-                            entry.shape_id for entry in entries):
-                        on_improved(shape_id, best_by_shape[shape_id][0])
-                timings["exact_measures"] += perf_counter() - started
+                self._score(fresh, normalized_query, engine, scratch, stats,
+                            best_by_shape, on_candidate, on_improved)
 
             if should_stop(eps, best_by_shape):
                 stats.guaranteed = True
+                bar, own = cutoffs()
+                stats.prior_stops = int(
+                    own > bar and own > self.beta * eps + EPSILON)
                 return best_by_shape
         stats.exhausted = True
         return best_by_shape
+
+    def _score(self, fresh: np.ndarray, normalized_query: Shape,
+               engine: BoundaryDistance, scratch: _QueryScratch,
+               stats: MatchStats, best_by_shape: BestByShape,
+               on_candidate: Optional[Callable[[ShapeEntry], None]],
+               on_improved: Optional[Callable[[int, float], None]]) -> None:
+        """Evaluate the exact measures of the distinct, not yet
+        evaluated copies ``fresh`` (through the memo), fire the hooks
+        and fold the values into ``best_by_shape``."""
+        started = perf_counter()
+        scratch.evaluated[fresh] = True
+        entries = [self.base.entry(int(e)) for e in fresh]
+        values = self._entry_measures(entries, fresh, engine,
+                                      normalized_query, scratch.memo)
+        stats.candidates_evaluated += len(fresh)
+        if on_candidate is not None:
+            for entry in entries:
+                on_candidate(entry)
+        best_per_shape(self.base, fresh, values, best_by_shape)
+        if on_improved is not None:
+            for shape_id in dict.fromkeys(
+                    entry.shape_id for entry in entries):
+                on_improved(shape_id, best_by_shape[shape_id][0])
+        stats.timings["exact_measures"] += perf_counter() - started
+
+    def _leave_index(self, normalized_query: Shape,
+                     engine: BoundaryDistance, scratch: _QueryScratch,
+                     stats: MatchStats, best_by_shape: BestByShape,
+                     on_candidate: Optional[Callable[[ShapeEntry], None]],
+                     on_improved: Optional[Callable[[int, float], None]],
+                     abort: Optional[Callable[[], bool]],
+                     cutoffs: Callable[[], Tuple[float, float]]
+                     ) -> Optional[np.ndarray]:
+        """The step at which :meth:`_drive` stops asking the index: the
+        ids of every indexed vertex not yet known, for the loop to fill
+        the memo with and go on (``None`` would mean the query is
+        answered and the loop ends)."""
+        ids = np.flatnonzero(~scratch.known[:len(scratch.index)])
+        stats.vertices_scanned += int(
+            np.count_nonzero(~scratch.memo.measured[ids]))
+        return ids
 
     # ------------------------------------------------------------------
     def query(self, query: Shape, k: int = 1,
@@ -686,9 +734,11 @@ class GeometricSimilarityMatcher:
         stats.timings["normalize"] = perf_counter() - started
         tracker = _TopK(k)
         # Priors sit in the tracker under keys no shape can have, so
-        # they bound the k-th best without ever being ranked.
+        # they bound the k-th best without ever being ranked; ``own``
+        # tracks the base's shapes alone.
         for position, value in enumerate(priors):
             tracker.offer(-1 - position, value)
+        own = _TopK(k) if priors else tracker
         beta = self.beta
 
         def kth_best_guaranteed(eps: float, best: BestByShape) -> bool:
@@ -696,17 +746,20 @@ class GeometricSimilarityMatcher:
             return (kth_value is not None and
                     kth_value <= beta * eps + EPSILON)
 
+        def improved(shape_id: int, value: float) -> None:
+            tracker.offer(shape_id, value)
+            if own is not tracker:
+                own.offer(shape_id, value)
+
+        def cutoffs() -> Tuple[float, float]:
+            return tuple(math.inf if t.kth() is None else t.kth()
+                         for t in (tracker, own))
+
         best_by_shape = self._drive(normalized_query, engine, schedule,
                                     stats, on_candidate,
                                     kth_best_guaranteed, abort=abort,
-                                    scratch=scratch,
-                                    on_improved=tracker.offer)
-        if priors and stats.guaranteed:
-            own = heapq.nsmallest(
-                k, (value for value, _ in best_by_shape.values()))
-            if len(own) < k or \
-                    own[-1] > beta * stats.epsilons[-1] + EPSILON:
-                stats.prior_stops = 1
+                                    scratch=scratch, on_improved=improved,
+                                    cutoffs=cutoffs)
         return rank(self.base, best_by_shape, k), stats
 
     # ------------------------------------------------------------------
@@ -768,10 +821,85 @@ class GeometricSimilarityMatcher:
         def envelope_wide_enough(eps: float, best: BestByShape) -> bool:
             return eps >= needed
 
-        best_by_shape = self._drive(normalized_query, engine, schedule,
-                                    stats, on_candidate,
-                                    envelope_wide_enough, abort=abort,
-                                    scratch=scratch)
+        best_by_shape = self._drive(
+            normalized_query, engine, schedule, stats, on_candidate,
+            envelope_wide_enough, abort=abort, scratch=scratch,
+            cutoffs=lambda: (distance_threshold + BOUND_MARGIN,) * 2)
         qualifying = {sid: bv for sid, bv in best_by_shape.items()
                       if bv[0] <= distance_threshold + EPSILON}
         return rank(self.base, qualifying, len(qualifying)), stats
+
+
+class BestFirstMatcher(GeometricSimilarityMatcher):
+    """The served matcher: the paper's loop until the index would hand
+    back more than is left, then a best-first finish from a lower bound.
+
+    Where :class:`GeometricSimilarityMatcher` fills the memo with every
+    vertex's distance and replays the rest of its schedule, this
+    matcher bounds every copy not yet evaluated from the base's
+    :class:`~repro.core.shapebase.CellGrid` and scores copies in
+    ascending bound until no bound left can reach the answer.  The
+    answer is the same: a copy's exact discrete ``h_avg`` is at least
+    its bound (up to ``BOUND_MARGIN``, which ``EPSILON`` covers), so
+    every copy at or below the final k-th best — or the threshold — is
+    scored.  The referee keeps the loop; everything in
+    ``repro.service`` answers through this class.
+    """
+
+    #: Copies scored by the first chunk of the finish; chunks double.
+    FIRST_CHUNK = 16
+
+    def _leave_index(self, normalized_query: Shape,
+                     engine: BoundaryDistance, scratch: _QueryScratch,
+                     stats: MatchStats, best_by_shape: BestByShape,
+                     on_candidate: Optional[Callable[[ShapeEntry], None]],
+                     on_improved: Optional[Callable[[int, float], None]],
+                     abort: Optional[Callable[[], bool]],
+                     cutoffs: Callable[[], Tuple[float, float]]
+                     ) -> Optional[np.ndarray]:
+        """Finish the query best-first; always ``None``.
+
+        The base's grid bounds the copies the captured index covers
+        (:meth:`~repro.core.shapebase.CellGrid.copy_bounds`; a vertex
+        the memo has measured counts at its distance).  The copies not yet
+        evaluated are scored in ascending bound, ``FIRST_CHUNK`` at a
+        time and doubling, each chunk cut where bounds pass
+        ``cutoffs()[0] + EPSILON``; the finish stops — with the
+        guarantee — once the next bound is past it.  ``abort`` is
+        polled once per chunk.  ``stats.prior_stops`` is 1 when that
+        next bound would not have been past the own-only cutoff.
+        """
+        started = perf_counter()
+        memo = scratch.memo
+        indexed = len(scratch.index)
+        # The copies whose vertices the captured index covers; later
+        # ones belong to an ingest this query's generation excludes.
+        covered = int(np.searchsorted(memo.offsets, indexed,
+                                      side="right")) - 1
+        left = np.flatnonzero(~scratch.evaluated[:covered])
+        stats.copies_bounded += len(left)
+        bounds = self.base.cell_grid(memo.points, indexed).copy_bounds(
+            engine, memo.offsets[:covered + 1], memo.measured,
+            memo.distance)[left]
+        order = np.argsort(bounds, kind="stable")
+        left, bounds = left[order], bounds[order]
+        stats.timings["filter"] += perf_counter() - started
+        position, chunk = 0, self.FIRST_CHUNK
+        while position < len(left):
+            if abort is not None and abort():
+                stats.exhausted = stats.aborted = True
+                return None
+            bar, own = cutoffs()
+            end = position + int(np.searchsorted(
+                bounds[position:position + chunk], bar + EPSILON,
+                side="right"))
+            if end == position:
+                stats.prior_stops = int(
+                    own > bar and bounds[position] <= own + EPSILON)
+                break
+            self._score(left[position:end], normalized_query, engine,
+                        scratch, stats, best_by_shape, on_candidate,
+                        on_improved)
+            position, chunk = end, 2 * chunk
+        stats.guaranteed = True
+        return None

@@ -11,6 +11,7 @@ lists, per-image shape lists).
 
 from __future__ import annotations
 
+import functools
 import threading
 
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -90,6 +91,105 @@ def _copy_columns(entries: Sequence["ShapeEntry"]) -> CopyColumns:
     pairs = np.array([e.copy.pair for e in entries],
                      dtype=np.int64).reshape(-1, 2)
     return flat, counts, pairs
+
+
+#: Cells per side of the :class:`CellGrid`.
+GRID_SIDE = 64
+
+#: How far a computed copy bound may exceed the copy's computed discrete
+#: ``h_avg``.  In exact arithmetic ``d(center) - radius <= d(vertex)``
+#: (triangle inequality), so the bound is sound; in floating point the
+#: engine's ``d(center)`` and ``d(vertex)``, the ``hypot`` radius and
+#: the subtraction each round by a few ulps of distances of a few units
+#: (a copy's vertices lie within ``1 / (1 - alpha)`` of its anchors),
+#: and a copy's sum then the mean reorder at most ``n`` such terms: for
+#: copies of up to 10^4 vertices at alpha <= 0.9 that stays below
+#: 3e-11.  Callers admit a copy whose bound is within this margin of
+#: their cutoff; ``EPSILON`` (1e-9) already covers it.
+BOUND_MARGIN = 1e-10
+
+
+class CellGrid:
+    """A fixed ``GRID_SIDE``² grid over the lune box that bounds a
+    query's distance to every indexed vertex from below.
+
+    The cells do not depend on the corpus: the box is the ANN sketches'
+    (``repro.ann.sketch``) and a point outside it is clamped into a
+    border cell.  Per cell the grid keeps its geometric center and its
+    *radius*, the largest center-to-vertex distance among the vertices
+    that fell in it (``-1`` for an empty cell) — clamped outliers only
+    widen their cell's radius, so :meth:`copy_bounds` stays sound.
+    Per indexed vertex it keeps the vertex's cell.
+
+    A grid is immutable: :meth:`extended` returns a new grid whose
+    per-vertex cells hold the old ones as a prefix and whose radii only
+    grow, so a grid over more points of the same append-only point
+    array still bounds every earlier prefix.
+    """
+
+    __slots__ = ("cells", "radius")
+
+    def __init__(self, cells: np.ndarray, radius: np.ndarray):
+        self.cells = cells          # (count,) int16 cell id per vertex
+        self.radius = radius        # (GRID_SIDE², ) float, -1 if empty
+
+    @property
+    def count(self) -> int:
+        """How many leading rows of the point array the grid covers."""
+        return len(self.cells)
+
+    @staticmethod
+    def empty() -> "CellGrid":
+        return CellGrid(np.zeros(0, dtype=np.int16),
+                        np.full(GRID_SIDE * GRID_SIDE, -1.0))
+
+    def extended(self, points: np.ndarray, count: int) -> "CellGrid":
+        """This grid over ``points[:count]``, of which it covers the
+        first :attr:`count` rows already."""
+        from ..ann.sketch import grid_cells
+        new = points[self.count:count]
+        cells = grid_cells(new, GRID_SIDE).astype(np.int16)
+        reach = np.hypot(*(new - _grid_centers()[cells]).T)
+        radius = self.radius.copy()
+        np.maximum.at(radius, cells, reach)
+        return CellGrid(np.concatenate([self.cells, cells]), radius)
+
+    def copy_bounds(self, engine, offsets: np.ndarray,
+                    measured: np.ndarray, distance: np.ndarray
+                    ) -> np.ndarray:
+        """Lower bounds on the discrete ``h_avg`` of the copies whose
+        indexed vertices ``offsets`` delimits (``offsets[0] == 0``),
+        from ``engine``'s query.
+
+        One ``engine`` pass over the occupied cell centers gives every
+        vertex ``max(0, d(center) - radius)`` of its cell — or its
+        ``distance`` where ``measured`` says it is known.  A copy's
+        bound is its vertices' sum over its size + 2: its two anchors
+        count as 0.  Sound up to ``BOUND_MARGIN``.
+        """
+        count = int(offsets[-1])
+        occupied = np.flatnonzero(self.radius >= 0.0)
+        lower = np.zeros(len(self.radius))
+        centers = _grid_centers()[occupied]
+        lower[occupied] = np.maximum(
+            engine.distances(centers) - self.radius[occupied], 0.0)
+        vertex = lower[self.cells[:count]]
+        known = measured[:count]
+        vertex[known] = distance[:count][known]
+        # ``reduceat`` sums in another order than a slice's ``.mean()``;
+        # the bound needs no bitwise equality, and the margin covers it.
+        sums = np.add.reduceat(vertex, offsets[:-1])
+        return sums / (np.diff(offsets) + 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_centers() -> np.ndarray:
+    """The ``(GRID_SIDE², 2)`` cell centers, read-only (imported on
+    first use: ``repro.ann`` imports this module)."""
+    from ..ann.sketch import grid_centers
+    centers = grid_centers(GRID_SIDE)
+    centers.flags.writeable = False
+    return centers
 
 
 class ShapeEntry:
@@ -183,6 +283,10 @@ class ShapeBase:
         # life of the base.
         self.snapshot_backing = "memory"
         self._backing_buffer = None
+        # The lower-bound grid over the indexed vertices (see
+        # ``cell_grid``): built on first use, never stored.
+        self._cell_grid: Optional[CellGrid] = None
+        self._grid_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Population
@@ -506,6 +610,7 @@ class ShapeBase:
             # Arrays a snapshot load installed ahead of their index are
             # rebuilt lazily rather than left to describe removed copies.
             self._vertex_points = None
+        self._cell_grid = None
         if self._signature_cache is not None:
             num_curves, rows = self._signature_cache
             self._signature_cache = (num_curves, rows[entry_keep])
@@ -553,6 +658,8 @@ class ShapeBase:
         clone._sketch_cache = self._sketch_cache
         clone.snapshot_backing = self.snapshot_backing
         clone._backing_buffer = self._backing_buffer
+        clone._cell_grid = None
+        clone._grid_lock = threading.Lock()
         return clone
 
     def reader_view(self) -> Tuple[TriangleRangeIndex, np.ndarray,
@@ -574,6 +681,26 @@ class ShapeBase:
         return (index, self._vertex_points, self._vertex_owner,
                 self._entry_sizes, self._entry_offsets, self._anchor_at,
                 self._anchor_points)
+
+    def cell_grid(self, points: np.ndarray, count: int) -> CellGrid:
+        """A :class:`CellGrid` over at least the first ``count`` rows of
+        ``points``, the points of a :meth:`reader_view` capture.
+
+        Built on first use and *extended* when a later capture holds
+        more points: appends keep the old points as a prefix and radii
+        only grow, so the grid in place, whichever capture it last
+        grew from, bounds every earlier one.  A removal renumbers the
+        points and drops the grid.
+        """
+        grid = self._cell_grid
+        if grid is None or grid.count < count:
+            with self._grid_lock:
+                grid = self._cell_grid
+                if grid is None or grid.count < count:
+                    grid = (grid or CellGrid.empty()).extended(points,
+                                                               count)
+                    self._cell_grid = grid
+        return grid
 
     @property
     def index_delta_size(self) -> int:

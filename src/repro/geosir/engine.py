@@ -58,7 +58,7 @@ class GeoSIR:
 
     ``alpha`` and ``backend`` shape the base
     (:class:`~repro.core.ShapeBase`), ``beta`` the envelope matcher
-    (:class:`~repro.core.GeometricSimilarityMatcher`), ``hash_curves``
+    (:class:`~repro.core.BestFirstMatcher`), ``hash_curves``
     the hashing tier (:class:`~repro.hashing.ApproximateRetriever`),
     ``similarity_threshold`` the algebra's ``similar`` leaves
     (:class:`~repro.query.QueryEngine`) and ``extraction_tolerance``

@@ -297,6 +297,7 @@ def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
         merged.range_queries += stats.range_queries
         merged.vertices_reported += stats.vertices_reported
         merged.vertices_scanned += stats.vertices_scanned
+        merged.copies_bounded += stats.copies_bounded
         merged.vertices_processed += stats.vertices_processed
         merged.candidates_evaluated += stats.candidates_evaluated
         merged.prior_stops += stats.prior_stops
@@ -763,18 +764,23 @@ class RetrievalService:
             return []
 
     def _guarded_exact(self, shard: Shard, sketch: Shape, k: int,
-                       budget: Deadline) -> Optional[List[Match]]:
+                       budget: Deadline, priors: Sequence[float]
+                       ) -> Optional[List[Match]]:
         """One shard's envelope tier as a salvage path (None on failure).
 
         Used when the *ANN* tier of a shard fails: the shard's exact
         matcher is still healthy structure-wise, so degrading the
         shard to exact scoring keeps its slice in the answer at full
         quality (just slower) — only if that fails too does the
-        constant-cost hash tier take over.
+        constant-cost hash tier take over.  ``priors`` are the k
+        smallest distances the surviving shards answered with (exact
+        measures of shapes in the merge), handed on as the exact
+        fan-out's waves hand them on.
         """
         try:
             matches, _ = shard.query_batch([sketch], k,
-                                           abort=budget.expired)[0]
+                                           abort=budget.expired,
+                                           priors=[priors])[0]
             self._validate_matches(shard, matches)
             return matches
         except Exception:
@@ -788,15 +794,17 @@ class RetrievalService:
     def _select_tier(self, budget: Deadline) -> str:
         """Pick the ladder rung a query's remaining budget can afford.
 
-        Without an ANN config the ladder has its original two rungs
-        (exact now, hashing on expiry).  With one, ``"always"`` pins
+        Unless every shard has an ANN config (``Shard.ann_config``, the
+        parameters the shards were built with — not ``config.ann``) the
+        ladder has its original two rungs (exact now, hashing on
+        expiry).  When they all have one, ``"always"`` pins
         the ANN tier (measurement mode) while ``"auto"`` spends the
         budget greedily: exact when there is comfortably enough time
         (``>= ANN_EXACT_BUDGET``), the LSH-pruned tier when at least
         ``ANN_HASH_BUDGET`` remains, and the constant-cost hash tier
         for whatever is left.
         """
-        if self.config.ann is None:
+        if any(shard.ann_config is None for shard in self.shards):
             return TIER_EXACT
         if self.config.ann_mode == "always":
             return TIER_ANN
@@ -1057,9 +1065,10 @@ class RetrievalService:
         for offset, position in enumerate(positions):
             sketch = batch.sketches[position]
             stage = time.perf_counter()
+            answers = [o.value[offset] for o in survivors]
             merged, stats = self._merge(
-                [o.value[offset] for o in survivors],
-                self._salvage(batch, broken, sketch), batch.k)
+                answers, self._salvage(batch, broken, sketch, answers),
+                batch.k)
             self.metrics.histogram("latency.merge").observe(
                 time.perf_counter() - stage)
             result = self._hand_off(batch, shards, sketch, merged, stats,
@@ -1072,22 +1081,28 @@ class RetrievalService:
             batch.results[position] = self._record(result)
 
     def _salvage(self, batch: _Batch, broken: Sequence[Shard],
-                 sketch: Shape) -> List[List[Match]]:
+                 sketch: Shape,
+                 answers: Sequence[Tuple[List[Match], MatchStats]]
+                 ) -> List[List[Match]]:
         """Stage 5: the failed shards' slices from the rungs below.
 
         Each broken shard walks the tier's salvage rungs in order —
         ``[hash]`` after an exact-tier failure, ``[exact, hash]`` after
         an ANN-tier failure — and the first rung that yields matches
         answers for its slice (nothing, when every rung comes up empty).
+        The exact rung is handed the k smallest distances of the
+        survivors' ``answers`` as priors.
         """
         salvage: List[List[Match]] = []
         if not self.config.shard_hash_fallback:
             return salvage
+        priors = sorted(match.distance for matches, _ in answers
+                        for match in matches)[:batch.k]
         for shard in broken:
             for rung in _LADDER[batch.tier].salvage:
                 if rung == TIER_EXACT:
                     matches = self._guarded_exact(shard, sketch, batch.k,
-                                                  batch.budget)
+                                                  batch.budget, priors)
                     counter = "shards.ann_exact_salvage"
                 else:
                     matches = self._guarded_hash(shard, sketch, batch.k)

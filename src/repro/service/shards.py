@@ -22,7 +22,7 @@ import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..ann import AnnConfig, AnnPrunedMatcher, compute_entry_sketches
-from ..core.matcher import GeometricSimilarityMatcher, Match, MatchStats
+from ..core.matcher import BestFirstMatcher, Match, MatchStats
 from ..core.shapebase import ShapeBase, validate_shape
 from ..geometry.polyline import Shape
 from ..hashing.hashtable import ApproximateRetriever
@@ -92,7 +92,7 @@ class Shard:
         self.beta = float(beta)
         self.hash_curves = int(hash_curves)
         self.ann_config = ann
-        self._matcher: Optional[GeometricSimilarityMatcher] = None
+        self._matcher: Optional[BestFirstMatcher] = None
         self._retriever: Optional[ApproximateRetriever] = None
         self._ann: Optional[AnnPrunedMatcher] = None
         self.write_lock = threading.RLock()
@@ -102,12 +102,14 @@ class Shard:
 
     # -- structures -----------------------------------------------------
     @property
-    def matcher(self) -> GeometricSimilarityMatcher:
+    def matcher(self) -> BestFirstMatcher:
+        """The served exact matcher (best-first once it leaves the
+        index; :class:`~repro.core.matcher.BestFirstMatcher`)."""
         if self._matcher is None:
             with self.write_lock:
                 if self._matcher is None:
-                    self._matcher = GeometricSimilarityMatcher(
-                        self.base, beta=self.beta)
+                    self._matcher = BestFirstMatcher(self.base,
+                                                     beta=self.beta)
         return self._matcher
 
     @property
@@ -237,14 +239,14 @@ class Shard:
                     abort: Optional[Callable[[], bool]] = None,
                     priors: Optional[Sequence[Sequence[float]]] = None
                     ) -> List[Tuple[List[Match], MatchStats]]:
-        """Envelope-matcher top-k for a sequence of sketches.
+        """Exact top-k for a sequence of sketches.
 
         Delegates to the matcher's amortized multi-query path (one
         scratch checkout for the whole sequence); results are in input
         order, one ``(matches, stats)`` pair per sketch.  ``priors``
         are, per sketch, exact distances other shards already found
-        (see :meth:`GeometricSimilarityMatcher.query_batch`): they let
-        this shard stop on the corpus-wide k-th best instead of its own.
+        (see :meth:`BestFirstMatcher.query_batch`): they let this shard
+        stop on the corpus-wide k-th best instead of its own.
         """
         return self.matcher.query_batch(sketches, k=k, abort=abort,
                                         priors=priors)

@@ -24,7 +24,7 @@ from repro.service import (BreakerConfig, CircuitBreaker,
                            CorruptShardAnswer, Deadline, FaultError,
                            FaultPlan, FaultSpec, FaultyShard,
                            RetrievalService, ServiceConfig, ShardSet,
-                           shard_for)
+                           merge_topk, shard_for)
 from repro.ann import AnnConfig
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.service.faults import ALL_OPS, ANN_OPS, MATCHER_OPS
@@ -569,6 +569,54 @@ class TestAnnFaultDegradation:
             assert any(m.shape_id == owned[0] for m in result.matches)
             exact = service.metrics.counter("shards.ann_exact_salvage")
             assert exact.value > 0
+        finally:
+            service.close()
+
+
+    def test_exact_salvage_is_handed_the_survivors_distances(self, corpus):
+        """The broken shard's exact salvage gets the k best distances
+        the surviving ANN shards answered with as priors: the merged
+        answer is what a salvage without priors gives, and the salvage
+        scores no more copies than it would without them."""
+        base, queries = corpus
+        broken, k = 1, 3
+        plan = total_failure_plan(broken, ops=ANN_OPS)
+        service = self.make_service(base, plan)
+        calls = []
+
+        def recorded(view):
+            original = view.query_batch
+
+            def query_batch(sketches, k, abort=None, priors=None):
+                answer = original(sketches, k, abort=abort, priors=priors)
+                calls.append((priors, answer[0][1]))
+                return answer
+            view.query_batch = query_batch
+            return view
+
+        views = service._shard_views
+        service._shard_views = lambda: [
+            recorded(view) if view.index == broken else view
+            for view in views()]
+        try:
+            shards = service.shards.shards
+            for sketch in queries:
+                calls.clear()
+                result = service.retrieve(sketch, k=k)
+                assert result.failed_shards == [broken]
+                survivors = [shard.ann_query_batch([sketch], k)[0][0]
+                             for shard in shards if shard.index != broken]
+                alone, alone_stats = \
+                    shards[broken].query_batch([sketch], k)[0]
+                assert [(m.shape_id, m.distance)
+                        for m in result.matches] == \
+                    [(m.shape_id, m.distance)
+                     for m in merge_topk(survivors + [alone], k)]
+                (priors, stats), = calls
+                assert priors == [sorted(m.distance for matches in survivors
+                                         for m in matches)[:k]]
+                assert stats.candidates_evaluated <= \
+                    alone_stats.candidates_evaluated
         finally:
             service.close()
 

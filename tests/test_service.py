@@ -190,6 +190,26 @@ class TestShardMergeCorrectness:
 # ----------------------------------------------------------------------
 # Cache: canonical signatures, hits, invalidation on ingest
 # ----------------------------------------------------------------------
+class TestAnnRungFollowsTheShards:
+    def test_shards_built_without_ann_answer_exactly(self, corpus):
+        """``config.ann`` asks for the ANN rung, but the shards were
+        built without one: the ladder offers the exact rung instead of
+        failing every shard."""
+        from repro.ann import AnnConfig
+        base, _, queries = corpus
+        shards = ShardSet.from_base(base, num_shards=2)
+        matcher = GeometricSimilarityMatcher(base)
+        with RetrievalService(shards, ServiceConfig(
+                ann=AnnConfig(), ann_mode="always",
+                cache_capacity=0)) as svc:
+            for query in queries[:3]:
+                result = svc.retrieve(query, k=3)
+                assert (result.status, result.method,
+                        result.failed_shards) == ("ok", "envelope", [])
+                assert ranked(result.matches) == \
+                    ranked(matcher.query(query, k=3)[0])
+
+
 class TestSignature:
     def test_similarity_invariance(self, corpus):
         _, _, queries = corpus
