@@ -13,6 +13,7 @@ import pytest
 
 from repro import Shape, ShapeBase
 from repro.query import QueryEngine, Similar, overlap
+from repro.service import RetrievalService, ServiceConfig
 from .conftest import write_table
 
 
@@ -51,7 +52,9 @@ def planner_setup():
         else:
             extra = jittered(a, rng).scaled(2).translated(80, 80)
             base.add_shape(extra, image_id=image_id)
-    engine = QueryEngine(base, similarity_threshold=0.04)
+    service = RetrievalService.from_base(
+        base, ServiceConfig(num_shards=1, workers=1))
+    engine = QueryEngine(service, similarity_threshold=0.04)
     # Prime the selectivity model with both operands.
     engine.shape_similar(a)
     engine.shape_similar(b)
@@ -64,7 +67,7 @@ def strategy_comparison(planner_setup):
     results = {}
     for strategy in (1, 2):
         engine.counters.reset()
-        engine._similar_cache.clear()
+        engine.service.cache.invalidate()
         result = engine.topological("overlap", a, b, strategy=strategy)
         results[strategy] = {
             "result": result,
@@ -102,7 +105,7 @@ def test_planner_orders_by_selectivity(planner_setup, benchmark):
     """In `similar(B) & similar(A)` the planner must seed from B (rare)
     regardless of the syntactic order."""
     engine, a, b = planner_setup
-    engine._similar_cache.clear()
+    engine.service.cache.invalidate()
     node = Similar(a) & Similar(b)
 
     seeds = []

@@ -184,8 +184,9 @@ class GeoSIR:
     # Query processing
     # ------------------------------------------------------------------
     def query(self, node: QueryNode) -> Set[int]:
-        """Execute a composed topological query; returns image ids."""
-        return self.engine.execute(node)
+        """Execute a composed topological query; returns image ids
+        (raises, like :meth:`retrieve`, on a shard failure)."""
+        return _checked([self.engine.execute_explained(node)])[0].images
 
     def sketch_query(self, sketch_shapes: Sequence[Shape],
                      use_angles: bool = False) -> QueryNode:

@@ -1,14 +1,13 @@
 """Query execution and planning (paper Sections 5.3-5.4).
 
-:class:`QueryEngine` ties together a corpus, the similarity backend,
-the per-image relation graphs and the selectivity model:
+:class:`QueryEngine` runs the query algebra on a
+:class:`~repro.service.service.RetrievalService`, using its shards'
+per-image relation graphs and a selectivity model:
 
 * ``similar(Q)`` runs a threshold query and projects shape hits onto
-  their images.  Leaves are fetched through the *batched* backend —
-  the matcher's amortized multi-query path locally, or
-  ``RetrievalService.similar_shapes_batch`` when the engine is mounted
-  on the sharded service — and cached in a versioned, similarity-
-  invariant leaf cache (same keying as the service's top-k cache);
+  their images.  Leaves go to ``RetrievalService.similar_shapes_batch``
+  in batches; the service caches and single-flights each complete leaf
+  (the engine keeps only a per-execution memo);
 * topological operators run in one of the paper's two strategies —
   strategy 1 starts from the *smaller* similarity side and walks graph
   edges, checking the other side shape-by-shape; strategy 2 computes
@@ -17,10 +16,12 @@ the per-image relation graphs and the selectivity model:
   literals are deduplicated and ordered by estimated selectivity, the
   cheapest positive literal is evaluated in full, and the remaining
   literals run only as per-image filters over that seed set
-  (Section 5.4).  Term and whole-plan results live in a subplan cache
-  keyed by the canonical signatures of :mod:`repro.query.algebra`, so
-  algebraically-equal queries (``A & B`` vs ``B & A``) share entries;
-  a corpus mutation bumps the version and orphans every entry.
+  (Section 5.4).  Operator, term and whole-plan results live in a
+  subplan cache keyed by the canonical signatures of
+  :mod:`repro.query.algebra`, so algebraically-equal queries
+  (``A & B`` vs ``B & A``) share entries; a corpus mutation bumps the
+  version and orphans every entry.  An execution that receives a
+  partial leaf (a shard failed) caches nothing and names the shards.
 
 Work counters are thread-safe (engines are shared across service
 worker threads) and surface through ``RetrievalService.snapshot()``.
@@ -32,9 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.matcher import GeometricSimilarityMatcher
 from ..core.measures import entry_measures
-from ..core.shapebase import ShapeBase
 from ..geometry.nearest import BoundaryDistance
 from ..geometry.polyline import Shape
 from ..geometry.primitives import EPSILON
@@ -102,103 +101,75 @@ class TermReport:
 
 @dataclass
 class ExecutionReport:
-    """Result plus the planning trace of one composite query."""
+    """Result plus the planning trace of one composite query;
+    ``failed_shards`` non-empty means ``images`` may be incomplete."""
 
     images: Set[int] = field(default_factory=set)
     cached: bool = False
     signature: str = ""
     terms: List[TermReport] = field(default_factory=list)
+    failed_shards: List[int] = field(default_factory=list)
+
+
+@dataclass
+class _Execution:
+    """One execution's state: corpus version, leaf memo, shard faults."""
+
+    version: int
+    leaves: Dict[str, FrozenSet[int]] = field(default_factory=dict)
+    failed: Set[int] = field(default_factory=set)
 
 
 class QueryEngine:
-    """Executes topological queries over a corpus.
-
-    The corpus is either a local :class:`ShapeBase` (``base=``,
-    optionally with a pre-built ``matcher``) or a running
-    :class:`~repro.service.service.RetrievalService` (``service=``),
-    in which case similarity leaves fan out across the shards through
-    the service's resilient batched path.
+    """Executes topological queries over a retrieval service's corpus.
 
     Parameters
     ----------
-    base:
-        The shape base; shapes must carry image ids for image-level
-        operators to be meaningful.  Mutually exclusive with
-        ``service``.
+    service:
+        The :class:`~repro.service.service.RetrievalService` (usually
+        via its ``query_engine()``); shapes must carry image ids for
+        image-level operators to be meaningful.  A bare base is served
+        by ``RetrievalService.from_base(base,
+        ServiceConfig(num_shards=1, workers=1))``, which runs inline.
     similarity_threshold:
         The distance below which ``g_similar`` holds (average-distance
         measure on normalized copies).
     angle_tolerance:
         Absolute tolerance (radians) for matching a predicate's theta.
-    service:
-        Mount the engine on a sharded retrieval service instead of a
-        local base (usually via ``RetrievalService.query_engine()``).
     planner:
         When ``False``, composite queries evaluate every DNF literal
         in full, in written order, with plain set algebra — the
         unplanned baseline the algebra benchmark compares against.
-        Subplan caching is part of the planner and is disabled too.
-    cache_capacity:
-        LRU capacity shared by the leaf cache and the subplan cache;
-        0 disables both.
+        Subplan caching is part of the planner and is disabled too;
+        its capacity is the service config's ``cache_capacity``.
     """
 
-    def __init__(self, base: Optional[ShapeBase] = None,
-                 similarity_threshold: float = 0.05,
-                 angle_tolerance: float = 0.15,
-                 matcher: Optional[GeometricSimilarityMatcher] = None,
-                 *, service=None, planner: bool = True,
-                 cache_capacity: int = 256):
+    def __init__(self, service, similarity_threshold: float = 0.05,
+                 angle_tolerance: float = 0.15, *, planner: bool = True):
         from ..service.cache import QueryResultCache
         if similarity_threshold < 0:
             raise ValueError("similarity_threshold must be non-negative")
-        if (base is None) == (service is None):
-            raise ValueError("exactly one of base/service is required")
-        self.base = base
         self.service = service
         self.similarity_threshold = float(similarity_threshold)
         self.angle_tolerance = float(angle_tolerance)
-        self.matcher = None
-        if base is not None:
-            self.matcher = matcher or GeometricSimilarityMatcher(base)
         self.planner = bool(planner)
         self.selectivity = SelectivityModel()
         self.counters = EngineCounters()
-        self._similar_cache = QueryResultCache(cache_capacity)
-        self.plan_cache = QueryResultCache(cache_capacity)
+        self.plan_cache = QueryResultCache(service.config.cache_capacity)
         self._engine_cache: Dict[Shape, BoundaryDistance] = {}
-        self._signature_cache: Dict[Tuple[Shape, float], str] = {}
+        self._leaf_keys: Dict[Tuple[Shape, float], str] = {}
         self._tls = threading.local()
 
     # ------------------------------------------------------------------
-    # Corpus access (local base or sharded service)
+    # Corpus access
     # ------------------------------------------------------------------
-    def _version(self) -> int:
-        if self.base is not None:
-            return self.base.version
-        return self.service.shards.version
-
-    def _owner(self):
-        return self.base if self.base is not None else self.service.shards
-
-    def _bases(self):
-        if self.base is not None:
-            return [self.base]
-        return [shard.base for shard in self.service.shards]
-
-    def _base_of(self, shape_id: int) -> ShapeBase:
-        if self.base is not None:
-            return self.base
-        return self.service.shards.shard_of(shape_id).base
-
     def _image_of(self, shape_id: int) -> Optional[int]:
-        return self._base_of(shape_id).image_of_shape(shape_id)
-
-    def _num_shapes(self) -> int:
-        return sum(len(corpus.shapes) for corpus in self._bases())
+        return self.service.shards.shard_of(shape_id).base \
+            .image_of_shape(shape_id)
 
     def _entry_rows(self):
-        for corpus in self._bases():
+        for shard in self.service.shards:
+            corpus = shard.base
             for shape_id in corpus.shape_ids():
                 yield (shape_id, corpus.shapes[shape_id],
                        corpus.image_of_shape(shape_id))
@@ -207,18 +178,18 @@ class QueryEngine:
     def graphs(self) -> Dict[int, ImageGraph]:
         """Per-image relation graphs, memoized per corpus version.
 
-        Every engine over the same corpus object shares one set of
-        graphs (:func:`repro.query.graph.image_graphs`); a mutation
-        bumps the version and the next access rebuilds once.
+        Every engine over the same service shares one set of graphs
+        (:func:`repro.query.graph.image_graphs`); a mutation bumps the
+        version and the next access rebuilds once.
         """
-        return image_graphs(self._owner(), self._version(),
-                            self._entry_rows)
+        shards = self.service.shards
+        return image_graphs(shards, shards.version, self._entry_rows)
 
     def all_images(self) -> Set[int]:
         """The DB universe for complements."""
         images: Set[int] = set()
-        for corpus in self._bases():
-            images.update(corpus.image_ids())
+        for shard in self.service.shards:
+            images.update(shard.base.image_ids())
         return images
 
     # ------------------------------------------------------------------
@@ -232,96 +203,83 @@ class QueryEngine:
             self._engine_cache[query] = engine
         return engine
 
-    def _leaf_signature(self, query: Shape) -> str:
+    def _leaf_key(self, query: Shape) -> str:
         # Memoized like the distance engines: restricted filters probe
-        # the leaf caches once per image, and normalizing + hashing the
-        # query shape each time cost more than the probe itself.
-        key = (query, self.similarity_threshold)
-        signature = self._signature_cache.get(key)
-        if signature is None:
-            from ..service.cache import sketch_signature
-            signature = self._signature_cache[key] = sketch_signature(
-                query, kind="algebra-similar",
-                parameter=f"{self.similarity_threshold:.12g}")
-        return signature
+        # the leaf once per image, and normalizing + hashing the query
+        # shape each time cost more than the probe itself.
+        memo = (query, self.similarity_threshold)
+        key = self._leaf_keys.get(memo)
+        if key is None:
+            from ..service.service import similar_key
+            key = self._leaf_keys[memo] = similar_key(
+                query, self.similarity_threshold)
+        return key
 
-    def _ctx(self) -> Optional[Dict[str, Set[int]]]:
-        """Per-execution leaf memo (thread-local, see :meth:`execute`)."""
-        return getattr(self._tls, "ctx", None)
+    def _run(self) -> Optional[_Execution]:
+        """This thread's current execution (see :meth:`execute`)."""
+        return getattr(self._tls, "run", None)
 
-    def _threshold_batch(self, queries: Sequence[Shape]
-                         ) -> List[Tuple[Set[int], int]]:
-        """``(shape_ids, candidates_evaluated)`` per query shape."""
-        if self.service is not None:
-            results = self.service.similar_shapes_batch(
-                queries, threshold=self.similarity_threshold)
-            return [(set(res.shape_ids), int(res.candidates_evaluated))
-                    for res in results]
-        results = self.matcher.query_threshold_batch(
-            queries, self.similarity_threshold)
-        return [({m.shape_id for m in matches}, stats.candidates_evaluated)
-                for matches, stats in results]
+    def _leaf_cached(self, query: Shape) -> Optional[FrozenSet[int]]:
+        """The already-materialized similarity set of ``query``, if any.
+
+        Probes the per-execution memo, then the service's leaf cache
+        (a hit joins the memo); never issues a threshold query and
+        moves no counters.
+        """
+        key = self._leaf_key(query)
+        run = self._run()
+        leaf = run.leaves.get(key) if run is not None else None
+        if leaf is None and self.service.cache.enabled:
+            hit = self.service.cache.get(key, self.service.shards.version)
+            if hit is not None:
+                leaf = hit.shape_ids
+                if run is not None:
+                    run.leaves[key] = leaf
+        return leaf
 
     def shape_similar_batch(self, queries: Sequence[Shape]
                             ) -> List[Set[int]]:
         """``shape_similar`` for several query shapes at once.
 
-        Cache layers are probed per shape (the per-execution memo, then
-        the versioned leaf cache); the distinct misses go to the
-        backend in a single batched threshold call.  Each miss feeds
-        the selectivity model, as Section 5.2 prescribes.
+        Shapes :meth:`_leaf_cached` misses go to
+        ``similar_shapes_batch`` in one call.  Each complete, freshly
+        computed leaf feeds the selectivity model, as Section 5.2
+        prescribes; a partial one records its failed shards instead.
         """
-        version = self._version()
-        ctx = self._ctx()
-        signatures = [self._leaf_signature(q) for q in queries]
-        resolved: Dict[str, Set[int]] = {}
-        misses: List[Tuple[str, Shape]] = []
-        for signature, query in zip(signatures, queries):
-            if signature in resolved or any(signature == s
-                                            for s, _ in misses):
+        run = self._run()
+        keys = [self._leaf_key(q) for q in queries]
+        resolved: Dict[str, FrozenSet[int]] = {}
+        misses: Dict[str, Shape] = {}
+        for key, query in zip(keys, queries):
+            if key in resolved or key in misses:
                 continue
-            hit = ctx.get(signature) if ctx is not None else None
-            if hit is None:
-                hit = self._similar_cache.get(signature, version)
-            if hit is not None:
-                resolved[signature] = hit
+            leaf = self._leaf_cached(query)
+            if leaf is not None:
+                resolved[key] = leaf
             else:
-                misses.append((signature, query))
+                misses[key] = query
         if misses:
-            fetched = self._threshold_batch([q for _, q in misses])
-            for (signature, query), (ids, candidates) in zip(misses,
-                                                             fetched):
-                self.counters.add(threshold_queries=1,
-                                  candidate_evaluations=candidates)
-                self.selectivity.observe(query, len(ids),
-                                         threshold=self
-                                         .similarity_threshold)
-                self._similar_cache.put(signature, version, frozenset(ids))
-                resolved[signature] = ids
-        out: List[Set[int]] = []
-        for signature in signatures:
-            ids = resolved[signature]
-            if ctx is not None:
-                ctx[signature] = ids
-            out.append(set(ids))
-        return out
+            fetched = self.service.similar_shapes_batch(
+                list(misses.values()), threshold=self.similarity_threshold)
+            for (key, query), result in zip(misses.items(), fetched):
+                ids = resolved[key] = result.shape_ids
+                if run is not None:
+                    run.failed.update(result.failed_shards)
+                if result.cached:
+                    continue
+                self.counters.add(
+                    threshold_queries=1,
+                    candidate_evaluations=result.candidates_evaluated)
+                if not result.failed_shards:
+                    self.selectivity.observe(
+                        query, len(ids), threshold=self.similarity_threshold)
+        if run is not None:
+            run.leaves.update(resolved)
+        return [set(resolved[key]) for key in keys]
 
     def shape_similar(self, query: Shape) -> Set[int]:
         """``shape_similar(Q)``: ids of all similar database shapes."""
         return self.shape_similar_batch([query])[0]
-
-    def _leaf_cached(self, query: Shape) -> Optional[FrozenSet[int]]:
-        """The already-materialized similarity set of ``query``, if any.
-
-        Probes the per-execution memo and the versioned leaf cache
-        only; never issues a threshold query and moves no counters.
-        """
-        signature = self._leaf_signature(query)
-        ctx = self._ctx()
-        cached = ctx.get(signature) if ctx is not None else None
-        if cached is None:
-            cached = self._similar_cache.get(signature, self._version())
-        return cached
 
     def is_similar(self, shape_id: int, query: Shape) -> bool:
         """Direct ``g_similar(S, Q)`` test for one database shape.
@@ -330,15 +288,15 @@ class QueryEngine:
         candidate shapes one by one instead of materializing the full
         similarity set.  On a leaf-cache hit the membership test is
         free; otherwise all of the shape's entries are measured in one
-        :func:`~repro.core.measures.entry_measures` call, under the
-        matcher's qualification rule (best average distance ``<= t +
-        EPSILON``).
+        :func:`~repro.core.measures.entry_measures` call on its shard's
+        base, under the matcher's qualification rule (best average
+        distance ``<= t + EPSILON``).
         """
         self.counters.add(similarity_checks=1)
         cached = self._leaf_cached(query)
         if cached is not None:
             return shape_id in cached
-        corpus = self._base_of(shape_id)
+        corpus = self.service.shards.shard_of(shape_id).base
         threshold = self.similarity_threshold + EPSILON
         return any(value <= threshold for value in entry_measures(
             self._query_engine(query), corpus,
@@ -498,7 +456,7 @@ class QueryEngine:
                 op, threshold=self.similarity_threshold,
                 angle_tolerance=self.angle_tolerance)
             key = "op:" + signature
-            cached = self.plan_cache.get(key, self._version())
+            cached = self.plan_cache.get(key, self._run().version)
             if cached is not None:
                 self.counters.add(plan_cache_hits=1)
                 return set(cached)
@@ -510,8 +468,15 @@ class QueryEngine:
         else:
             raise TypeError(f"not an operator: {type(op).__name__}")
         if key is not None:
-            self.plan_cache.put(key, self._version(), frozenset(result))
+            self._plan_put(key, result)
         return result
+
+    def _plan_put(self, key: str, images: Set[int]) -> None:
+        """Cache a subplan result unless a leaf of this execution was
+        partial: nothing derived from a failed shard is kept."""
+        run = self._run()
+        if not run.failed:
+            self.plan_cache.put(key, run.version, frozenset(images))
 
     def _image_satisfies(self, image_id: int, literal: Literal) -> bool:
         """Restricted evaluation of one literal on one image.
@@ -569,14 +534,16 @@ class QueryEngine:
 
     def execute_explained(self, query: QueryNode) -> ExecutionReport:
         """Like :meth:`execute` but returns the planning trace too."""
-        fresh = self._ctx() is None
+        fresh = self._run() is None
         if fresh:
-            self._tls.ctx = {}
+            self._tls.run = _Execution(self.service.shards.version)
         try:
-            return self._execute_plan(to_dnf(query))
+            report = self._execute_plan(to_dnf(query))
+            report.failed_shards = sorted(self._run().failed)
+            return report
         finally:
             if fresh:
-                self._tls.ctx = None
+                self._tls.run = None
 
     def _execute_plan(self, terms: List[ConjunctiveTerm]
                       ) -> ExecutionReport:
@@ -587,7 +554,8 @@ class QueryEngine:
         if use_cache:
             report.signature = "plan:" + plan_signature(
                 terms, threshold=threshold, angle_tolerance=tolerance)
-            cached = self.plan_cache.get(report.signature, self._version())
+            cached = self.plan_cache.get(report.signature,
+                                         self._run().version)
             if cached is not None:
                 self.counters.add(plan_cache_hits=1)
                 report.images = set(cached)
@@ -600,7 +568,7 @@ class QueryEngine:
                 term_report.signature = "term:" + term_signature(
                     term, threshold=threshold, angle_tolerance=tolerance)
                 cached = self.plan_cache.get(term_report.signature,
-                                             self._version())
+                                             self._run().version)
             else:
                 cached = None
             if cached is not None:
@@ -615,14 +583,12 @@ class QueryEngine:
                 else:
                     self._execute_term_unplanned(term, term_report)
                 if use_cache:
-                    self.plan_cache.put(term_report.signature,
-                                        self._version(),
-                                        frozenset(term_report.images))
+                    self._plan_put(term_report.signature,
+                                   term_report.images)
             report.terms.append(term_report)
             report.images |= term_report.images
         if use_cache:
-            self.plan_cache.put(report.signature, self._version(),
-                                frozenset(report.images))
+            self._plan_put(report.signature, report.images)
         return report
 
     def _execute_term_planned(self, term: ConjunctiveTerm,
@@ -671,7 +637,7 @@ class QueryEngine:
             graphs = self.graphs
             member_count = sum(len(graphs[image_id].shapes)
                                for image_id in seed if image_id in graphs)
-            if 4 * member_count >= self._num_shapes():
+            if 4 * member_count >= self.service.shards.num_shapes:
                 leaves: List[Shape] = []
                 for literal in rest:
                     op = literal.operator

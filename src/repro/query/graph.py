@@ -316,9 +316,9 @@ def image_graphs(owner, version: int,
     """Per-owner, per-version memoized image graphs.
 
     ``owner`` is the object whose mutation counter ``version`` tracks
-    (a :class:`~repro.core.shapebase.ShapeBase` or a shard set);
-    ``entries_fn()`` yields ``(shape_id, shape, image_id)`` rows.  Every
-    engine over the same corpus shares one set of graphs, and graphs
+    (the engine's service's shard set); ``entries_fn()`` yields
+    ``(shape_id, shape, image_id)`` rows.  Every engine over the same
+    service shares one set of graphs, and graphs
     are rebuilt exactly once per version — the construction counters in
     :data:`GRAPH_BUILD_STATS` let tests pin this down.
     """

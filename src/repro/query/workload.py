@@ -27,7 +27,7 @@ import json
 import math
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from ..geometry.polyline import Shape
 from ..imaging.synthesis import (distort, notched_box, place_randomly,
                                  random_blob, star_polygon,
                                  zigzag_polyline)
+from ..service.service import RetrievalService, ServiceConfig
 from .algebra import QueryNode, Similar, contain, disjoint, overlap
 from .executor import QueryEngine
 
@@ -152,7 +153,7 @@ def composite_queries(protos: Dict[str, Shape], count: int,
 
 
 #: The three execution modes the benchmark compares.
-PLANNER_MODES: Tuple[Tuple[str, bool, Optional[int]], ...] = (
+PLANNER_MODES: Tuple[Tuple[str, bool, int], ...] = (
     ("unplanned", False, 0),
     ("planned", True, 0),
     ("planned+cache", True, 256),
@@ -160,26 +161,23 @@ PLANNER_MODES: Tuple[Tuple[str, bool, Optional[int]], ...] = (
 
 
 def compare_planner(base: ShapeBase, queries: Sequence[QueryNode],
-                    similarity_threshold: float = ALGEBRA_THRESHOLD,
-                    engine_factory: Optional[Callable[[bool, int],
-                                                      QueryEngine]] = None
+                    similarity_threshold: float = ALGEBRA_THRESHOLD
                     ) -> List[dict]:
     """Run one workload through every planner mode; one row per mode.
 
-    All modes share the memoized relation graphs (warmed before
-    timing); the leaf/subplan caches are per-engine, sized by the
-    mode.  Result sets are checked identical across modes — a planner
-    that wins by being wrong fails here, not in production.
+    Each mode serves ``base`` on its own one-shard service whose
+    ``cache_capacity`` is the mode's, so the leaf and subplan caches
+    are per mode; its relation graphs are warmed before timing.
+    Result sets are checked identical across modes — a planner that
+    wins by being wrong fails here, not in production.
     """
-    if engine_factory is None:
-        def engine_factory(planner: bool, capacity: int) -> QueryEngine:
-            return QueryEngine(
-                base, similarity_threshold=similarity_threshold,
-                planner=planner, cache_capacity=capacity)
     rows: List[dict] = []
     reference_results: Optional[List[frozenset]] = None
     for mode, planner, capacity in PLANNER_MODES:
-        engine = engine_factory(planner, capacity)
+        service = RetrievalService.from_base(base, ServiceConfig(
+            num_shards=1, workers=1, cache_capacity=capacity))
+        engine = QueryEngine(service, similarity_threshold,
+                             planner=planner)
         engine.graphs                    # warm outside the timed region
         engine.counters.reset()
         start = time.perf_counter()

@@ -103,10 +103,6 @@ class QueryResultCache:
             self.invalidations += 1
             self._entries.clear()
 
-    def clear(self) -> None:
-        """Alias for :meth:`invalidate` (dict-like spelling)."""
-        self.invalidate()
-
     @property
     def hit_ratio(self) -> float:
         accesses = self.hits + self.misses

@@ -49,7 +49,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -185,7 +185,8 @@ class ServiceConfig:
     #: ``ingest_backpressure_timeout`` seconds) while the summed
     #: unfolded tail exceeds ``ingest_max_delta`` points or the
     #: admission queue is saturated, so a write burst cannot starve the
-    #: read path of either index quality or admission slots.
+    #: read path of either index quality or admission slots.  Process
+    #: mode keeps only the admission half (the parent has no index).
     streaming: bool = False
     ingest_max_delta: int = 4096
     ingest_backpressure_timeout: float = 1.0
@@ -254,13 +255,20 @@ class SimilarResult:
     cached: bool = False
     failed_shards: List[int] = field(default_factory=list)
 
-    @property
+    @cached_property
     def shape_ids(self) -> frozenset:
         return frozenset(match.shape_id for match in self.matches)
 
     @property
     def partial(self) -> bool:
         return bool(self.failed_shards)
+
+
+def similar_key(sketch: Shape, threshold: float) -> str:
+    """The cache key of one ``shape_similar(sketch)`` leaf (the
+    algebra engine probes with it too)."""
+    return sketch_signature(sketch, kind="similar",
+                            parameter=f"{threshold:.12g}")
 
 
 @dataclass
@@ -367,7 +375,7 @@ class RetrievalService:
         # work counters roll up into snapshot()["algebra"].
         self._engines: "weakref.WeakSet" = weakref.WeakSet()
         self._fold_scheduler: Optional[FoldScheduler] = None
-        if self.config.streaming:
+        if self.config.streaming and self._procpool is None:
             self._fold_scheduler = FoldScheduler(self.shards, self.metrics)
             self._fold_scheduler.start()
         self.metrics.gauge("queue.pending", lambda: self.admission.pending)
@@ -446,8 +454,8 @@ class RetrievalService:
         deadline = self._clock() + self.config.ingest_backpressure_timeout
         waited = False
         while not self._closed:
-            over_delta = self.shards.delta_points > \
-                self.config.ingest_max_delta
+            over_delta = self._fold_scheduler is not None and \
+                self.shards.delta_points > self.config.ingest_max_delta
             max_pending = self.config.max_pending
             saturated = max_pending is not None and \
                 self.admission.pending >= max_pending
@@ -457,7 +465,7 @@ class RetrievalService:
                 waited = True
                 self.metrics.counter(
                     "ingest.backpressure_waits").increment()
-            if over_delta and self._fold_scheduler is not None:
+            if over_delta:
                 self._fold_scheduler.poke()
             if self._clock() >= deadline:
                 return
@@ -491,7 +499,8 @@ class RetrievalService:
 
     @property
     def fold_scheduler(self) -> Optional[FoldScheduler]:
-        """The background folder (``None`` unless ``streaming``)."""
+        """The background folder (``None`` unless ``streaming`` in
+        thread mode)."""
         return self._fold_scheduler
 
     def quiesce_ingest(self) -> int:
@@ -515,26 +524,20 @@ class RetrievalService:
     # ------------------------------------------------------------------
     def query_engine(self, similarity_threshold: Optional[float] = None,
                      angle_tolerance: float = 0.15, *,
-                     planner: bool = True,
-                     cache_capacity: Optional[int] = None):
+                     planner: bool = True):
         """A :class:`~repro.query.executor.QueryEngine` over the shards.
 
         The engine's similarity leaves run through
         :meth:`similar_shapes_batch` — resilient, batched, cached —
         and its work counters appear in ``snapshot()["algebra"]``.
         ``similarity_threshold`` defaults to the config's
-        ``match_threshold``; ``cache_capacity`` to the config's.
+        ``match_threshold``.
         """
         from ..query.executor import QueryEngine
         if similarity_threshold is None:
             similarity_threshold = self.config.match_threshold
-        if cache_capacity is None:
-            cache_capacity = self.config.cache_capacity
-        engine = QueryEngine(service=self,
-                             similarity_threshold=similarity_threshold,
-                             angle_tolerance=angle_tolerance,
-                             planner=planner,
-                             cache_capacity=cache_capacity)
+        engine = QueryEngine(self, similarity_threshold, angle_tolerance,
+                             planner=planner)
         self._engines.add(engine)
         return engine
 
@@ -594,8 +597,9 @@ class RetrievalService:
 
         with self.metrics.timer("latency.algebra_leaf"):
             for position, leader in self._coalesce(
-                    sketches, range(len(sketches)), "similar",
-                    f"{threshold:.12g}", version, budget, serve, compute):
+                    sketches, range(len(sketches)),
+                    partial(similar_key, threshold=threshold), version,
+                    budget, serve, compute):
                 results[position] = replace(results[leader], cached=True)
         return results
 
@@ -869,8 +873,10 @@ class RetrievalService:
                 self._answer(batch, admitted, {})
             else:
                 for position, leader in self._coalesce(
-                        sketches, admitted, kind, k, batch.version, budget,
-                        serve, partial(self._answer, batch)):
+                        sketches, admitted,
+                        partial(sketch_signature, kind=kind, parameter=k),
+                        batch.version, budget, serve,
+                        partial(self._answer, batch)):
                     serve(position, results[leader], True)
         finally:
             for _ in admitted:
@@ -903,16 +909,16 @@ class RetrievalService:
         return admitted
 
     def _coalesce(self, sketches: Sequence[Shape],
-                  positions: Sequence[int], kind: str, parameter: Any,
+                  positions: Sequence[int], key_of: Callable[[Shape], str],
                   version: int, budget: Deadline,
                   serve: Callable[[int, Any, bool], None],
                   compute: Callable[[List[int], Dict[int, str]], None]
                   ) -> List[Tuple[int, int]]:
         """Stage 3: cache probe + single-flight around ``compute``.
 
-        Every position is probed under its sketch's canonical signature
-        (``kind``/``parameter`` keep tiers and query types from
-        aliasing); a hit goes to ``serve(position, answer, waited)``.
+        Every position is probed under ``key_of(sketch)``, a canonical
+        signature whose kind and parameter keep tiers and query types
+        from aliasing; a hit goes to ``serve(position, answer, waited)``.
         Identical misses inside the batch follow the first one: the
         ``(follower, leader)`` pairs are returned for the caller to
         copy, every leader having been answered by then.  Across
@@ -933,8 +939,7 @@ class RetrievalService:
         try:
             for position in positions:
                 stage = time.perf_counter()
-                key = keys[position] = sketch_signature(
-                    sketches[position], kind=kind, parameter=parameter)
+                key = keys[position] = key_of(sketches[position])
                 hit = self.cache.get(key, version) \
                     if self.cache.enabled else None
                 self.metrics.histogram("latency.cache").observe(

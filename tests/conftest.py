@@ -63,6 +63,22 @@ def benchmark_like_base(seed, images=32):
     return base
 
 
+def served_engine(base, similarity_threshold=0.05, angle_tolerance=0.15,
+                  *, planner=True, cache_capacity=256):
+    """A ``QueryEngine`` over ``base`` served by a one-shard, one-worker
+    ``RetrievalService`` (runs inline, needs no ``close()``).
+
+    The service shards a copy of ``base``: mutate the corpus through
+    ``engine.service.ingest`` / ``.remove``, not through ``base``.
+    """
+    from repro.query import QueryEngine
+    from repro.service import RetrievalService, ServiceConfig
+    service = RetrievalService.from_base(base, ServiceConfig(
+        num_shards=1, workers=1, cache_capacity=cache_capacity))
+    return QueryEngine(service, similarity_threshold, angle_tolerance,
+                       planner=planner)
+
+
 @pytest.fixture
 def shape_factory(rng):
     """Callable producing random simple polygons."""

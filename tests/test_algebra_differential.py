@@ -13,8 +13,9 @@ invisible in the answers:
 * ``cached == uncached``, ``sharded == unsharded``;
 * the planner's counters prove it actually reordered terms and did
   less work, rather than winning by accident;
-* the subplan cache invalidates on ingest (``add_shapes`` /
-  ``remove_shape`` / ``service.ingest`` / ``service.remove``).
+* the subplan cache invalidates on ingest (``service.ingest`` /
+  ``service.remove``);
+* a leaf a failed shard left partial is cached nowhere.
 """
 
 import os
@@ -27,7 +28,9 @@ from repro.query import QueryEngine, ReferenceExecutor, Similar, to_dnf
 from repro.query.algebra import Topological, contain, disjoint, overlap, tangent
 from repro.query.workload import (ALGEBRA_THRESHOLD, algebra_base,
                                   algebra_prototypes, composite_queries)
-from repro.service import RetrievalService, ServiceConfig
+from repro.service import (FaultPlan, FaultSpec, RetrievalService,
+                           ServiceConfig)
+from tests.conftest import served_engine
 
 SEEDS = tuple(int(s) for s in os.environ.get(
     "REPRO_ALGEBRA_SEEDS", "11,23,47").split(","))
@@ -70,7 +73,7 @@ def random_tree(rng, protos, depth=0):
 
 
 def make_engines(base):
-    engine = QueryEngine(base, similarity_threshold=ALGEBRA_THRESHOLD)
+    engine = served_engine(base, ALGEBRA_THRESHOLD)
     naive = ReferenceExecutor(base,
                               similarity_threshold=ALGEBRA_THRESHOLD)
     return engine, naive
@@ -173,10 +176,8 @@ def test_law_commutativity(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cached_equals_uncached(seed):
     base, protos = small_base(seed)
-    cold = QueryEngine(base, similarity_threshold=ALGEBRA_THRESHOLD,
-                       cache_capacity=0)
-    warm = QueryEngine(base, similarity_threshold=ALGEBRA_THRESHOLD,
-                       cache_capacity=256)
+    cold = served_engine(base, ALGEBRA_THRESHOLD, cache_capacity=0)
+    warm = served_engine(base, ALGEBRA_THRESHOLD, cache_capacity=256)
     queries = composite_queries(protos, 8,
                                 np.random.default_rng(seed + 9))
     for query in queries + queries:          # second pass hits the cache
@@ -186,6 +187,7 @@ def test_cached_equals_uncached(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_equals_unsharded(seed):
+    """A 3-shard service, a 1-shard service and the referee agree."""
     base, protos = small_base(seed)
     engine, naive = make_engines(base)
     with RetrievalService.from_base(
@@ -213,14 +215,13 @@ def test_counters_prove_reordering():
     # seed from the rarer one.
     query = (Similar(distort(protos["common_a"], 0.008, rng)) &
              Similar(distort(protos["rare"], 0.008, rng)))
-    planned = QueryEngine(base, similarity_threshold=ALGEBRA_THRESHOLD)
+    planned = served_engine(base, ALGEBRA_THRESHOLD)
     report = planned.execute_explained(query)
     assert planned.counters.seeds_reordered == 1
     assert report.terms[0].reordered
 
-    unplanned = QueryEngine(base,
-                            similarity_threshold=ALGEBRA_THRESHOLD,
-                            planner=False, cache_capacity=0)
+    unplanned = served_engine(base, ALGEBRA_THRESHOLD, planner=False,
+                              cache_capacity=0)
     assert set(unplanned.execute(query)) == report.images
     planned_work = (planned.counters.similarity_checks
                     + planned.counters.candidate_evaluations)
@@ -239,7 +240,7 @@ def test_absent_seed_skips_filters():
     query = (Similar(distort(protos["common_a"], 0.008, rng)) &
              Similar(distort(protos["common_b"], 0.008, rng)) &
              Similar(distort(protos["absent"], 0.008, rng)))
-    engine = QueryEngine(base, similarity_threshold=ALGEBRA_THRESHOLD)
+    engine = served_engine(base, ALGEBRA_THRESHOLD)
     assert engine.execute(query) == set()
     # Only the absent literal was materialized; the commons were never
     # touched (no filter probes, one threshold query).
@@ -258,9 +259,7 @@ def test_concurrent_queries_counters_add_up():
     queries = composite_queries(protos, 2, rng)
 
     def run_solo(query):
-        engine = QueryEngine(base,
-                             similarity_threshold=ALGEBRA_THRESHOLD,
-                             cache_capacity=0)
+        engine = served_engine(base, ALGEBRA_THRESHOLD, cache_capacity=0)
         result = set(engine.execute(query))
         return result, engine.counters.as_dict()
 
@@ -269,8 +268,7 @@ def test_concurrent_queries_counters_add_up():
         key: sum(counters[key] for _, counters in solo)
         for key in solo[0][1]}
 
-    shared = QueryEngine(base, similarity_threshold=ALGEBRA_THRESHOLD,
-                         cache_capacity=0)
+    shared = served_engine(base, ALGEBRA_THRESHOLD, cache_capacity=0)
     shared.graphs                                   # build once, warm
     results = {}
     errors = []
@@ -296,35 +294,6 @@ def test_concurrent_queries_counters_add_up():
 # ----------------------------------------------------------------------
 # Ingest invalidation: planned == naive immediately after mutation
 # ----------------------------------------------------------------------
-def test_cache_invalidates_on_add_and_remove():
-    base, protos = small_base(104, num_images=12)
-    engine, naive = make_engines(base)
-    rng = np.random.default_rng(58)
-    from repro.imaging.synthesis import distort, place_randomly
-    query = (Similar(distort(protos["common_a"], 0.008, rng)) |
-             Similar(distort(protos["rare"], 0.008, rng)))
-
-    assert set(engine.execute(query)) == naive.execute(query)
-    before = set(engine.execute(query))
-
-    # Ingest a new image holding a rare instance: the cached plan must
-    # not survive the version bump.
-    new_image = max(base.image_ids()) + 1
-    addition = place_randomly(distort(protos["rare"], 0.008, rng), rng)
-    base.add_shapes([addition], image_ids=[new_image])
-    after_add = naive.execute(query)
-    assert set(engine.execute(query)) == after_add
-    assert new_image in after_add and new_image not in before
-
-    # Remove every shape of an image that matched: same contract.
-    victim = min(before)
-    for shape_id in list(base.shapes_of_image(victim)):
-        base.remove_shape(shape_id)
-    after_remove = naive.execute(query)
-    assert set(engine.execute(query)) == after_remove
-    assert victim not in after_remove
-
-
 def test_service_cache_invalidates_on_ingest_and_remove():
     base, protos = small_base(105, num_images=12)
     rng = np.random.default_rng(59)
@@ -348,3 +317,38 @@ def test_service_cache_invalidates_on_ingest_and_remove():
         assert set(engine.execute(query)) == before
         with pytest.raises(KeyError):
             service.remove(new_ids[0])
+
+
+# ----------------------------------------------------------------------
+# A failed shard is never cached
+# ----------------------------------------------------------------------
+def test_a_partial_leaf_is_cached_nowhere():
+    """Shard 0 fails every threshold call, then heals with no version
+    bump: the leaf, operator, term and plan caches kept nothing from
+    the faulted answers, and the faulted report names shard 0."""
+    base, protos = algebra_base(18, np.random.default_rng(11))
+    query_shape = protos["common_a"]
+    naive = ReferenceExecutor(base, similarity_threshold=ALGEBRA_THRESHOLD)
+    full_ids = naive.shape_similar(query_shape)
+    full_images = naive.execute(Similar(query_shape))
+    plan = FaultPlan([FaultSpec(0, "exception",
+                                ops=("query_threshold_batch",))])
+    service = RetrievalService.from_base(base, ServiceConfig(
+        num_shards=2, workers=1, retry_attempts=1, breaker=None,
+        fault_plan=plan))
+    engine = QueryEngine(service, ALGEBRA_THRESHOLD)
+
+    faulted_ids = engine.shape_similar(query_shape)
+    assert faulted_ids < full_ids
+    faulted = engine.execute_explained(Similar(query_shape))
+    assert faulted.failed_shards == [0]
+    assert faulted.images < full_images
+    assert engine.execute(Similar(query_shape)) == faulted.images
+
+    version = service.shards.version
+    service.config.fault_plan = None
+    assert service.shards.version == version
+    assert engine.shape_similar(query_shape) == full_ids
+    assert engine.execute(Similar(query_shape)) == full_images
+    healed = engine.execute_explained(Similar(query_shape))
+    assert healed.images == full_images and healed.failed_shards == []

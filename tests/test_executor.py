@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Shape, ShapeBase
-from repro.query import QueryEngine, Similar, contain, disjoint, overlap
-from tests.conftest import star_shaped_polygon
+from repro.query import Similar, contain, disjoint, overlap
+from tests.conftest import served_engine, star_shaped_polygon
 
 
 def jitter(shape, rng, scale=0.004):
@@ -14,7 +14,7 @@ def jitter(shape, rng, scale=0.004):
 
 
 @pytest.fixture(scope="module")
-def topo_setup():
+def topo_base():
     """Images with controlled topology built from three prototypes.
 
     Prototype A: a blob; B: a star-ish blob; C: another blob.
@@ -49,8 +49,13 @@ def topo_setup():
         base.add_shape(big, image_id=image_id)
         base.add_shape(small, image_id=image_id)
         kinds[image_id] = kind
-    engine = QueryEngine(base, similarity_threshold=0.04)
-    return engine, a, b, c, kinds
+    return base, a, b, c, kinds
+
+
+@pytest.fixture(scope="module")
+def topo_setup(topo_base):
+    base, a, b, c, kinds = topo_base
+    return served_engine(base, 0.04), a, b, c, kinds
 
 
 def images_of_kind(kinds, *wanted):
@@ -71,7 +76,7 @@ class TestSimilarOperator:
     def test_shape_similar_feeds_selectivity(self, topo_setup):
         engine, a, b, c, kinds = topo_setup
         before = engine.selectivity.num_observations
-        engine._similar_cache.clear()
+        engine.service.cache.invalidate()
         engine.shape_similar(b)
         assert engine.selectivity.num_observations == before + 1
 
@@ -182,7 +187,7 @@ class TestCompositeQueries:
 class TestValidation:
     def test_threshold_validation(self, small_base):
         with pytest.raises(ValueError):
-            QueryEngine(small_base, similarity_threshold=-1.0)
+            served_engine(small_base, similarity_threshold=-1.0)
 
 
 class TestProbeWork:
@@ -195,14 +200,13 @@ class TestProbeWork:
     """
 
     def test_one_engine_call_per_probe_one_signature_per_query(
-            self, topo_setup, monkeypatch):
+            self, topo_base, monkeypatch):
         from repro.geometry.nearest import BoundaryDistance
         from repro.query import ReferenceExecutor
-        from repro.service import cache
-        shared, a, b, c, kinds = topo_setup
-        base = shared.base
-        engine = QueryEngine(base, similarity_threshold=0.04,
-                             cache_capacity=0)    # every probe is direct
+        from repro.service import service as service_module
+        base, a, b, c, kinds = topo_base
+        engine = served_engine(base, 0.04,
+                               cache_capacity=0)  # every probe is direct
         similar = ReferenceExecutor(base, similarity_threshold=0.04) \
             .shape_similar(a)
         expected = {shape_id: shape_id in similar
@@ -211,7 +215,7 @@ class TestProbeWork:
 
         calls = {"distances": 0, "signatures": 0}
         distances = BoundaryDistance.distances
-        signature = cache.sketch_signature
+        signature = service_module.sketch_signature
 
         def counted_distances(self, points):
             calls["distances"] += 1
@@ -222,7 +226,8 @@ class TestProbeWork:
             return signature(*args, **kwargs)
 
         monkeypatch.setattr(BoundaryDistance, "distances", counted_distances)
-        monkeypatch.setattr(cache, "sketch_signature", counted_signature)
+        monkeypatch.setattr(service_module, "sketch_signature",
+                            counted_signature)
         answers = {shape_id: engine.is_similar(shape_id, a)
                    for shape_id in base.shape_ids()}
         assert answers == expected

@@ -263,6 +263,28 @@ class TestErrorsSurface:
         with pytest.raises(RuntimeError, match="failed on shard"):
             facade.retrieve_similar(planted[0], 0.05)
 
+    def test_a_failing_shard_makes_query_raise_until_it_heals(
+            self, corpus, monkeypatch):
+        """``query`` raises on a partial answer, like ``retrieve``, and
+        caches nothing from it: once the shard heals (no mutation in
+        between) it returns the true set."""
+        from repro.query import ReferenceExecutor, Similar
+        workload, planted = corpus
+        facade, _ = both(workload)
+        node = Similar(planted[0])
+        expected = ReferenceExecutor(
+            facade.base, similarity_threshold=facade.similarity_threshold
+        ).execute(node)
+        assert expected
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("matcher broke")
+        monkeypatch.setattr(Shard, "query_threshold_batch", broken)
+        with pytest.raises(RuntimeError, match="failed on shard"):
+            facade.query(node)
+        monkeypatch.undo()
+        assert facade.query(node) == expected
+
 
 class TestSliverPieces:
     def test_raster_whose_contour_decomposes_into_a_sliver(self):

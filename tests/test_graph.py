@@ -186,21 +186,23 @@ class TestBatchConstruction:
                             incremental.relation(s1, s2)
 
     def test_graphs_memoized_per_version(self):
-        """A second engine over the same base builds zero new graphs."""
+        """A second engine over the same service builds zero new graphs."""
         import numpy as np
-        from repro.query import GRAPH_BUILD_STATS, QueryEngine
+        from repro.query import GRAPH_BUILD_STATS
         from repro.query.workload import algebra_base
+        from tests.conftest import served_engine
         base, _ = algebra_base(8, np.random.default_rng(33))
+        service = served_engine(base).service
         GRAPH_BUILD_STATS.reset()
-        first = QueryEngine(base).graphs
+        first = service.query_engine().graphs
         built_once = GRAPH_BUILD_STATS.graphs_built
         assert built_once == len(first) > 0
-        second = QueryEngine(base).graphs
+        second = service.query_engine().graphs
         assert GRAPH_BUILD_STATS.graphs_built == built_once
         assert second is first
         # Mutation bumps the version: graphs rebuild exactly once more.
-        base.add_shapes([Shape.rectangle(0, 0, 1, 1)], image_ids=[999])
-        rebuilt = QueryEngine(base).graphs
+        service.ingest([Shape.rectangle(0, 0, 1, 1)], image_id=999)
+        rebuilt = service.query_engine().graphs
         assert GRAPH_BUILD_STATS.graphs_built > built_once
         assert {(g.image_id, frozenset(g.shapes))
                 for g in first.values()} <= \

@@ -8,9 +8,9 @@ from repro.geosir import GeoSIR
 from repro.hashing import HashCurveFamily
 from repro.imaging import (generate_workload, make_query_set,
                            rasterize_shapes)
-from repro.query import QueryEngine, Similar, contain
+from repro.query import Similar, contain
 from repro.storage import ExternalShapeStore, compute_signatures
-from tests.conftest import star_shaped_polygon
+from tests.conftest import served_engine, star_shaped_polygon
 
 
 class TestRasterToRetrieval:
@@ -111,8 +111,8 @@ class TestMatcherQueryEngineConsistency:
             shape = star_shaped_polygon(rng, int(rng.integers(8, 14)))
             shapes.append(shape)
             base.add_shape(shape, image_id=i % 5)
-        engine = QueryEngine(base, similarity_threshold=0.05)
-        matcher = engine.matcher
+        engine = served_engine(base, 0.05)
+        matcher = GeometricSimilarityMatcher(base)
         query = shapes[3]
         via_engine = engine.shape_similar(query)
         matches, _ = matcher.query_threshold(query, 0.05)
@@ -125,10 +125,10 @@ class TestMatcherQueryEngineConsistency:
             shape = star_shaped_polygon(rng, 10)
             shapes.append(shape)
             base.add_shape(shape, image_id=i)
-        engine = QueryEngine(base, similarity_threshold=0.05)
+        engine = served_engine(base, 0.05)
         query = shapes[7]
         members = engine.shape_similar(query)
-        engine._similar_cache.clear()       # force direct evaluation
+        engine.service.cache.invalidate()   # force direct evaluation
         for shape_id in base.shape_ids():
             assert engine.is_similar(shape_id, query) == \
                 (shape_id in members)

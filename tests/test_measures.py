@@ -20,8 +20,8 @@ from repro.hashing import ApproximateRetriever
 from repro.imaging.synthesis import (distort, generate_workload,
                                      make_query_set, place_randomly,
                                      prototype_pool, random_blob)
-from repro.query import QueryEngine, ReferenceExecutor
-from tests.conftest import benchmark_like_base
+from repro.query import ReferenceExecutor
+from tests.conftest import benchmark_like_base, served_engine
 
 
 class TestHausdorff:
@@ -364,8 +364,7 @@ class TestOneEngineCallPerScoringSite:
 
     def test_is_similar_probe(self, small_corpus, monkeypatch):
         base, sketches = small_corpus
-        engine = QueryEngine(base, similarity_threshold=0.05,
-                             cache_capacity=0)
+        engine = served_engine(base, 0.05, cache_capacity=0)
         calls = EngineCalls(monkeypatch)
         for shape_id in base.shape_ids():
             _, made = calls.during(

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro import Shape, ShapeBase
-from repro.query import QueryEngine, contain, overlap
+from repro.query import contain, overlap
 from repro.query.graph import diameter_angle
+from tests.conftest import served_engine
 
 
 def elongated(angle: float, length: float = 10.0,
@@ -58,8 +59,7 @@ class TestThetaPredicates:
                                  rng.normal(0, 0.01, small.vertices.shape))
             base.add_shape(jitter_big, image_id=image_id)
             base.add_shape(jitter_small, image_id=image_id)
-        engine = QueryEngine(base, similarity_threshold=0.05,
-                             angle_tolerance=0.2)
+        engine = served_engine(base, 0.05, angle_tolerance=0.2)
         engine.big_proto = elongated(0.3, length=30, width=20)
         engine.small_proto = elongated(0.3, length=8, width=2)
         engine.angles = angles

@@ -8,7 +8,7 @@ import pytest
 from repro import Shape
 from repro.query.selectivity import (SelectivityModel, fit_hyperbola,
                                      significant_vertices)
-from tests.conftest import star_shaped_polygon
+from tests.conftest import served_engine, star_shaped_polygon
 
 
 class TestSignificantVertices:
@@ -153,7 +153,7 @@ class TestThresholdAwareEstimates:
     def test_planner_seeds_lowest_estimate_literal(self):
         """The planned term evaluates the lowest-estimate literal in
         full and the rest only as filters (asserted via counters)."""
-        from repro.query import QueryEngine, Similar
+        from repro.query import Similar
         from repro.query.workload import (ALGEBRA_THRESHOLD,
                                           algebra_base)
         from repro.imaging.synthesis import distort
@@ -161,8 +161,7 @@ class TestThresholdAwareEstimates:
         qrng = np.random.default_rng(22)
         common = distort(protos["common_a"], 0.008, qrng)
         rare = distort(protos["rare"], 0.008, qrng)
-        engine = QueryEngine(base,
-                             similarity_threshold=ALGEBRA_THRESHOLD)
+        engine = served_engine(base, ALGEBRA_THRESHOLD)
         # V_S alone must rank the spiky rare shape below the common
         # one — the planner needs no observations to get this right.
         assert engine.selectivity.estimate(rare, ALGEBRA_THRESHOLD) < \

@@ -168,6 +168,37 @@ class TestConcurrentAddQuery:
             [(m.shape_id, m.distance) for m in want]
 
 
+class TestProcessModeStreaming:
+    def test_no_fold_thread_where_no_index_lives(self, rng):
+        """In process mode the parent's shards build no index, so a
+        streaming service starts no fold scheduler; ingest, quiesce and
+        the ingest snapshot still work."""
+        def fold_threads():
+            return sum(thread.name == "fold-scheduler"
+                       for thread in threading.enumerate())
+
+        base = ShapeBase(alpha=0.1)
+        for image_id in range(4):
+            base.add_shape(star_shaped_polygon(rng), image_id=image_id)
+        before = fold_threads()
+        config = ServiceConfig(num_shards=1, workers=1, cache_capacity=0,
+                               streaming=True, execution="process",
+                               processes=1)
+        with RetrievalService.from_base(base, config) as service:
+            assert service.fold_scheduler is None
+            assert fold_threads() == before
+            for batch in range(10):
+                service.ingest([star_shaped_polygon(rng)],
+                               image_id=100 + batch)
+            assert service.quiesce_ingest() == 0
+            snap = service.snapshot()["ingest"]
+            assert snap["streaming"] is True
+            assert (snap["shapes"], snap["folds"],
+                    snap["pending_delta"]) == (10, 0, 0)
+            assert service.retrieve(star_shaped_polygon(rng), k=3).ok
+            assert fold_threads() == before
+
+
 class TestStreamingService:
     def _service(self, rng, **overrides):
         base = ShapeBase(alpha=0.1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Shape, ShapeBase
-from repro.query import (QueryEngine, TANGENT, relation_between, tangent)
+from repro.query import TANGENT, relation_between, tangent
+from tests.conftest import served_engine
 
 
 class TestTangentRelation:
@@ -69,7 +70,7 @@ class TestTangentQueries:
                 kinds[image_id] = "disjoint"
             base.add_shape(first, image_id=image_id)
             base.add_shape(second, image_id=image_id)
-        engine = QueryEngine(base, similarity_threshold=0.04)
+        engine = served_engine(base, 0.04)
         engine.kinds = kinds
         engine.proto_a, engine.proto_b = a, b
         return engine
