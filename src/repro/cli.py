@@ -543,6 +543,8 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
                 counts[klass] += 1
             retries = sum(attempts - 1
                           for _, _, _, _, attempts in outcomes)
+            busy_routes = balancer.metrics.counter(
+                "balancer.busy_routes").value
             phases = {}
             for phase in ("before", "during", "after"):
                 lat = sorted(seconds for _, ph, _, seconds, _ in outcomes
@@ -608,6 +610,7 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
                 "completed": completed,
                 "outcomes": counts,
                 "balancer_retries": retries,
+                "busy_routes": busy_routes,
                 "wall_s": round(wall, 4),
                 "throughput_qps": (round(completed / wall, 2)
                                    if wall else 0.0),
@@ -634,7 +637,8 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
                   f"{counts['degraded']} degraded, "
                   f"{counts['overloaded']} overloaded, "
                   f"{counts['errored']} errored; "
-                  f"{retries} balancer retries; "
+                  f"{retries} balancer retries, "
+                  f"{busy_routes} busy routes; "
                   f"{row['throughput_qps']} qps overall")
             if restart_checks:
                 print(f"failover: evicted={restart_checks['evicted']}, "

@@ -223,14 +223,15 @@ class QueryEngine:
         """The already-materialized similarity set of ``query``, if any.
 
         Probes the per-execution memo, then the service's leaf cache
-        (a hit joins the memo); never issues a threshold query and
-        moves no counters.
+        through :meth:`~repro.service.cache.QueryResultCache.peek` (a
+        hit joins the memo); never issues a threshold query and moves
+        no counters, so the cache's hits and misses count leaf fetches.
         """
         key = self._leaf_key(query)
         run = self._run()
         leaf = run.leaves.get(key) if run is not None else None
         if leaf is None and self.service.cache.enabled:
-            hit = self.service.cache.get(key, self.service.shards.version)
+            hit = self.service.cache.peek(key, self.service.shards.version)
             if hit is not None:
                 leaf = hit.shape_ids
                 if run is not None:

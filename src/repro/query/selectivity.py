@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +74,10 @@ def significant_vertices(shape: Shape, normalize: bool = True) -> float:
     return float(vertex_significance(shape, normalize).sum())
 
 
+#: Shapes whose V_S one :class:`SelectivityModel` remembers.
+_VS_MEMO_SIZE = 1024
+
+
 class SelectivityModel:
     """Online estimator ``selectivity(Q) ~ c / V_S(Q)``.
 
@@ -81,9 +85,14 @@ class SelectivityModel:
     the paper it "is adapted statistically every time a query is
     performed": :meth:`observe` folds the product ``observed * V_S`` into
     a running geometric mean (robust to the heavy-tailed result sizes).
+
+    ``V_S`` is computed once per shape (keyed by its exact vertices; the
+    last ``_VS_MEMO_SIZE`` shapes computed are kept): a planner
+    estimates each literal several times per term.
     """
 
     def __init__(self, initial_c: Optional[float] = None):
+        self._vs: Dict[Tuple[bool, bytes], float] = {}
         self._log_c_sum = 0.0
         self._count = 0
         self._log_t_sum = 0.0
@@ -107,6 +116,19 @@ class SelectivityModel:
     def num_observations(self) -> int:
         return self._count
 
+    def significant_vertices(self, shape: Shape) -> float:
+        """:func:`significant_vertices` of ``shape``, memoized."""
+        key = (shape.closed, shape.vertices.tobytes())
+        with self._lock:
+            vs = self._vs.get(key)
+        if vs is None:
+            vs = significant_vertices(shape)
+            with self._lock:
+                self._vs[key] = vs
+                if len(self._vs) > _VS_MEMO_SIZE:
+                    del self._vs[next(iter(self._vs))]
+        return vs
+
     def observe(self, shape: Shape, observed_result_size: int,
                 threshold: Optional[float] = None) -> None:
         """Fold one executed query's actual result size into the fit.
@@ -116,7 +138,7 @@ class SelectivityModel:
         reference similarity threshold the threshold-scaled
         :meth:`estimate` normalizes against.
         """
-        vs = significant_vertices(shape)
+        vs = self.significant_vertices(shape)
         if vs <= 0:
             return
         implied_c = max(observed_result_size, 0.5) * vs
@@ -145,7 +167,7 @@ class SelectivityModel:
         ``threshold`` by construction; without observed thresholds the
         scaling is a no-op.
         """
-        vs = significant_vertices(shape)
+        vs = self.significant_vertices(shape)
         if vs <= 0:
             return float("inf")
         estimate = self.c / vs

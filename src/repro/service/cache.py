@@ -88,6 +88,16 @@ class QueryResultCache:
             self.misses += 1
             return None
 
+    def peek(self, key: Hashable, version: int) -> Optional[Any]:
+        """The value :meth:`get` would return, without its effects: no
+        hit or miss is counted and the LRU order and stale entries stay
+        as they are (for probes that are not lookups)."""
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is not None and entry[0] == version:
+            return entry[1]
+        return None
+
     def put(self, key: Hashable, version: int, value: Any) -> None:
         if not self.enabled:
             return

@@ -42,12 +42,16 @@ the wire.  This module is that wire, stdlib only:
   the warm-standby path.
 
 * :class:`Balancer` — the front: health-checks replicas at an
-  interval, routes round-robin over the live ones, retries idempotent
+  interval, sends each request to the live replica with the fewest of
+  the balancer's requests in flight (ties round-robin), retries idempotent
   queries (retrieval is a pure read) on a surviving replica with
   capped backoff under a per-request retry budget, and marks dead
   replicas through the *existing*
   :class:`~repro.service.breaker.CircuitBreaker` state machine — the
   same closed→open→half-open ladder that guards shards in-process.
+  A replica is one process whose handler threads share one GIL, so a
+  request routed to a busy replica waits while an idle one could have
+  answered; ``balancer.busy_routes`` counts those routings.
   :class:`BalancerServer` exposes the same endpoint surface over one
   listening port, making the fleet a single-address front door.
 
@@ -72,6 +76,7 @@ import http.client
 import json
 import os
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -292,6 +297,18 @@ class _ThreadingServer(ThreadingHTTPServer):
         with self._connections_lock:
             self._connections.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that resets its connection (or leaves before the
+        reply is written) has closed it, not broken the server: that is
+        counted as ``http.client_resets``, with no traceback.  Anything
+        else escaping a handler counts in ``http.errors`` and prints."""
+        if isinstance(sys.exc_info()[1],
+                      (ConnectionResetError, BrokenPipeError)):
+            self.app.metrics.counter("http.client_resets").increment()
+            return
+        self.app.metrics.counter("http.errors").increment()
+        super().handle_error(request, client_address)
 
     def close_connections(self) -> None:
         """Shut every open connection down in both directions: a
@@ -815,6 +832,15 @@ class BalancedResponse:
 class Balancer:
     """Route queries over a replica fleet; evict the dead, retry safely.
 
+    Each attempt goes to the routable replica slot with the fewest of
+    this balancer's requests in flight (least outstanding), ties in
+    round-robin order, so sequential traffic still alternates and
+    concurrent traffic spreads over idle replicas first.  The slot is
+    reserved when it is picked and released when the attempt ends,
+    however it ends.  :meth:`stats` reports each slot's in-flight and
+    routed counts; the ``balancer.busy_routes`` counter counts the
+    attempts sent to a slot that already had one in flight.
+
     Retrieval is a pure read, so ``POST /query`` is idempotent and a
     failed attempt may be replayed on a sibling without double-effect.
     Each request gets ``retry_budget`` extra attempts with capped
@@ -870,6 +896,9 @@ class Balancer:
                           for _ in self._endpoints]
         self._down: set = set()
         self._rr = 0
+        #: This balancer's requests in flight / routed in all, per slot.
+        self._inflight = [0] * len(self._endpoints)
+        self._routed = [0] * len(self._endpoints)
         #: Idle keep-alive connections per replica address (LIFO).
         self._idle: Dict[Tuple[str, int],
                          List[http.client.HTTPConnection]] = {}
@@ -887,7 +916,9 @@ class Balancer:
         """Point slot ``index`` at a restarted replica's new address.
 
         The slot's breaker is reset: the fresh process has no failure
-        history to answer for.
+        history to answer for.  Its in-flight count is not: a request
+        still out on the old address releases its reservation when it
+        ends, like any other.
         """
         with self._lock:
             self._breakers[index] = CircuitBreaker(
@@ -950,26 +981,41 @@ class Balancer:
         return self.healthy()
 
     # -- routing --------------------------------------------------------
-    def _pick(self, exclude: set) -> Optional[int]:
-        """Next routable slot after round-robin order, or ``None``.
+    def _pick(self, exclude: set
+              ) -> Optional[Tuple[int, Tuple[str, int]]]:
+        """Reserve the least-loaded routable slot: ``(slot, address)``,
+        or ``None`` when no slot admits.
 
-        ``breaker.allow()`` is the admission decision: an open breaker
-        fast-fails the slot, a half-open one admits at most its probe
-        quota — concurrent pickers lose and move on (the same
-        single-probe semantics the shard path relies on).
+        Slots outside ``exclude`` and not down are taken by in-flight
+        count, ties in round-robin order.  ``breaker.allow()`` is the
+        admission decision, asked of one slot at a time in that order
+        until one admits, so only the slot actually tried spends a
+        half-open probe: an open breaker fast-fails its slot, a
+        half-open one admits at most its probe quota and concurrent
+        pickers move on (the same single-probe semantics the shard path
+        relies on).  Choice and reservation happen under one lock, so
+        two concurrent pickers never both take the same idle slot; the
+        attempt's :meth:`_send` releases the slot.
         """
         with self._lock:
+            count = len(self._endpoints)
             start = self._rr
             self._rr += 1
-            count = len(self._endpoints)
-            down = set(self._down)
-        for offset in range(count):
-            index = (start + offset) % count
-            if index in exclude or index in down:
-                continue
-            if self._breakers[index].allow():
-                return index
-        return None
+            ring = [(start + offset) % count for offset in range(count)]
+            for index in sorted(ring, key=self._inflight.__getitem__):
+                if index in exclude or index in self._down:
+                    continue
+                if self._breakers[index].allow():
+                    break
+            else:
+                return None
+            busy = self._inflight[index] > 0
+            self._inflight[index] += 1
+            self._routed[index] += 1
+            endpoint = self._endpoints[index]
+        if busy:
+            self.metrics.counter("balancer.busy_routes").increment()
+        return index, endpoint
 
     def request(self, method: str, path: str,
                 body: Optional[dict] = None,
@@ -1001,19 +1047,6 @@ class Balancer:
                     503, {"status": OVERLOADED,
                           "reason": "deadline exhausted at balancer"},
                     attempts=attempts or 1)
-            index = self._pick(tried)
-            if index is None and tried:
-                # Every untried slot is excluded; widen to any
-                # routable slot rather than failing early.
-                tried = set()
-                index = self._pick(tried)
-            if index is None:
-                self.metrics.counter("balancer.no_replicas").increment()
-                raise NoHealthyReplicas(
-                    f"no routable replica among {len(self._endpoints)}")
-            endpoint = self.endpoints()[index]
-            attempts += 1
-            tried.add(index)
             send_headers = dict(headers or {})
             if deadline.bounded:
                 send_headers[DEADLINE_HEADER] = \
@@ -1023,9 +1056,22 @@ class Balancer:
             timeout = self.request_timeout
             if deadline.bounded:
                 timeout = min(timeout, deadline.remaining() + 1.0)
+            picked = self._pick(tried)
+            if picked is None and tried:
+                # Every untried slot is excluded; widen to any
+                # routable slot rather than failing early.
+                tried = set()
+                picked = self._pick(tried)
+            if picked is None:
+                self.metrics.counter("balancer.no_replicas").increment()
+                raise NoHealthyReplicas(
+                    f"no routable replica among {len(self._endpoints)}")
+            index, endpoint = picked
+            attempts += 1
+            tried.add(index)
             try:
                 code, response_headers, payload = self._send(
-                    endpoint, method, path, encoded, send_headers,
+                    index, endpoint, method, path, encoded, send_headers,
                     timeout)
             except (OSError, http.client.HTTPException) as exc:
                 # OSError covers refusal/reset; HTTPException covers a
@@ -1063,27 +1109,33 @@ class Balancer:
         return last if last is not None else BalancedResponse(
             502, {"status": "error", "error": "retry budget exhausted"})
 
-    def _send(self, endpoint: Tuple[str, int], method: str, path: str,
-              body: Optional[bytes], headers: Dict[str, str],
+    def _send(self, index: int, endpoint: Tuple[str, int], method: str,
+              path: str, body: Optional[bytes], headers: Dict[str, str],
               timeout: float) -> Tuple[int, Dict[str, str], dict]:
         """One exchange with ``endpoint``, on an idle pooled connection
-        when there is one."""
-        with self._lock:
-            stack = self._idle.get(endpoint)
-            conn = stack.pop() if stack else None
-        if conn is not None:
-            conn.sock.settimeout(timeout)     # pooled => still open
-            try:
-                return self._exchange_pooled(endpoint, conn, method, path,
-                                             body, headers)
-            except (ConnectionResetError, BrokenPipeError):
-                # (RemoteDisconnected is a ConnectionResetError.)
-                # Closed by the replica while it sat idle here; the
-                # read is idempotent, so replay it on a fresh one.
-                self.metrics.counter("balancer.stale_replays").increment()
-        conn = http.client.HTTPConnection(*endpoint, timeout=timeout)
-        return self._exchange_pooled(endpoint, conn, method, path, body,
-                                     headers)
+        when there is one; ends slot ``index``'s reservation however the
+        exchange ends (a stale replay stays inside it)."""
+        try:
+            with self._lock:
+                stack = self._idle.get(endpoint)
+                conn = stack.pop() if stack else None
+            if conn is not None:
+                conn.sock.settimeout(timeout)     # pooled => still open
+                try:
+                    return self._exchange_pooled(endpoint, conn, method,
+                                                 path, body, headers)
+                except (ConnectionResetError, BrokenPipeError):
+                    # (RemoteDisconnected is a ConnectionResetError.)
+                    # Closed by the replica while it sat idle here; the
+                    # read is idempotent, so replay it on a fresh one.
+                    self.metrics.counter(
+                        "balancer.stale_replays").increment()
+            conn = http.client.HTTPConnection(*endpoint, timeout=timeout)
+            return self._exchange_pooled(endpoint, conn, method, path,
+                                         body, headers)
+        finally:
+            with self._lock:
+                self._inflight[index] -= 1
 
     def _exchange_pooled(self, endpoint: Tuple[str, int],
                          conn: http.client.HTTPConnection, method: str,
@@ -1135,6 +1187,9 @@ class Balancer:
 
     def stats(self) -> dict:
         snap = self.metrics.as_dict()
+        with self._lock:
+            snap["inflight"] = list(self._inflight)
+            snap["routed"] = list(self._routed)
         snap["endpoints"] = [list(e) for e in self.endpoints()]
         snap["healthy"] = self.healthy()
         snap["breakers"] = {str(i): b.snapshot()

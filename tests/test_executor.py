@@ -87,6 +87,28 @@ class TestSimilarOperator:
         engine.shape_similar(a)
         assert engine.counters.threshold_queries == count
 
+    def test_filter_probes_move_no_service_cache_counter(self, topo_base):
+        """A planned term filters its other literals image by image;
+        those probes read the service cache but must not count as its
+        hits or misses (each counted a miss before): only leaf fetches
+        do, one lookup per fetched sketch."""
+        base, a, b, c, kinds = topo_base
+        engine = served_engine(base, 0.04)
+        service = engine.service
+        fetched = []
+        fetch = service.similar_shapes_batch
+
+        def counted(sketches, *args, **kwargs):
+            fetched.extend(sketches)
+            return fetch(sketches, *args, **kwargs)
+
+        service.similar_shapes_batch = counted
+        result = engine.execute(Similar(a) & Similar(c))
+        assert result == set()
+        assert engine.counters.filter_probes > 0
+        assert len(fetched) == 1                   # the seed leaf only
+        assert service.cache.hits + service.cache.misses == len(fetched)
+
 
 class TestTopologicalOperators:
     @pytest.mark.parametrize("strategy", [1, 2])

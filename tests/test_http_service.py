@@ -13,17 +13,23 @@ body draining on keep-alive connections, degraded answers marked
 single-address front door, connection reuse (the balancer's
 keep-alive pool, Nagle off, the idle timeout, stale-connection replay,
 the ``http.connections`` counter, one sketch normalization per
-request), and the lifecycle satellites (idempotent concurrent close,
-uptime/snapshot-version stats, histogram quantiles).
+request), least-outstanding routing over in-process stub replicas
+(in-flight and routed counts, ``balancer.busy_routes``, down / open /
+half-open slots, reservations released on every outcome), client
+resets counted rather than printed, and the lifecycle satellites
+(idempotent concurrent close, uptime/snapshot-version stats, histogram
+quantiles).
 """
 
 import http.client
 import inspect
 import json
 import socket
+import struct
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,10 +43,11 @@ from repro.service import (Balancer, BalancerServer, BreakerConfig,
                            HttpRetrievalServer, NoHealthyReplicas,
                            ReplicaSet, RetrievalService, ServiceConfig)
 from repro.service.faults import ALL_OPS, FaultPlan, FaultSpec
-from repro.service.http import (DEADLINE_HEADER, _Handler,
+from repro.service.breaker import CLOSED, HALF_OPEN
+from repro.service.http import (DEADLINE_HEADER, _Handler, _HttpServer,
                                 parse_deadline_ms, query_etag,
                                 result_payload)
-from repro.service.metrics import Histogram
+from repro.service.metrics import Histogram, MetricsRegistry
 from repro.storage import save_base
 
 NUM_SHARDS = 3
@@ -534,7 +541,8 @@ class TestConnectionReuse:
     def test_concurrent_clients_open_at_most_one_connection_each(
             self, replica_pair, corpus):
         """More clients than cores, switching threads often: a pooled
-        connection handed to two requests at once would garble both."""
+        connection handed to two requests at once would garble both,
+        and a lost in-flight update would leave a count off zero."""
         _, queries = corpus
         clients = 4
         errors = []
@@ -557,11 +565,14 @@ class TestConnectionReuse:
                 for thread in threads:
                     thread.join(timeout=120.0)
                 assert not any(thread.is_alive() for thread in threads)
-                counters = balancer.metrics.as_dict()["counters"]
+                stats = balancer.stats()
         finally:
             sys.setswitchinterval(interval)
         assert not errors
-        assert counters.get("balancer.conn_failures", 0) == 0
+        assert stats["counters"].get("balancer.conn_failures", 0) == 0
+        # No reservation lost or leaked under thread switches.
+        assert stats["inflight"] == [0, 0]
+        assert sum(stats["routed"]) == clients * 20
         assert connections(*replica_pair) <= clients * len(replica_pair)
 
     def test_connection_closed_while_idle_is_replayed(
@@ -621,6 +632,220 @@ class TestConnectionReuse:
         assert idle.sock is None
         balancer.close()                            # still idempotent
         assert connections(second) == 1
+
+
+# ----------------------------------------------------------------------
+# Least-outstanding routing, over in-process stub replicas
+# ----------------------------------------------------------------------
+class _StubHandler(_Handler):
+    """``POST /query`` answers the stub's next scripted status (200 when
+    none is left), first waiting on the stub's hold if one is set."""
+
+    def _readyz(self) -> None:
+        self.respond(200 if self.app.ready else 503, {})
+
+    def _query(self) -> None:
+        stub = self.app
+        self.body()
+        with stub.lock:
+            stub.received += 1
+            hold, stub.hold = stub.hold, None
+            code = stub.codes.pop(0) if stub.codes else 200
+        if hold is not None:
+            stub.entered.set()
+            hold.wait(10.0)
+        self.respond(code, None if code == 304 else {"status": "ok"})
+
+    routes = {("GET", "/readyz"): _readyz, ("POST", "/query"): _query}
+
+
+class StubReplica(_HttpServer):
+    handler = _StubHandler
+
+    def __init__(self):
+        self.metrics = MetricsRegistry()
+        self.lock = threading.Lock()
+        self.codes = []
+        self.hold = None
+        self.entered = threading.Event()
+        self.ready = True
+        self.received = 0
+        super().__init__("127.0.0.1", 0)
+
+
+@pytest.fixture
+def stubs():
+    replicas = [StubReplica().start() for _ in range(2)]
+    yield replicas
+    for stub in replicas:
+        stub.close()
+
+
+def stub_balancer(endpoints, **kwargs):
+    kwargs.setdefault("health_interval", 30.0)
+    kwargs.setdefault("retry_backoff", 0.0)
+    return Balancer(endpoints, **kwargs)
+
+
+def query(balancer):
+    return balancer.request("POST", "/query", {})
+
+
+@contextmanager
+def held(balancer, stub):
+    """One request routed by ``balancer`` and held open at ``stub``
+    until the block ends; yields the list its response lands in."""
+    release = threading.Event()
+    stub.entered.clear()
+    stub.hold = release
+    responses = []
+    thread = threading.Thread(
+        target=lambda: responses.append(query(balancer)))
+    thread.start()
+    try:
+        assert stub.entered.wait(10.0), "the held request never arrived"
+        yield responses
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+def busy_routes(balancer):
+    return balancer.metrics.counter("balancer.busy_routes").value
+
+
+def closed_port():
+    """An address nothing listens on: a port grabbed, then released."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return ("127.0.0.1", port)
+
+
+class TestLeastOutstandingRouting:
+    def test_requests_avoid_the_replica_holding_one(self, stubs):
+        """Round-robin sent the second of these two to the busy
+        replica, where it waited out the held request."""
+        first, second = stubs
+        with stub_balancer([first.address, second.address]) as balancer:
+            with held(balancer, first) as responses:
+                assert balancer.stats()["inflight"] == [1, 0]
+                for _ in range(2):
+                    response = query(balancer)
+                    assert response.endpoint == second.address
+                    assert response.attempts == 1
+                assert busy_routes(balancer) == 0
+            assert responses[0].endpoint == first.address
+            stats = balancer.stats()
+            assert stats["inflight"] == [0, 0]
+            assert stats["routed"] == [1, 2]
+            # Idle again, sequential traffic alternates.
+            endpoints = [query(balancer).endpoint for _ in range(4)]
+            assert set(endpoints[:2]) == set(endpoints[2:]) == \
+                {first.address, second.address}
+
+    @pytest.mark.parametrize("exclusion", ["down", "open"])
+    def test_an_excluded_slot_is_skipped_though_idlest(self, stubs,
+                                                       exclusion):
+        first, second = stubs
+        breaker = BreakerConfig(window=2, failure_threshold=0.5,
+                                min_volume=1, cooldown=60.0)
+        with stub_balancer([first.address, second.address],
+                           retry_budget=0, breaker=breaker) as balancer:
+            if exclusion == "down":
+                second.ready = False
+                assert balancer.check_health() == [0]
+            else:
+                second.codes = [500]
+                query(balancer)                     # slot 0
+                assert query(balancer).status_code == 500
+                assert balancer.healthy() == [0]
+            with held(balancer, first):
+                response = query(balancer)
+                assert response.endpoint == first.address
+                assert busy_routes(balancer) == 1
+            assert balancer.stats()["inflight"] == [0, 0]
+
+    def test_a_half_open_slot_admits_one_probe(self, stubs):
+        """The idle half-open slot takes the probe; while it is out,
+        later requests go to the busy sibling instead."""
+        first, second = stubs
+        breaker = BreakerConfig(window=2, failure_threshold=0.5,
+                                min_volume=1, cooldown=0.0)
+        with stub_balancer([first.address, second.address],
+                           retry_budget=0, breaker=breaker) as balancer:
+            second.codes = [500]
+            query(balancer)                         # slot 0
+            assert query(balancer).status_code == 500
+            with held(balancer, first):
+                with held(balancer, second) as probe:
+                    assert balancer.stats()["breakers"]["1"]["state"] \
+                        == HALF_OPEN
+                    assert second.received == 2
+                    for _ in range(2):
+                        assert query(balancer).endpoint == first.address
+                    assert second.received == 2
+                    assert balancer.stats()["inflight"] == [1, 1]
+            assert probe[0].status_code == 200
+            assert balancer.stats()["breakers"]["1"]["state"] == CLOSED
+            assert balancer.stats()["inflight"] == [0, 0]
+
+    @pytest.mark.parametrize("outcome", ["refused", "503", "500", "304",
+                                         "stale"])
+    def test_in_flight_returns_to_zero(self, stubs, outcome):
+        first, second = stubs
+        endpoints = [first.address, second.address]
+        if outcome == "refused":
+            endpoints[0] = closed_port()
+        elif outcome == "304":
+            first.codes = [304]
+        elif outcome != "stale":
+            first.codes = [int(outcome)]
+        with stub_balancer(endpoints) as balancer:
+            if outcome == "stale":
+                query(balancer)                     # pools a connection
+                query(balancer)                     # ... to each stub
+                first._httpd.close_connections()
+            response = query(balancer)
+            assert response.endpoint == endpoints[0 if outcome in (
+                "304", "stale") else 1]
+            stats = balancer.stats()
+            assert stats["inflight"] == [0, 0]
+            if outcome == "stale":
+                assert stats["counters"]["balancer.stale_replays"] == 1
+
+    def test_replace_endpoint_mid_request_leaks_no_count(self, stubs):
+        first, second = stubs
+        with stub_balancer([first.address]) as balancer:
+            with held(balancer, first) as responses:
+                balancer.replace_endpoint(0, second.address)
+                # Still out on the old address, still counted.
+                assert balancer.stats()["inflight"] == [1]
+            assert responses[0].endpoint == first.address
+            assert balancer.stats()["inflight"] == [0]
+            assert query(balancer).endpoint == second.address
+            assert balancer.stats()["inflight"] == [0]
+            assert balancer.stats()["routed"] == [2]
+
+
+def test_a_client_reset_is_counted_not_printed(stubs, capfd):
+    """A kept-alive client that resets its connection is a normal close
+    (``http.client_resets``), not a server error with a traceback."""
+    stub = stubs[0]
+    conn = http.client.HTTPConnection(*stub.address, timeout=10.0)
+    conn.request("GET", "/readyz")
+    assert conn.getresponse().read() == b"{}"
+    # Linger 0: close() sends a reset instead of a FIN.
+    conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                         struct.pack("ii", 1, 0))
+    conn.close()
+    assert wait_until(lambda: stub.metrics.counter(
+        "http.client_resets").value == 1)
+    counters = stub.metrics.as_dict()["counters"]
+    assert counters.get("http.errors", 0) == 0
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_each_sketch_is_normalized_once_per_request(corpus, monkeypatch):
@@ -750,8 +975,8 @@ class TestReplicaFleet:
         _, queries = corpus
         first = balancer.query(queries[3], k=2)
         assert first.status_code == 200 and first.etag
-        # Round-robin sends consecutive requests to different
-        # replicas; the tag must validate on both.
+        # Sequential requests find both replicas idle, and ties go
+        # round-robin, so they alternate; the tag must validate on both.
         seen = set()
         for _ in range(4):
             again = balancer.query(queries[3], k=2, etag=first.etag)
@@ -791,12 +1016,7 @@ class TestReplicaFleet:
             assert headers["retry-after"] == "1"
 
     def test_balancer_raises_when_no_replica_routable(self):
-        # A port nothing listens on: grab one, then release it.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        balancer = Balancer([("127.0.0.1", port)],
+        balancer = Balancer([closed_port()],
                             health_interval=30.0, retry_budget=1,
                             retry_backoff=0.01)
         try:

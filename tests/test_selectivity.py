@@ -150,6 +150,42 @@ class TestThresholdAwareEstimates:
         assert model.num_observations == 800
         assert model.reference_threshold() == pytest.approx(0.05)
 
+    def test_vs_is_computed_once_per_literal_shape_per_plan(
+            self, monkeypatch):
+        """The planner estimates each literal several times per term;
+        V_S is computed once per distinct shape, and the memoized
+        estimates equal the directly computed ones."""
+        from repro.imaging.synthesis import distort
+        from repro.query import Similar, selectivity
+        from repro.query.workload import (ALGEBRA_THRESHOLD,
+                                          algebra_base)
+        base, protos = algebra_base(18, np.random.default_rng(21))
+        qrng = np.random.default_rng(22)
+        common, rare, other = (distort(protos[name], 0.008, qrng)
+                               for name in ("common_a", "rare", "common_b"))
+        engine = served_engine(base, ALGEBRA_THRESHOLD)
+        computed = []
+        significance = selectivity.vertex_significance
+
+        def counted(shape, normalize=True):
+            computed.append(shape)
+            return significance(shape, normalize)
+
+        monkeypatch.setattr(selectivity, "vertex_significance", counted)
+        engine.execute((Similar(common) & Similar(rare)) |
+                       (Similar(rare) & ~Similar(other)) |
+                       (Similar(common) & Similar(other)))
+        assert len(computed) == 3
+        assert {id(shape) for shape in computed} == \
+            {id(common), id(rare), id(other)}
+        model = engine.selectivity
+        for shape in (common, rare, other):
+            reference = model.reference_threshold()
+            expected = model.c / selectivity.significant_vertices(shape) * \
+                (ALGEBRA_THRESHOLD / reference)
+            assert model.estimate(shape, ALGEBRA_THRESHOLD) == expected
+        assert len(computed) == 6                  # three direct calls
+
     def test_planner_seeds_lowest_estimate_literal(self):
         """The planned term evaluates the lowest-estimate literal in
         full and the rest only as filters (asserted via counters)."""

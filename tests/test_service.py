@@ -281,6 +281,18 @@ class TestQueryCache:
         cache.put("a", 0, 1)
         assert cache.get("a", 1) is None
 
+    def test_peek_moves_no_counter_and_no_lru_position(self):
+        cache = QueryResultCache(capacity=2)
+        cache.put("a", 0, 1)
+        cache.put("b", 0, 2)
+        assert cache.peek("a", 0) == 1
+        assert cache.peek("a", 1) is None          # stale: not served
+        assert cache.peek("z", 0) is None
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.put("c", 0, 3)                       # "a" is still oldest
+        assert cache.peek("a", 0) is None
+        assert cache.peek("b", 0) == 2
+
     def test_zero_capacity_disables(self):
         cache = QueryResultCache(capacity=0)
         cache.put("a", 0, 1)
