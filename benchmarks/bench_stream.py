@@ -10,8 +10,9 @@ that serves production traffic:
   through the copy-on-write write path must stay within
   ``INTERFERENCE_CAP`` (2x) of the idle p99 measured on the *same
   (final) corpus* after quiesce — corpus growth is not interference.
-  Writers append behind published epochs and folds run on a background
-  scheduler, so readers never queue on a write lock;
+  Writers append behind published epochs and a shard base folds its
+  own tail on the append that crosses the threshold, so readers never
+  queue on a write lock;
 * **delta publication** — the bytes shipped to process workers per
   pure-append version bump must be at least ``DELTA_ADVANTAGE`` (10x)
   smaller than a full snapshot republish.  Deltas carry only the new
@@ -62,11 +63,10 @@ DELTA_ADVANTAGE = 10.0
 #: which on the 1-core CI host measures CPU starvation, not write-path
 #: interference (the thing this benchmark gates on).
 INGEST_PAUSE = 0.05
-#: Process-tier compaction cadence: a full republish resets worker
-#: brute tails after this many delta rounds.  In process mode the
-#: parent never queries, so its fold scheduler stays idle and the
-#: compaction republish is what bounds worker tail growth — the
-#: service default (16) is tuned for bigger corpora than this sweep.
+#: Process-tier compaction cadence: a full republish replaces the
+#: delta rounds after this many of them.  Worker brute tails do not
+#: depend on it (each worker folds its tails past ``_TAIL_MIN`` on
+#: every delta round).
 COMPACT_EVERY = 4
 
 

@@ -9,9 +9,10 @@ The PR 10 write path, end to end, in two acts:
 2. **Streaming service tier** — the same frames pushed through a
    ``RetrievalService`` in streaming mode: ingest batches hit the
    copy-on-write delta path while a closed-loop reader keeps
-   querying; folds run on the background scheduler and the final
-   metrics snapshot shows the write side (batch sizes, fold times,
-   backpressure waits) next to the read side.
+   querying; the append that carries a shard's index tail past the
+   threshold folds it, and the final metrics snapshot shows the write
+   side (batch sizes, backpressure waits, unfolded tail) next to the
+   read side.
 
 Run:  python examples/live_stream_demo.py
 """
@@ -87,15 +88,12 @@ def act_two(rng, panel, clips) -> None:
         ingest = snap["ingest"]
         print(f"\nstreamed {ingest['shapes']} shapes while the reader "
               f"answered {answered['n']} queries")
-        print(f"write side: {ingest['folds']} background folds "
-              f"(+{folds} at quiesce), "
+        print(f"write side: {folds} folds at quiesce, "
               f"{ingest['backpressure_waits']} backpressure waits, "
               f"{ingest['pending_delta']} delta entries still unfolded")
         if ingest.get("batch_size"):
             print(f"batch size p50: {ingest['batch_size']['p50']:.0f} "
                   f"shapes")
-        if ingest.get("fold_ms"):
-            print(f"fold time p50: {ingest['fold_ms']['p50']:.1f} ms")
         result = service.retrieve(sketch, k=3)
         print(f"final answer over the full corpus: "
               f"{[(m.shape_id, round(m.distance, 4)) for m in result.matches]}")

@@ -369,17 +369,6 @@ def _bench_exit(escaped: list, failures: list) -> int:
     return 1 if (escaped or failures) else 0
 
 
-def _pctl(sorted_values: list, q: float) -> float:
-    """Interpolated percentile of an already-sorted list."""
-    if not sorted_values:
-        return 0.0
-    position = (len(sorted_values) - 1) * (q / 100.0)
-    lo = int(position)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = position - lo
-    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
-
-
 def _kill_worker_over_http(endpoint, index: int = 0):
     """Ask a replica's admin surface to SIGKILL one of its workers."""
     from .service.http import json_request
@@ -411,6 +400,7 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
 
     from .service import ServiceConfig
     from .service.http import Balancer, NoHealthyReplicas, ReplicaSet
+    from .service.streambench import pctl
 
     if args.replicas < 2 and args.chaos is not None:
         print("error: --http --chaos needs --replicas >= 2 (someone "
@@ -552,8 +542,8 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
                 if lat:
                     phases[phase] = {
                         "queries": len(lat),
-                        "p50_ms": round(_pctl(lat, 50.0) * 1e3, 2),
-                        "p99_ms": round(_pctl(lat, 99.0) * 1e3, 2)}
+                        "p50_ms": round(pctl(lat, 50.0) * 1e3, 2),
+                        "p99_ms": round(pctl(lat, 99.0) * 1e3, 2)}
             all_lat = sorted(seconds
                              for _, _, _, seconds, _ in outcomes)
 
@@ -614,8 +604,8 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
                 "wall_s": round(wall, 4),
                 "throughput_qps": (round(completed / wall, 2)
                                    if wall else 0.0),
-                "latency_p50_ms": round(_pctl(all_lat, 50.0) * 1e3, 2),
-                "latency_p99_ms": round(_pctl(all_lat, 99.0) * 1e3, 2),
+                "latency_p50_ms": round(pctl(all_lat, 50.0) * 1e3, 2),
+                "latency_p99_ms": round(pctl(all_lat, 99.0) * 1e3, 2),
                 "phases": phases,
             }
             if kill_at is not None:
@@ -698,7 +688,6 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
         checkpoints=checkpoints, max_pending=args.max_pending,
         ann=_ann_config(args) if args.ann else None,
         ann_mode=args.ann_mode,
-        ingest_max_delta=args.stream_max_delta,
         ingest_pause=args.stream_pause,
         publish_compact_every=args.stream_compact_every,
         chaos=args.chaos, seed=args.seed)
@@ -1273,9 +1262,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stream", action="store_true",
                        help="streaming-ingest scenario: an ingest "
                             "thread pushes shape batches through the "
-                            "copy-on-write write path (backpressure, "
-                            "background folds, delta publication) "
-                            "while closed-loop clients keep querying; "
+                            "copy-on-write write path (admission "
+                            "backpressure, folds at the append, delta "
+                            "publication) while closed-loop clients "
+                            "keep querying; "
                             "quiesced checkpoints assert the live base "
                             "answers bit-for-bit like a rebuilt static "
                             "one (rows appended to BENCH_stream.json "
@@ -1288,10 +1278,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stream-checkpoints", type=int, default=3,
                        help="consistency checkpoints spread over the "
                             "stream (default 3)")
-    serve.add_argument("--stream-max-delta", type=int, default=4096,
-                       help="per-service un-folded delta budget before "
-                            "ingest backpressure engages (default "
-                            "4096)")
     serve.add_argument("--stream-pause", type=float, default=0.0,
                        help="seconds between ingest batches — the "
                             "modelled stream arrival cadence (default "
@@ -1299,8 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stream-compact-every", type=int, default=None,
                        help="process-tier compaction cadence: full "
                             "republish after this many delta rounds "
-                            "(default: the service default; lower "
-                            "bounds worker brute-tail growth)")
+                            "(default: the service default)")
     serve.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="inject a seeded fault plan (one haunted "
                             "shard: exceptions, latency, corrupted "

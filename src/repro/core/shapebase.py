@@ -235,9 +235,8 @@ class ShapeBase:
         self.alpha = float(alpha)
         self.backend = backend
         #: When True (the default) ingest folds the incremental index
-        #: tail inline once it passes the threshold.  A streaming
-        #: service sets this False and folds from a background
-        #: scheduler instead, keeping rebuilds off the write path.
+        #: tail inline once it passes the threshold; False lets the
+        #: tail grow until a caller folds it.
         self.auto_fold = True
         self.entries: List[ShapeEntry] = []
         self.shapes: Dict[int, Shape] = {}

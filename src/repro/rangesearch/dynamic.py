@@ -63,8 +63,7 @@ class IncrementalIndex(TriangleRangeIndex):
         ``make_index`` build.  Always returns a new object.
 
         With ``fold=False`` the tail grows without bound and the fold
-        decision moves to the caller (a background scheduler calling
-        :meth:`fold` off the write path).
+        decision moves to the caller (:meth:`fold`).
         """
         added = as_points(new_points)
         if isinstance(index, IncrementalIndex):
@@ -95,8 +94,8 @@ class IncrementalIndex(TriangleRangeIndex):
     def fold(self, backend: str = "kdtree", **kwargs) -> TriangleRangeIndex:
         """A fresh static build over all points (core + tail).
 
-        Pure: ``self`` is untouched, so a scheduler can fold off the hot
-        path and atomically swap the result in afterwards.
+        Pure: ``self`` is untouched, so a caller can build the fold
+        without a lock and swap the result in atomically afterwards.
         """
         return make_index(self.points, backend, **kwargs)
 

@@ -325,7 +325,7 @@ def _apply_deltas(shards: Dict[int, Shard], worker_index: int,
         # to *serve*.  Fold past the flat floor — one small rebuild
         # per apply round (between requests, single-threaded) bounds
         # every query's tail cost at ~_TAIL_MIN points instead of
-        # letting it grow toward the 0.25*core scheduler threshold.
+        # letting it grow toward the 0.25*core fold threshold.
         if shard.delta_points > _TAIL_MIN:
             shard.fold()
         applied[shard_index] = shard.base.num_entries

@@ -62,7 +62,6 @@ from .cache import QueryResultCache, sketch_signature
 from .deadline import Deadline, backoff_delay
 from .faults import (CorruptShardAnswer, FaultPlan, FaultyShard,
                      ShardTimeoutError)
-from .ingest import FoldScheduler
 from .metrics import MetricsRegistry
 from .pool import AdmissionQueue, WorkerPool
 from .procpool import ProcessShardView, ProcessWorkerPool
@@ -178,17 +177,13 @@ class ServiceConfig:
     #: temporary directory, removed when the service closes.
     snapshot_dir: Optional[str] = None
     #: -- streaming write path ---------------------------------------------
-    #: ``streaming=True`` moves index folds off the ingest path onto a
-    #: background :class:`~repro.service.ingest.FoldScheduler` (queries
-    #: answer from the brute tails in the interim) and arms ingest
-    #: backpressure: a batch waits (bounded by
-    #: ``ingest_backpressure_timeout`` seconds) while the summed
-    #: unfolded tail exceeds ``ingest_max_delta`` points or the
-    #: admission queue is saturated, so a write burst cannot starve the
-    #: read path of either index quality or admission slots.  Process
-    #: mode keeps only the admission half (the parent has no index).
+    #: ``streaming=True`` arms ingest backpressure: a batch waits
+    #: (bounded by ``ingest_backpressure_timeout`` seconds) while the
+    #: admission queue is saturated, so a write burst cannot starve
+    #: readers of admission slots.  It means the same in both execution
+    #: modes; folds do not depend on it (each shard base folds its own
+    #: index tail when an append crosses the threshold).
     streaming: bool = False
-    ingest_max_delta: int = 4096
     ingest_backpressure_timeout: float = 1.0
     #: Process-mode publication cadence: pure-append version bumps ship
     #: as row deltas over the worker pipes; every N-th consecutive
@@ -340,8 +335,6 @@ class RetrievalService:
             raise ValueError("match_threshold must be non-negative")
         if self.config.publish_compact_every < 1:
             raise ValueError("publish_compact_every must be at least 1")
-        if self.config.ingest_max_delta < 0:
-            raise ValueError("ingest_max_delta must be non-negative")
         self.shards = shards
         self.metrics = metrics or MetricsRegistry()
         self.cache = QueryResultCache(self.config.cache_capacity)
@@ -374,10 +367,6 @@ class RetrievalService:
         # Algebra engines mounted on this service (weakly held): their
         # work counters roll up into snapshot()["algebra"].
         self._engines: "weakref.WeakSet" = weakref.WeakSet()
-        self._fold_scheduler: Optional[FoldScheduler] = None
-        if self.config.streaming and self._procpool is None:
-            self._fold_scheduler = FoldScheduler(self.shards, self.metrics)
-            self._fold_scheduler.start()
         self.metrics.gauge("queue.pending", lambda: self.admission.pending)
         self.metrics.gauge("cache.size", lambda: len(self.cache))
         self.metrics.gauge("ingest.pending_delta",
@@ -429,44 +418,35 @@ class RetrievalService:
                image_id: Optional[int] = None) -> List[int]:
         """Add shapes (routed to their shards); invalidates the cache.
 
-        With ``streaming`` on, the batch first clears backpressure
-        (:meth:`_ingest_backpressure`): it waits while the unfolded
-        delta exceeds the configured budget or the admission queue is
-        saturated — the coupling that keeps a write burst from
-        outrunning the background folds or starving readers of
-        admission slots.  The wait is bounded; after
+        A shard base whose index tail this append carries past the fold
+        threshold folds it inline, so that batch pays the rebuild.
+        With ``streaming`` on, the batch first waits while the
+        admission queue is saturated, so a write burst cannot starve
+        readers of admission slots.  The wait is bounded; after
         ``ingest_backpressure_timeout`` seconds the batch proceeds
-        anyway (ingest degrades to slower, never to stuck).
+        anyway (ingest degrades to slower, never to stuck).  A closed
+        service raises ``RuntimeError`` and stores nothing.
         """
+        self._check_open()
         self._ingest_backpressure()
         ids = self.shards.add_shapes(shapes, image_id=image_id)
         self.cache.invalidate()
         self.metrics.counter("ingest.shapes").increment(len(ids))
         self.metrics.histogram("ingest.batch_size").observe(len(shapes))
-        if self._fold_scheduler is not None:
-            self._fold_scheduler.poke()
         return ids
 
     def _ingest_backpressure(self) -> None:
-        """Bounded wait until the service can absorb another batch."""
-        if not self.config.streaming:
+        """Bounded wait while the admission queue is saturated."""
+        max_pending = self.config.max_pending
+        if not self.config.streaming or max_pending is None:
             return
         deadline = self._clock() + self.config.ingest_backpressure_timeout
         waited = False
-        while not self._closed:
-            over_delta = self._fold_scheduler is not None and \
-                self.shards.delta_points > self.config.ingest_max_delta
-            max_pending = self.config.max_pending
-            saturated = max_pending is not None and \
-                self.admission.pending >= max_pending
-            if not over_delta and not saturated:
-                return
+        while not self._closed and self.admission.pending >= max_pending:
             if not waited:
                 waited = True
                 self.metrics.counter(
                     "ingest.backpressure_waits").increment()
-            if over_delta:
-                self._fold_scheduler.poke()
             if self._clock() >= deadline:
                 return
             time.sleep(0.002)
@@ -474,8 +454,10 @@ class RetrievalService:
     def remove(self, *shape_ids: int) -> None:
         """Remove shapes as one batch; invalidates the cache once.
 
-        An unknown id raises ``KeyError`` and nothing is removed.
+        An unknown id raises ``KeyError`` and nothing is removed; so
+        does a closed service, with ``RuntimeError``.
         """
+        self._check_open()
         self.shards.remove_shapes(shape_ids)
         self.cache.invalidate()
         self.metrics.counter("ingest.removed").increment(len(shape_ids))
@@ -497,22 +479,13 @@ class RetrievalService:
                            list(self.shards))
         self._procpool.sync(self.shards)
 
-    @property
-    def fold_scheduler(self) -> Optional[FoldScheduler]:
-        """The background folder (``None`` unless ``streaming`` in
-        thread mode)."""
-        return self._fold_scheduler
-
     def quiesce_ingest(self) -> int:
         """Fold every overgrown tail now (checkpoint / shutdown aid).
 
-        Returns the number of folds performed.  With the scheduler off
-        this folds inline; with it on, this simply drives the same
-        budgeted fold loop to completion from the caller's thread —
-        safe because :meth:`Shard.fold` is idempotent and swap-guarded.
+        Returns the number of folds performed.  Appends fold their own
+        tails, so this finds work only where a removal shrank a core
+        under its tail.
         """
-        if self._fold_scheduler is not None:
-            return self._fold_scheduler.drain()
         folded = 0
         for shard in self.shards:
             if shard.needs_fold() and shard.fold():
@@ -558,9 +531,7 @@ class RetrievalService:
         a failed shard drops out of the union (``failed_shards`` notes
         it) and the partial answer is *not* cached.
         """
-        if self._closed:
-            raise RuntimeError(
-                "RetrievalService is closed; create a new service")
+        self._check_open()
         if threshold is None:
             threshold = self.config.match_threshold
         self._ensure_processes()
@@ -892,9 +863,7 @@ class RetrievalService:
         trip the breakers of perfectly healthy shards.  Returns the
         admitted positions; shed ones get their ``overloaded`` result.
         """
-        if self._closed:
-            raise RuntimeError(
-                "RetrievalService is closed; create a new service")
+        self._check_open()
         if not isinstance(k, numbers.Integral) or k < 1:
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
         self._ensure_processes()
@@ -1223,10 +1192,11 @@ class RetrievalService:
             snap["breakers"] = {str(index): breaker.snapshot()
                                 for index, breaker
                                 in sorted(self._breakers.items())}
-        # Streaming write-path accounting: batch sizes, fold costs,
-        # backpressure events and the live unfolded-tail size — the
-        # numbers `serve-bench --stream` and the HTTP `/stats` endpoint
-        # watch to see ingest/query interference.
+        # Streaming write-path accounting: batch sizes, backpressure
+        # events and the live unfolded-tail size — the numbers
+        # `serve-bench --stream` and the HTTP `/stats` endpoint watch
+        # to see ingest/query interference.  Appends fold inline and
+        # unrecorded, so `folds` / `fold_ms` read 0 / None.
         snap["ingest"] = {
             "streaming": self.config.streaming,
             "shapes": counters.get("ingest.shapes", 0),
@@ -1271,6 +1241,12 @@ class RetrievalService:
             return all(shard.warmed_hash for shard in self.shards)
         return all(shard.warmed for shard in self.shards)
 
+    def _check_open(self) -> None:
+        """Refuse any read or write on a closed service."""
+        if self._closed:
+            raise RuntimeError(
+                "RetrievalService is closed; create a new service")
+
     def close(self) -> None:
         """Shut the worker pool down; idempotent under concurrent
         callers (first caller shuts down, the rest return at once)."""
@@ -1278,8 +1254,6 @@ class RetrievalService:
             if self._closed:
                 return
             self._closed = True
-        if self._fold_scheduler is not None:
-            self._fold_scheduler.stop()
         self.pool.shutdown()
 
     def __enter__(self) -> "RetrievalService":

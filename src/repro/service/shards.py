@@ -200,7 +200,7 @@ class Shard:
             self._ann = None
             self.epoch += 1
 
-    # -- folds (amortized off the write path) ---------------------------
+    # -- folds ----------------------------------------------------------
     @property
     def delta_points(self) -> int:
         """Unfolded points in the incremental index tail."""
@@ -217,8 +217,7 @@ class Shard:
         The expensive rebuild runs *without* the write lock (ingest and
         queries proceed meanwhile); the swap is a guarded atomic
         reference assignment.  Returns False — fold skipped — when a
-        concurrent mutation landed first; the scheduler just retries
-        next cycle.  Query answers are identical before and after
+        concurrent mutation landed first.  Query answers are identical before and after
         (``IncrementalIndex`` reports exactly what a fresh build over
         the same points reports).
         """
@@ -419,22 +418,12 @@ class ShardSet:
 
     @property
     def delta_points(self) -> int:
-        """Unfolded index-tail points summed over all shards — the
-        backpressure signal the streaming ingest path watches."""
+        """Unfolded index-tail points summed over all shards
+        (``snapshot()["ingest"]["pending_delta"]``)."""
         return sum(shard.delta_points for shard in self.shards)
 
     def shard_of(self, shape_id: int) -> Shard:
         return self.shards[shard_for(shape_id, self.num_shards)]
-
-    def set_auto_fold(self, enabled: bool) -> None:
-        """Toggle inline fold-at-threshold on every shard base.
-
-        A service running a background fold scheduler turns this off so
-        ingest never pays a rebuild inline; standalone shard sets keep
-        the default inline behaviour.
-        """
-        for shard in self.shards:
-            shard.base.auto_fold = bool(enabled)
 
     def warm(self, pool=None) -> None:
         """Build every shard's structures; in parallel when given a

@@ -7,12 +7,13 @@ three interleaved phases:
   distribution;
 * **stream segments** — an ingest thread pushes shape batches through
   the copy-on-write write path (:meth:`RetrievalService.ingest`:
-  backpressure, background folds, delta publication to process
-  workers) while the same closed-loop clients keep querying.  Only
+  admission backpressure, folds at the append, delta publication to
+  process workers) while the same closed-loop clients keep querying.  Only
   latencies measured *inside* a segment count toward the interference
   numbers;
-* **checkpoints** — between segments both sides pause: folds drain
-  (:meth:`RetrievalService.quiesce_ingest`), dead process workers are
+* **checkpoints** — between segments both sides pause: overgrown
+  tails fold (:meth:`RetrievalService.quiesce_ingest`), dead process
+  workers are
   revived and resynced, and every query sketch is answered by the
   live (core + delta) service *and* by a service rebuilt from scratch
   over the same corpus.  The two answer sets must match bit-for-bit —
@@ -59,8 +60,8 @@ STREAM_TRAJECTORY_HEADER = {
         "repro.service.streambench.run_stream_scenario: closed-loop "
         "clients measure an idle baseline, then keep querying while "
         "an ingest thread streams shape batches through the "
-        "copy-on-write write path (background folds, backpressure, "
-        "delta publication to process workers).  Checkpoints quiesce "
+        "copy-on-write write path (folds at the append, admission "
+        "backpressure, delta publication to process workers).  Checkpoints quiesce "
         "both sides and assert the live answers bit-for-bit equal to "
         "a service rebuilt from scratch over the same corpus, in "
         "thread and process modes.  p99_interference divides the "
@@ -129,8 +130,7 @@ def run_stream_scenario(
         shards: int, modes: Sequence[Tuple[str, int]],
         batches: int, batch_size: int, checkpoints: int,
         max_pending: Optional[int] = None, ann=None,
-        ann_mode: str = "always", ingest_max_delta: int = 4096,
-        ingest_pause: float = 0.0,
+        ann_mode: str = "always", ingest_pause: float = 0.0,
         publish_compact_every: Optional[int] = None,
         chaos: Optional[int] = None, seed: int = 0,
         ) -> Tuple[List[dict], List[str], List[str]]:
@@ -143,11 +143,10 @@ def run_stream_scenario(
     core, which on small hosts measures CPU starvation rather than
     write-path interference.  ``publish_compact_every`` overrides the
     process tier's compaction cadence (``None`` keeps the service
-    default): parent-side queries never run in process mode, so the
-    parent's fold scheduler stays idle and worker brute tails grow
-    with every delta round until a compaction republish resets them —
-    at bench scale the default cadence is too lax to bound the tail
-    cost.  The run *observed* a failure when
+    default); each worker folds its own brute tails once a delta round
+    carries them past ``_TAIL_MIN`` points, so the cadence sets how
+    often a full republish replaces the delta rounds, not how large a
+    tail grows.  The run *observed* a failure when
     ``failures`` is non-empty (checkpoint divergence, chaos kill that
     never landed) and *crashed* when ``escaped`` is non-empty (an
     exception leaked out of the service).
@@ -186,8 +185,7 @@ def run_stream_scenario(
             max_pending=max_pending,
             ann=ann, ann_mode=ann_mode,
             execution=execution, processes=workers,
-            streaming=True, ingest_max_delta=ingest_max_delta,
-            **config_kwargs)
+            streaming=True, **config_kwargs)
         service = RetrievalService.from_base(base, config)
         mode = f"{execution}-{workers}"
         kill_mid_stream = chaos is not None and execution == "process"

@@ -6,8 +6,7 @@ and one backoff rule spaces every retry.
   cannot come back unnoticed;
 * constructor validation of :class:`RetrievalService` and
   :class:`Balancer` for values that would otherwise run silently wrong;
-* :func:`backoff_delay`, shared by shard retries and balancer failover;
-* the :class:`FoldScheduler` fold step both of its loops share.
+* :func:`backoff_delay`, shared by shard retries and balancer failover.
 """
 
 import dataclasses
@@ -21,8 +20,6 @@ import repro
 from repro.service import RetrievalService, ServiceConfig
 from repro.service.deadline import BACKOFF_CAP, Deadline, backoff_delay
 from repro.service.http import Balancer
-from repro.service.ingest import FoldScheduler
-from repro.service.metrics import MetricsRegistry
 from repro.service.shards import ShardSet
 
 
@@ -47,7 +44,6 @@ class TestServiceValidation:
         ({"retry_jitter": -0.1}, "retry_jitter"),
         ({"match_threshold": -1.0}, "match_threshold"),
         ({"publish_compact_every": 0}, "publish_compact_every"),
-        ({"ingest_max_delta": -1, "streaming": True}, "ingest_max_delta"),
     ])
     def test_rejects(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -57,7 +53,7 @@ class TestServiceValidation:
     @pytest.mark.parametrize("overrides", [
         {"retry_attempts": 1, "retry_backoff": 0.0, "retry_jitter": 0.0},
         {"retry_jitter": 1.0, "match_threshold": 0.0},
-        {"publish_compact_every": 1, "ingest_max_delta": 0},
+        {"publish_compact_every": 1},
     ])
     def test_accepts_edges(self, overrides):
         RetrievalService(ShardSet(num_shards=1),
@@ -102,39 +98,3 @@ class TestBackoffDelay:
         assert backoff_delay(5, 0.02, deadline) == 0.01
         now[0] = 1.0
         assert backoff_delay(1, 0.02, deadline) == 0.0
-
-
-class _FakeShard:
-    def __init__(self, index, delta, loses=False):
-        self.index = index
-        self.delta_points = delta
-        self.loses = loses
-
-    def needs_fold(self):
-        return self.delta_points > 0
-
-    def fold(self):
-        if self.loses:
-            return False
-        self.delta_points = 0
-        return True
-
-
-class TestFoldStep:
-    def test_cycle_folds_the_most_overgrown_shard(self):
-        shards = [_FakeShard(0, 3), _FakeShard(1, 9), _FakeShard(2, 9)]
-        metrics = MetricsRegistry()
-        scheduler = FoldScheduler(shards, metrics)
-        assert scheduler.fold_cycle() == 1
-        assert [s.delta_points for s in shards] == [3, 0, 9]
-        assert metrics.counter("ingest.folds").value == 1
-        assert metrics.histogram("ingest.fold_ms").count == 1
-
-    def test_drain_records_only_landed_folds(self):
-        shards = [_FakeShard(0, 3), _FakeShard(1, 5, loses=True),
-                  _FakeShard(2, 7)]
-        metrics = MetricsRegistry()
-        assert FoldScheduler(shards, metrics).drain(max_passes=2) == 2
-        assert metrics.counter("ingest.folds").value == 2
-        assert metrics.histogram("ingest.fold_ms").count == 2
-        assert FoldScheduler(shards).fold_cycle() == 0

@@ -1,12 +1,14 @@
-"""The PR 10 write path: incremental folds, backpressure, live ingest.
+"""The write path: incremental folds, backpressure, live ingest.
 
 Three layers of coverage:
 
 * :class:`IncrementalIndex` — fold-threshold boundary cases, removal
   after a fold matching a from-scratch rebuild, and the ``fold=False``
-  contract a background scheduler relies on;
-* the streaming service — the :class:`FoldScheduler` lifecycle, the
-  backpressure counter, and the ``snapshot()["ingest"]`` section;
+  contract a caller that folds for itself relies on;
+* the streaming service — no fold thread in either execution mode,
+  tails bounded by the append itself, the admission backpressure
+  counter, the ``snapshot()["ingest"]`` section, and a closed service
+  refusing writes;
 * concurrency — seeded writer threads ingesting while reader threads
   query, with the final answers asserted bit-for-bit equal to a base
   rebuilt from scratch over the same corpus.
@@ -169,34 +171,55 @@ class TestConcurrentAddQuery:
 
 
 class TestProcessModeStreaming:
-    def test_no_fold_thread_where_no_index_lives(self, rng):
-        """In process mode the parent's shards build no index, so a
-        streaming service starts no fold scheduler; ingest, quiesce and
-        the ingest snapshot still work."""
-        def fold_threads():
-            return sum(thread.name == "fold-scheduler"
-                       for thread in threading.enumerate())
-
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_no_fold_thread_where_no_index_lives(self, rng, execution):
+        """A streaming service starts no thread of its own in either
+        mode: in process mode the parent's shards build no index, and
+        in thread mode each append folds the tail it carries past the
+        threshold, so no tail is left overgrown and quiesce finds
+        nothing to fold.  Ingest and the ingest snapshot still work."""
+        before = set(threading.enumerate())
         base = ShapeBase(alpha=0.1)
         for image_id in range(4):
             base.add_shape(star_shaped_polygon(rng), image_id=image_id)
-        before = fold_threads()
         config = ServiceConfig(num_shards=1, workers=1, cache_capacity=0,
-                               streaming=True, execution="process",
+                               streaming=True, execution=execution,
                                processes=1)
         with RetrievalService.from_base(base, config) as service:
-            assert service.fold_scheduler is None
-            assert fold_threads() == before
+            assert set(threading.enumerate()) <= before
             for batch in range(10):
                 service.ingest([star_shaped_polygon(rng)],
                                image_id=100 + batch)
+            assert not any(shard.needs_fold() for shard in service.shards)
             assert service.quiesce_ingest() == 0
             snap = service.snapshot()["ingest"]
             assert snap["streaming"] is True
             assert (snap["shapes"], snap["folds"],
-                    snap["pending_delta"]) == (10, 0, 0)
+                    snap["batch_size"]["count"]) == (10, 0, 10)
+            if execution == "process":
+                assert snap["pending_delta"] == 0
             assert service.retrieve(star_shaped_polygon(rng), k=3).ok
-            assert fold_threads() == before
+            assert set(threading.enumerate()) <= before
+
+
+class TestClosedService:
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_closed_service_refuses_writes(self, rng, execution):
+        base = ShapeBase(alpha=0.1)
+        for image_id in range(4):
+            base.add_shape(star_shaped_polygon(rng), image_id=image_id)
+        config = ServiceConfig(num_shards=2, workers=1, cache_capacity=0,
+                               streaming=True, execution=execution,
+                               processes=1)
+        service = RetrievalService.from_base(base, config)
+        service.close()
+        version, shapes = service.shards.version, service.shards.num_shapes
+        with pytest.raises(RuntimeError, match="closed"):
+            service.ingest([star_shaped_polygon(rng)], image_id=99)
+        with pytest.raises(RuntimeError, match="closed"):
+            service.remove(next(iter(base.shapes)))
+        assert (service.shards.version, service.shards.num_shapes) == \
+            (version, shapes)
 
 
 class TestStreamingService:
@@ -209,40 +232,25 @@ class TestStreamingService:
                                **overrides)
         return RetrievalService.from_base(base, config)
 
-    def test_scheduler_runs_and_snapshot_reports(self, rng):
-        service = self._service(rng)
-        try:
-            assert service.fold_scheduler is not None
-            assert service.fold_scheduler.running
-            service.ingest([star_shaped_polygon(rng) for _ in range(5)],
-                           image_id=50)
-            snap = service.snapshot()["ingest"]
-            assert snap["streaming"] is True
-            assert snap["shapes"] == 5
-            assert snap["batch_size"]["count"] == 1
-            assert snap["pending_delta"] >= 0
-            service.quiesce_ingest()
-        finally:
-            service.close()
-        assert not service.fold_scheduler.running
-
     def test_backpressure_counter(self, rng):
-        service = self._service(rng, ingest_max_delta=1,
+        service = self._service(rng, max_pending=1,
                                 ingest_backpressure_timeout=0.05)
         try:
-            # Stop the scheduler AND keep inline folds off (stop()
-            # restores them) so the delta can never drain: the second
-            # batch must wait out the (tiny) timeout.  Warm first —
-            # cold bases absorb appends into the next lazy build,
-            # leaving no delta tail to backpressure on.
-            service.fold_scheduler.stop()
-            service.shards.set_auto_fold(False)
-            service.warm()
-            service.ingest([star_shaped_polygon(rng) for _ in range(4)],
-                           image_id=50)
-            service.ingest([star_shaped_polygon(rng)], image_id=51)
+            # A free admission slot lets a batch straight through.
+            service.ingest([star_shaped_polygon(rng)], image_id=50)
+            assert service.snapshot()["ingest"]["backpressure_waits"] == 0
+            # Hold the only slot: the next batch waits out the (tiny)
+            # timeout, then proceeds anyway.
+            assert service.admission.try_admit()
+            try:
+                [new_id] = service.ingest([star_shaped_polygon(rng)],
+                                          image_id=51)
+            finally:
+                service.admission.release()
             snap = service.snapshot()["ingest"]
             assert snap["backpressure_waits"] >= 1
+            assert snap["shapes"] == 2
+            assert new_id in service.shards.shard_of(new_id).base.shapes
         finally:
             service.close()
 
