@@ -69,11 +69,15 @@ def _has_three_distinct(vertices: np.ndarray) -> bool:
 CopyColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+#: Most hash curves per quarter whose signatures the int16 cache holds.
+SIGNATURE_CURVES_MAX = int(np.iinfo(np.int16).max)
+
+
 def _signature_rows(num_curves: int, signatures, count: int) -> np.ndarray:
     """``signatures`` as ``count`` int16 cache rows.  An int16 cast wraps
     silently, so the family must fit int16 and every value must be one
     it can produce (``0..num_curves``, 0 for an empty quarter)."""
-    if not 1 <= num_curves <= np.iinfo(np.int16).max:
+    if not 1 <= num_curves <= SIGNATURE_CURVES_MAX:
         raise ValueError(f"cannot cache signatures of {num_curves} curves")
     values = np.asarray(signatures)
     if values.shape != (count, 4):

@@ -13,7 +13,11 @@ where ``A_0`` is the lune area.  ``E`` has the closed form used below
 (antiderivative of ``sqrt(1 - u^2)``), is continuous and strictly
 increasing on [0, 1] with ``E(0) = 0`` and ``E(1) = A_0 / 4``, so a
 bracketed root-finder pins each ``x_i`` quickly — the "fast
-gradient-based numerical methods" of the paper.
+gradient-based numerical methods" of the paper.  The root-finder is
+:func:`brentq`, Brent's method ported operation for operation from
+scipy's ``brentq.c``, so the family is bitwise what
+``scipy.optimize.brentq`` gives while a serving process never has to
+import scipy.
 
 The other quarters are mirror images: ``q2`` mirrors ``q1`` about the
 vertical line ``x = 1/2`` (circles through (1, 0)), ``q3``/``q4``
@@ -24,15 +28,90 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..geometry.lune import LUNE_AREA
 
 #: Area of one lune quarter (the right-hand side scale of E).
 QUARTER_AREA = LUNE_AREA / 4.0
+
+#: scipy's smallest (and default) relative tolerance for :func:`brentq`.
+_RTOL = 4 * float(np.finfo(float).eps)
+
+
+def brentq(f: Callable[[float], float], xa: float, xb: float,
+           xtol: float = 2e-12, rtol: float = _RTOL,
+           maxiter: int = 100) -> float:
+    """A root of ``f`` in the sign-changing bracket ``[xa, xb]``.
+
+    Brent's method as scipy's ``brentq.c`` implements it, one IEEE
+    operation for each of the C code's, in its order, so every root is
+    bitwise ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+    maxiter=maxiter)`` (``tests/test_hashing_curves.py`` compares them
+    with ``==``).  Like scipy it raises ``ValueError`` on a bad tolerance, a
+    NaN value or a same-sign bracket, and ``RuntimeError`` when
+    ``maxiter`` steps do not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur:f}")
 
 
 def _circle_antiderivative(u: float) -> float:
@@ -65,10 +144,11 @@ def curve_area_derivative(x: float, step: float = 1e-6) -> float:
 def solve_curve_parameters(k: int) -> np.ndarray:
     """The ``x_i`` (i = 1..k) splitting a quarter into k equal areas.
 
-    ``x_k`` is exactly 1 (E(1) = A_0 / 4); the rest come from brentq on
-    the monotone ``E``.  Solved once per ``k`` per process (k - 1 root
-    finds, a few ms) and shared by every family of that size, so the
-    array is returned read-only.
+    ``x_k`` is exactly 1 (E(1) = A_0 / 4); the rest come from
+    :func:`brentq` on the monotone ``E``, bitwise the roots
+    ``scipy.optimize.brentq`` finds.  Solved once per ``k`` per process
+    (k - 1 root finds, a few ms) and shared by every family of that
+    size, so the array is returned read-only.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -6,6 +6,11 @@ component's outer boundary is traced with Moore-neighbour tracing using
 Jacob's stopping criterion, yielding one closed pixel contour per
 object.  Downstream, Douglas-Peucker (:mod:`.simplify`) turns contours
 into the segment-approximated polylines the shape base stores.
+
+scipy is imported by :func:`label_components` on its first call, not by
+this module: the synthetic-image generator imports this package but
+never labels a raster, so a process that only generates and serves
+shapes never loads ``scipy.ndimage``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from ..geometry.polyline import Shape
 from .raster import BinaryImage
@@ -27,6 +31,7 @@ _MOORE = [(0, -1), (-1, -1), (-1, 0), (-1, 1),
 def label_components(image: BinaryImage,
                      connectivity: int = 1) -> Tuple[np.ndarray, int]:
     """Label connected foreground components (1 = 4-conn, 2 = 8-conn)."""
+    from scipy import ndimage
     if connectivity == 1:
         structure = ndimage.generate_binary_structure(2, 1)
     elif connectivity == 2:

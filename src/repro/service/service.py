@@ -55,7 +55,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
 
 from ..ann import AnnConfig
 from ..core.matcher import Match, MatchStats
-from ..core.shapebase import ShapeBase
+from ..core.shapebase import SIGNATURE_CURVES_MAX, ShapeBase
 from ..geometry.polyline import Shape
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import QueryResultCache, sketch_signature
@@ -335,6 +335,12 @@ class RetrievalService:
             raise ValueError("match_threshold must be non-negative")
         if self.config.publish_compact_every < 1:
             raise ValueError("publish_compact_every must be at least 1")
+        hash_curves = self.config.hash_curves
+        if (not isinstance(hash_curves, numbers.Integral)
+                or not 1 <= hash_curves <= SIGNATURE_CURVES_MAX):
+            raise ValueError(f"hash_curves must be an integer in "
+                             f"1..{SIGNATURE_CURVES_MAX}, got "
+                             f"{hash_curves!r}")
         self.shards = shards
         self.metrics = metrics or MetricsRegistry()
         self.cache = QueryResultCache(self.config.cache_capacity)
@@ -382,14 +388,20 @@ class RetrievalService:
         """Shard an existing :class:`ShapeBase` and serve it.
 
         The shards keep the base's ``alpha`` and ``backend`` (the
-        corpus was built with them); shapes keep their ids.
+        corpus was built with them); shapes keep their ids.  If warm-up
+        fails, the half-built service is closed (its worker threads and
+        processes stopped) before the error propagates.
         """
         config = config or ServiceConfig()
         shard_set = ShardSet.from_base(
             base, num_shards=config.num_shards, beta=config.beta,
             hash_curves=config.hash_curves, ann=config.ann)
         service = cls(shard_set, config, metrics)
-        service.warm()
+        try:
+            service.warm()
+        except BaseException:
+            service.close()
+            raise
         return service
 
     @classmethod

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.lune import sample_lune
+from repro.hashing import curves
 from repro.hashing.curves import (QUARTER_AREA, HashCurveFamily, curve_area,
                                   curve_area_derivative,
                                   solve_curve_parameters)
@@ -78,6 +79,64 @@ class TestSolver:
     def test_k_one(self):
         xs = solve_curve_parameters(1)
         assert xs[0] == pytest.approx(1.0)
+
+
+def scipy_curve_parameters(k):
+    """The family as ``scipy.optimize.brentq`` solves it (the reference
+    the port must equal bit for bit)."""
+    from scipy.optimize import brentq
+    xs = [brentq(lambda x: curve_area(x) - QUARTER_AREA * i / k, 0.0, 1.0,
+                 xtol=1e-12) for i in range(1, k)]
+    return np.array(xs + [1.0])
+
+
+class TestBrentqPort:
+    """``curves.brentq`` is scipy's ``brentq.c`` operation for operation:
+    every root it finds is ``==`` scipy's, so no curve center, signature
+    or snapshot byte depends on which of the two solved it."""
+
+    @pytest.mark.parametrize("k", [*range(1, 65), 100, 128, 200, 257])
+    def test_every_root_equals_scipy(self, k):
+        from scipy.optimize import brentq as scipy_brentq
+        for i in range(1, k):
+            target = QUARTER_AREA * i / k
+
+            def f(x):
+                return curve_area(x) - target
+
+            assert curves.brentq(f, 0.0, 1.0, xtol=1e-12) == \
+                scipy_brentq(f, 0.0, 1.0, xtol=1e-12)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x * x - 2.0, 2.0, 0.0),
+        (lambda x: math.exp(x) - 3.0, 0.0, 2.0),
+    ])
+    @pytest.mark.parametrize("xtol", [1e-3, 2e-12, 5e-324])
+    def test_other_functions_and_tolerances_equal_scipy(self, f, a, b, xtol):
+        from scipy.optimize import brentq as scipy_brentq
+        assert curves.brentq(f, a, b, xtol=xtol) == \
+            scipy_brentq(f, a, b, xtol=xtol)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            curves.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_root_at_an_end_is_returned(self):
+        assert curves.brentq(lambda x: x, 0.0, 1.0) == 0.0
+        assert curves.brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_no_convergence_raises_as_scipy_does(self):
+        from scipy.optimize import brentq as scipy_brentq
+        for solve in (curves.brentq, scipy_brentq):
+            with pytest.raises(RuntimeError, match="converge"):
+                solve(lambda x: math.exp(x) - 2.0, 0.0, 1.0, xtol=1e-15,
+                      maxiter=2)
+
+    def test_default_family_equals_scipy(self):
+        xs = solve_curve_parameters(50)
+        assert xs.tolist() == scipy_curve_parameters(50).tolist()
 
 
 class TestHashCurveFamily:

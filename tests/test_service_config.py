@@ -5,13 +5,16 @@ and one backoff rule spaces every retry.
   ``config.<name>`` somewhere in the package, so a field nothing reads
   cannot come back unnoticed;
 * constructor validation of :class:`RetrievalService` and
-  :class:`Balancer` for values that would otherwise run silently wrong;
+  :class:`Balancer` for values that would otherwise run silently wrong,
+  and a failed construction that leaves no worker running;
 * :func:`backoff_delay`, shared by shard retries and balancer failover.
 """
 
 import dataclasses
 import inspect
+import multiprocessing
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from repro.service import RetrievalService, ServiceConfig
 from repro.service.deadline import BACKOFF_CAP, Deadline, backoff_delay
 from repro.service.http import Balancer
 from repro.service.shards import ShardSet
+from tests.conftest import benchmark_like_base
 
 
 class TestKnobCensus:
@@ -44,6 +48,12 @@ class TestServiceValidation:
         ({"retry_jitter": -0.1}, "retry_jitter"),
         ({"match_threshold": -1.0}, "match_threshold"),
         ({"publish_compact_every": 0}, "publish_compact_every"),
+        ({"hash_curves": 0}, "hash_curves"),
+        ({"hash_curves": -3}, "hash_curves"),
+        ({"hash_curves": 32768}, "hash_curves"),
+        ({"hash_curves": 40000}, "hash_curves"),
+        ({"hash_curves": 2.5}, "hash_curves"),
+        ({"hash_curves": "50"}, "hash_curves"),
     ])
     def test_rejects(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -54,10 +64,32 @@ class TestServiceValidation:
         {"retry_attempts": 1, "retry_backoff": 0.0, "retry_jitter": 0.0},
         {"retry_jitter": 1.0, "match_threshold": 0.0},
         {"publish_compact_every": 1},
+        {"hash_curves": 1},
+        {"hash_curves": 32767},
     ])
     def test_accepts_edges(self, overrides):
         RetrievalService(ShardSet(num_shards=1),
                          ServiceConfig(**overrides)).close()
+
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_failed_warm_up_stops_every_worker(self, execution,
+                                               monkeypatch):
+        real_warm = RetrievalService.warm
+
+        def failing_warm(service):
+            real_warm(service)           # the pool is up and working
+            raise RuntimeError("warm-up failed")
+
+        monkeypatch.setattr(RetrievalService, "warm", failing_warm)
+        threads = threading.active_count()
+        children = len(multiprocessing.active_children())
+        config = ServiceConfig(num_shards=2, workers=2, processes=1,
+                               execution=execution)
+        with pytest.raises(RuntimeError, match="warm-up failed"):
+            RetrievalService.from_base(benchmark_like_base(7, images=2),
+                                       config)
+        assert threading.active_count() == threads
+        assert len(multiprocessing.active_children()) == children
 
 
 class TestBalancerValidation:
