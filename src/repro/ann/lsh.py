@@ -10,12 +10,14 @@ knobs position.
 
 The index is incremental in the same spirit as
 :mod:`repro.rangesearch.dynamic`: entries can be added and removed
-one at a time and the structure after any interleaving equals a fresh
-build over the surviving entries (asserted by ``tests/test_ann.py``).
-Buckets are plain dict-of-set tables like
-:class:`repro.hashing.GeometricHashTable` — the candidate set is tiny
-compared to the corpus, so constant factors matter less than
-predictable behaviour under mutation.
+and the structure after any interleaving equals a fresh build over
+the surviving entries (asserted by ``tests/test_ann.py``).  Buckets
+are plain dict-of-set tables like
+:class:`repro.hashing.GeometricHashTable`, and like it the index adds
+a batch one bucket at a time: the batch's ids are grouped by band key
+and every touched bucket is replaced once, so a build copies each
+posting once instead of once per later insert into its bucket
+(Σ bucket² / 2 copies).  :meth:`LshIndex.add` is a batch of one.
 """
 
 from __future__ import annotations
@@ -69,30 +71,49 @@ class LshIndex:
     # Mutation
     # ------------------------------------------------------------------
     def add(self, entry_id: int, signature: np.ndarray) -> None:
-        """Insert one entry under every band of its signature.
+        """Insert one entry under every band of its signature."""
+        self.add_batch([entry_id],
+                       np.asarray(signature, dtype=np.int64)[None])
+
+    def add_batch(self, entry_ids, signatures: np.ndarray) -> None:
+        """Insert many entries; row ``i`` of ``signatures`` is id ``i``'s.
+
+        Per table, the batch's ids are grouped by band key and each
+        touched bucket is replaced once by its union with the group
+        (a ``|`` of two sets sizes the result's table once, as the
+        per-entry copies did; a set grown one id at a time can hold
+        twice the slots).
 
         Buckets are replaced rather than mutated (copy-on-write at
         bucket granularity): ``candidates`` iterates buckets without a
         lock, and a reader that captured the old set must never watch
         it change size — the contract live delta ingest relies on.
         """
-        entry_id = int(entry_id)
-        for table, key in zip(self._buckets, self._band_keys(signature)):
-            bucket = table.get(key)
-            table[key] = (bucket | {entry_id}) if bucket else {entry_id}
-        self._count += 1
-
-    def add_batch(self, entry_ids, signatures: np.ndarray) -> None:
-        """Insert many entries; row ``i`` of ``signatures`` is id ``i``'s."""
+        ids = [int(e) for e in entry_ids]
+        if not ids:
+            return
         signatures = np.ascontiguousarray(signatures, dtype=np.int64)
-        for entry_id, row in zip(entry_ids, signatures):
-            self.add(int(entry_id), row)
+        if signatures.shape != (len(ids), self.signature_length):
+            raise ValueError(
+                f"signatures must be {len(ids)} rows of "
+                f"{self.signature_length}, got {signatures.shape}")
+        w = self.band_width
+        step = signatures.itemsize * w
+        for t, table in enumerate(self._buckets):
+            raw = signatures[:, t * w:(t + 1) * w].tobytes()
+            groups: Dict[bytes, List[int]] = {}
+            for row, entry_id in enumerate(ids):
+                groups.setdefault(raw[row * step:(row + 1) * step],
+                                  []).append(entry_id)
+            for key, group in groups.items():
+                table[key] = table.get(key, set()) | set(group)
+        self._count += len(ids)
 
     def remove(self, entry_id: int, signature: np.ndarray) -> None:
         """Remove one entry, given the signature it was inserted with.
 
         Empty buckets are deleted so a long add/remove history cannot
-        leak memory (mirrors ``GeometricHashTable.remove_entry``).
+        leak memory (mirrors ``GeometricHashTable.remove``).
         """
         entry_id = int(entry_id)
         found = False

@@ -7,12 +7,18 @@ neighbouring curves) is the candidate set, which is then ranked by the
 exact average-distance measure.  With enough curves the expected bucket
 occupancy is constant, so retrieval is logarithmic in the number of
 curves — the paper's complexity claim.
+
+Entries go in a batch at a time (one entry is a batch of one): the
+batch's ids are grouped by bucket key and every touched bucket is
+replaced once by its union with the group, so building a table copies
+each posting once rather than once per later insert into its bucket.
+Buckets are replaced, never mutated, so readers need no lock.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.matcher import Match, best_per_shape, rank
 from ..core.measures import entry_measures
@@ -36,20 +42,27 @@ class GeometricHashTable:
         self._signatures: Dict[int, Quadruple] = {}
 
     def insert(self, entry_id: int, quadruple: Quadruple) -> None:
-        """Register one entry under its four characteristic curves.
+        """Register one entry under its four characteristic curves."""
+        self.insert_batch([entry_id], [quadruple])
+
+    def insert_batch(self, entry_ids: Sequence[int],
+                     quadruples: Sequence[Quadruple]) -> None:
+        """Register entries under their characteristic curves, each
+        touched bucket replaced once.
 
         Buckets are *replaced*, not mutated: a reader holding the old
         set (``candidates`` unions buckets without a lock) never sees
         it change size mid-iteration, so a live table can absorb
         concurrent ingest.
         """
-        self._signatures[entry_id] = quadruple
-        for quarter, curve in enumerate(quadruple, start=1):
-            if curve == EMPTY_QUARTER:
-                continue
-            bucket = self._buckets.get((quarter, curve))
-            self._buckets[(quarter, curve)] = \
-                (bucket | {entry_id}) if bucket else {entry_id}
+        groups: Dict[BucketKey, List[int]] = {}
+        for entry_id, quadruple in zip(entry_ids, quadruples):
+            self._signatures[entry_id] = quadruple
+            for quarter, curve in enumerate(quadruple, start=1):
+                if curve != EMPTY_QUARTER:
+                    groups.setdefault((quarter, curve), []).append(entry_id)
+        for key, group in groups.items():
+            self._buckets[key] = self._buckets.get(key, set()) | set(group)
 
     def remove(self, entry_id: int) -> None:
         quadruple = self._signatures.pop(entry_id, None)
@@ -112,9 +125,8 @@ class ApproximateRetriever:
         self.family = HashCurveFamily(k_curves)
         self.neighbor_radius = int(neighbor_radius)
         self.table = GeometricHashTable(self.family)
-        for entry_id, quadruple in enumerate(
-                compute_signatures(base, self.family)):
-            self.table.insert(entry_id, quadruple)
+        quadruples = compute_signatures(base, self.family)
+        self.table.insert_batch(range(len(quadruples)), quadruples)
 
     def add_entries(self, entry_ids) -> None:
         """Patch freshly appended base entries into the live table.
@@ -127,9 +139,8 @@ class ApproximateRetriever:
         set union.
         """
         entry_ids = [int(e) for e in entry_ids]
-        for entry_id, quadruple in zip(entry_ids, compute_signatures(
-                self.base, self.family, entry_ids)):
-            self.table.insert(entry_id, quadruple)
+        self.table.insert_batch(entry_ids, compute_signatures(
+            self.base, self.family, entry_ids))
 
     def query(self, query: Shape, k: int = 1,
               neighbor_radius: Optional[int] = None) -> List[Match]:

@@ -572,6 +572,9 @@ class HttpRetrievalServer(_HttpServer):
         self.replica_id = replica_id
         self.allow_admin = allow_admin
         self._started_at = time.monotonic()
+        #: Setup phases in seconds, filled by the replica that runs
+        #: this server (``load_s``, ``warm_s``, ``listen_s``).
+        self.setup: Dict[str, float] = {}
         super().__init__(host, port)
 
     # -- endpoint payloads ---------------------------------------------
@@ -596,7 +599,8 @@ class HttpRetrievalServer(_HttpServer):
         snap = self.service.snapshot()
         snap["server"] = {"replica": self.replica_id,
                           "uptime_s": round(self.uptime(), 3),
-                          "address": list(self.address)}
+                          "address": list(self.address),
+                          "setup": dict(self.setup)}
         return snap
 
     def __repr__(self) -> str:
@@ -615,15 +619,25 @@ def _replica_main(conn, snapshot_path: str, config: ServiceConfig,
     Warm order matters: the service attaches the snapshot (mmap — the
     page cache shares one physical copy across the fleet) and warms
     every shard *before* the ready message, so ``/readyz`` flipping
-    200 really means "serving at full quality".
+    200 really means "serving at full quality".  The ready message
+    carries the replica's setup phases in seconds: ``load_s`` (map
+    the snapshot), ``warm_s`` (shard it and build every tier) and
+    ``listen_s`` (open the server).
     """
     try:
-        service = RetrievalService.from_snapshot(snapshot_path, config,
-                                                 mmap=True)
+        from ..storage.persist import load_base
+        began = time.perf_counter()
+        base = load_base(snapshot_path, backend=config.backend, mmap=True)
+        loaded = time.perf_counter()
+        service = RetrievalService.from_base(base, config)
+        service.snapshot_source = snapshot_path
+        warmed = time.perf_counter()
         server = HttpRetrievalServer(service, host=host, port=0,
                                      replica_id=replica_id,
                                      allow_admin=allow_admin).start()
-        conn.send(("ready", server.address))
+        server.setup.update(load_s=loaded - began, warm_s=warmed - loaded,
+                            listen_s=time.perf_counter() - warmed)
+        conn.send(("ready", server.address, server.setup))
     except Exception as exc:
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -647,11 +661,13 @@ class _Replica(ChildProcess):
         # Not a daemon: a replica in process execution spawns its own
         # worker children, which daemonic processes may not.  Orphan
         # protection comes from parent_messages' reparenting check.
+        self.forked_at = time.monotonic()
         super().__init__(_replica_main, args,
                          name=f"repro-replica-{index}", daemon=False)
         self.index = index
         self.generation = generation
         self.address: Optional[Tuple[str, int]] = None
+        self.setup: Optional[Dict[str, float]] = None
 
 
 class ReplicaSet:
@@ -701,12 +717,31 @@ class ReplicaSet:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "ReplicaSet":
+        """Fork every replica, then await each one's ready message.
+
+        The fleet is ready in the time of its slowest replica, not the
+        sum of their warm-ups.  All or nothing: if any replica reports
+        an error, exits, or is not ready ``startup_timeout`` seconds
+        after its own fork, every replica is stopped, the set is
+        closed (its publish directory removed) and
+        :class:`ReplicaStartupError` is raised.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("replica set is closed")
-            if not self._members:
-                self._members = [self._spawn(index, generation=0)
-                                 for index in range(self.replicas)]
+            if self._members:
+                return self
+            members: List[_Replica] = []
+            try:
+                for index in range(self.replicas):
+                    members.append(self._fork(index, generation=0))
+                for replica in members:
+                    self._await_ready(replica)
+            except BaseException:
+                self._closed = True
+                self._retire(members)
+                raise
+            self._members = members
         return self
 
     def _replica_config(self, index: int,
@@ -720,21 +755,30 @@ class ReplicaSet:
                               f"replica-{index}-g{generation}")
         return replace(self.config, snapshot_dir=subdir)
 
-    def _spawn(self, index: int, generation: int) -> _Replica:
-        replica = _Replica(index, generation, (
+    def _fork(self, index: int, generation: int) -> _Replica:
+        return _Replica(index, generation, (
             self.snapshot_path, self._replica_config(index, generation),
             self.host, index, self.allow_admin))
-        if not replica.conn.poll(self.startup_timeout):
-            replica.reap(grace=0.0)
+
+    def _await_ready(self, replica: _Replica) -> None:
+        """Take one replica's ready message, waiting at most until
+        ``startup_timeout`` seconds after its fork."""
+        waited = replica.forked_at + self.startup_timeout - time.monotonic()
+        if not replica.conn.poll(max(0.0, waited)):
             raise ReplicaStartupError(
-                f"replica {index} did not become ready within "
+                f"replica {replica.index} did not become ready within "
                 f"{self.startup_timeout}s")
-        kind, detail = replica.conn.recv()
-        if kind != "ready":
-            replica.reap(grace=1.0)
-            raise ReplicaStartupError(f"replica {index}: {detail}")
-        replica.address = (detail[0], int(detail[1]))
-        return replica
+        try:
+            message = replica.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise ReplicaStartupError(
+                f"replica {replica.index} exited before it was "
+                f"ready") from exc
+        if message[0] != "ready":
+            raise ReplicaStartupError(f"replica {replica.index}: "
+                                      f"{message[1]}")
+        replica.address = (message[1][0], int(message[1][1]))
+        replica.setup = message[2]
 
     def kill(self, index: int) -> int:
         """SIGKILL one replica (chaos); returns its pid once the
@@ -755,7 +799,12 @@ class ReplicaSet:
             slot = index % len(self._members)
             old = self._members[slot]
             old.reap(grace=0.0)
-            fresh = self._spawn(old.index, generation=old.generation + 1)
+            fresh = self._fork(old.index, generation=old.generation + 1)
+            try:
+                self._await_ready(fresh)
+            except BaseException:
+                fresh.reap(grace=1.0)
+                raise
             self._members[slot] = fresh
         return fresh.address
 
@@ -766,6 +815,10 @@ class ReplicaSet:
                 return
             self._closed = True
             members, self._members = self._members, []
+        self._retire(members)
+
+    def _retire(self, members: Sequence[_Replica]) -> None:
+        """Stop ``members`` and remove the fleet's publish directory."""
         for replica in members:
             replica.request_stop()
         for replica in members:
@@ -797,6 +850,14 @@ class ReplicaSet:
     def pids(self) -> List[Optional[int]]:
         with self._lock:
             return [r.process.pid for r in self._members]
+
+    def setup_phases(self) -> List[Optional[Dict[str, float]]]:
+        """Each replica's setup phases in seconds, by slot, as it timed
+        them: ``load_s``, ``warm_s`` and ``listen_s`` (see
+        :func:`_replica_main`); ``GET /stats`` reports the same under
+        ``server.setup``."""
+        with self._lock:
+            return [r.setup for r in self._members]
 
     def __len__(self) -> int:
         return len(self._members)

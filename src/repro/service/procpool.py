@@ -51,6 +51,7 @@ import sys
 import tempfile
 import threading
 import weakref
+from contextlib import ExitStack
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -547,18 +548,10 @@ class ProcessWorkerPool(WorkerPool):
                         shard.base, prior_shapes, prior_entries)))
                 new_state[shard.index] = (epoch, num_shapes, num_entries)
         if deltas:
-            for worker in self._proc_workers:
-                if not worker.is_alive():
-                    continue
-                try:
-                    self._call_worker(worker, ("delta", None, deltas),
-                                      timeout=_ATTACH_TIMEOUT)
-                except (WorkerUnavailableError, ShardTimeoutError,
-                        WorkerOperationError):
-                    # A worker that missed a window (or died) cannot
-                    # serve the new version; degrade it until a revive
-                    # + full sync brings it back.
-                    worker.alive = False
+            # A worker that missed a window (or died) cannot serve the
+            # new version; the broadcast degrades it until a revive +
+            # full sync brings it back.
+            self._broadcast(("delta", None, deltas), _ATTACH_TIMEOUT)
         shipped = sum(len(payload) for _, payload in deltas)
         self._delta_state = new_state
         self._delta_rounds += 1
@@ -588,22 +581,12 @@ class ProcessWorkerPool(WorkerPool):
                     state[shard.index] = (shard.epoch,
                                           len(shard.base.shapes),
                                           shard.base.num_entries)
-            for worker in self._proc_workers:
-                if not worker.is_alive():
-                    continue
-                try:
-                    self._call_worker(worker,
-                                      ("attach", None, publications),
-                                      timeout=_ATTACH_TIMEOUT)
-                except (WorkerUnavailableError, ShardTimeoutError):
-                    worker.alive = False
-                except WorkerOperationError:
-                    # The worker survived but could not attach
-                    # (missing or unreadable snapshot file):
-                    # it still holds the previous corpus and would
-                    # silently serve stale answers — take it out
-                    # of rotation so its shards degrade instead.
-                    worker.alive = False
+            # A worker that survived but could not attach (missing or
+            # unreadable snapshot file) still holds the previous corpus
+            # and would silently serve stale answers: the broadcast
+            # takes it out of rotation so its shards degrade instead.
+            self._broadcast(("attach", None, publications),
+                            _ATTACH_TIMEOUT)
             stale, self._publications = (self._publications,
                                          publications)
             installed = True
@@ -635,43 +618,88 @@ class ProcessWorkerPool(WorkerPool):
         parent abandoned on timeout) are drained and discarded, so
         one slow call cannot desynchronize the pipe for the next.
         """
+        timeout = timeout if timeout is not None else _DEFAULT_CALL_TIMEOUT
+        deadline = Deadline(timeout)
+        with worker.lock:
+            req_id = self._send(worker, message)
+            return self._await_reply(worker, req_id, deadline, timeout)
+
+    def _broadcast(self, message: tuple, timeout: float) -> None:
+        """Send ``message`` to every live worker before awaiting any
+        reply, so the workers handle it side by side.
+
+        Outcomes stay per worker: a death, an ``err`` reply or no reply
+        within ``timeout`` seconds of *its own* send marks only that
+        worker dead.  Each worker's pipe lock is held from its send to
+        its reply, as in :meth:`_call_worker`.
+        """
+        with ExitStack() as locks:
+            pending = []
+            for worker in self._proc_workers:
+                if not worker.is_alive():
+                    continue
+                locks.enter_context(worker.lock)
+                try:
+                    req_id = self._send(worker, message)
+                except WorkerUnavailableError:
+                    continue
+                pending.append((worker, req_id, Deadline(timeout)))
+            for worker, req_id, deadline in pending:
+                try:
+                    self._await_reply(worker, req_id, deadline, timeout)
+                except (WorkerUnavailableError, ShardTimeoutError,
+                        WorkerOperationError):
+                    worker.alive = False
+
+    def _send(self, worker: _Worker, message: tuple) -> int:
+        """Send one request on a worker's pipe; returns its request id.
+
+        The caller holds ``worker.lock``.  Stale replies waiting on the
+        pipe are drained first.
+        """
         if not worker.is_alive():
             worker.alive = False
             raise WorkerUnavailableError(
                 f"worker {worker.index} (pid "
                 f"{worker.process.pid}) is dead")
         req_id = self._next_req_id()
-        message = (message[0], req_id) + message[2:]
-        deadline = Deadline(timeout if timeout is not None
-                            else _DEFAULT_CALL_TIMEOUT)
-        with worker.lock:
-            try:
-                while worker.conn.poll(0):       # drain stale replies
-                    worker.conn.recv()
-                worker.conn.send(message)
-                while True:
-                    if worker.conn.poll(_POLL_SLICE):
-                        reply = worker.conn.recv()
-                        if reply[0] != req_id:
-                            continue             # stale; keep waiting
-                        if reply[1] == "ok":
-                            return reply[2]
-                        raise WorkerOperationError(
-                            f"worker {worker.index}: "
-                            f"{reply[2]}: {reply[3]}")
-                    if not worker.process.is_alive():
-                        worker.alive = False
-                        raise WorkerUnavailableError(
-                            f"worker {worker.index} died mid-call")
-                    if deadline.expired():
-                        raise ShardTimeoutError(
-                            f"worker {worker.index} reply exceeded "
-                            f"{timeout if timeout is not None else _DEFAULT_CALL_TIMEOUT}s")
-            except (BrokenPipeError, EOFError, OSError) as exc:
-                worker.alive = False
-                raise WorkerUnavailableError(
-                    f"worker {worker.index} pipe failed: {exc}") \
-                    from exc
+        try:
+            while worker.conn.poll(0):       # drain stale replies
+                worker.conn.recv()
+            worker.conn.send((message[0], req_id) + message[2:])
+        except (BrokenPipeError, EOFError, OSError) as exc:
+            worker.alive = False
+            raise WorkerUnavailableError(
+                f"worker {worker.index} pipe failed: {exc}") from exc
+        return req_id
+
+    def _await_reply(self, worker: _Worker, req_id: int,
+                     deadline: Deadline, timeout: float) -> Any:
+        """Wait for the reply to ``req_id`` (the caller holds
+        ``worker.lock``); replies to abandoned requests are skipped."""
+        try:
+            while True:
+                if worker.conn.poll(_POLL_SLICE):
+                    reply = worker.conn.recv()
+                    if reply[0] != req_id:
+                        continue             # stale; keep waiting
+                    if reply[1] == "ok":
+                        return reply[2]
+                    raise WorkerOperationError(
+                        f"worker {worker.index}: "
+                        f"{reply[2]}: {reply[3]}")
+                if not worker.process.is_alive():
+                    worker.alive = False
+                    raise WorkerUnavailableError(
+                        f"worker {worker.index} died mid-call")
+                if deadline.expired():
+                    raise ShardTimeoutError(
+                        f"worker {worker.index} reply exceeded "
+                        f"{timeout}s")
+        except (BrokenPipeError, EOFError, OSError) as exc:
+            worker.alive = False
+            raise WorkerUnavailableError(
+                f"worker {worker.index} pipe failed: {exc}") from exc
 
     def call(self, shard_index: int, op: str, payload: Dict[str, Any],
              timeout: Optional[float] = None) -> list:

@@ -24,12 +24,15 @@ quantiles).
 import http.client
 import inspect
 import json
+import multiprocessing
+import os
 import socket
 import struct
 import sys
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +44,8 @@ from repro.geometry.io import shape_to_dict
 from repro.imaging import generate_workload, make_query_set
 from repro.service import (Balancer, BalancerServer, BreakerConfig,
                            HttpRetrievalServer, NoHealthyReplicas,
-                           ReplicaSet, RetrievalService, ServiceConfig)
+                           ReplicaSet, ReplicaStartupError,
+                           RetrievalService, ServiceConfig)
 from repro.service.faults import ALL_OPS, FaultPlan, FaultSpec
 from repro.service.breaker import CLOSED, HALF_OPEN
 from repro.service.http import (DEADLINE_HEADER, _Handler, _HttpServer,
@@ -1047,3 +1051,85 @@ class TestReplicaFleet:
         assert replicas.endpoints() == []
         with pytest.raises(RuntimeError):
             replicas.start()
+
+
+class TestFleetStart:
+    """``ReplicaSet.start`` forks every replica before it awaits any,
+    and a start that fails leaves nothing running."""
+
+    def test_every_replica_exists_before_the_first_wait(
+            self, snapshot_path, corpus, monkeypatch):
+        _, queries = corpus
+        living = []
+        original = ReplicaSet._await_ready
+
+        def recording(self, replica):
+            living.append({p.pid for p in multiprocessing.active_children()
+                           if p.name.startswith("repro-replica-")})
+            return original(self, replica)
+
+        monkeypatch.setattr(ReplicaSet, "_await_ready", recording)
+        config = ServiceConfig(num_shards=1, workers=1, cache_capacity=0)
+        with ReplicaSet(snapshot_path, replicas=3, config=config,
+                        startup_timeout=180.0) as replicas:
+            assert len(living) == 3
+            assert set(replicas.pids()) <= living[0]
+
+            # Each replica reports its setup phases, here and in /stats.
+            phases = replicas.setup_phases()
+            for endpoint, setup in zip(replicas.endpoints(), phases):
+                assert set(setup) == {"load_s", "warm_s", "listen_s"}
+                assert all(seconds >= 0.0 for seconds in setup.values())
+                status, _, payload = request(endpoint, "GET", "/stats")
+                assert status == 200
+                assert payload["server"]["setup"] == setup
+
+            # restart() still starts (and awaits) one replica.
+            replicas.kill(1)
+            address = replicas.restart(1)
+            assert len(living) == 4
+            assert sorted(replicas.alive()) == [0, 1, 2]
+            assert replicas.setup_phases()[1] is not phases[1]
+            status, _, _ = request(address, "GET", "/readyz")
+            assert status == 200
+            status, _, payload = request(
+                address, "POST", "/query",
+                {"sketch": shape_to_dict(queries[0]), "k": 2})
+            assert status == 200
+            assert payload["status"] == "ok"
+
+    def test_a_failed_start_stops_every_replica(self, snapshot_path,
+                                                monkeypatch):
+        """Replica 1 cannot start (``hash_curves=0``): the error is
+        raised, replica 0 is not left running and the fleet's publish
+        directory is gone, before any ``stop()``."""
+        configure = ReplicaSet._replica_config
+
+        def broken(self, index, generation):
+            config = configure(self, index, generation)
+            return replace(config, hash_curves=0) if index == 1 else config
+
+        def replicas_started_here():
+            return [p for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-replica-")
+                    and p.pid not in before]
+
+        monkeypatch.setattr(ReplicaSet, "_replica_config", broken)
+        config = ServiceConfig(num_shards=1, execution="process",
+                               processes=1, cache_capacity=0)
+        replicas = ReplicaSet(snapshot_path, replicas=2, config=config,
+                              startup_timeout=180.0)
+        publish_dir = replicas.config.snapshot_dir
+        before = {p.pid for p in multiprocessing.active_children()}
+        try:
+            with pytest.raises(ReplicaStartupError, match="hash_curves"):
+                replicas.start()
+            assert replicas_started_here() == []
+            assert not os.path.exists(publish_dir)
+            replicas.stop()
+            with pytest.raises(RuntimeError):
+                replicas.start()
+        finally:
+            for process in replicas_started_here():
+                process.kill()
+                process.join(timeout=5.0)

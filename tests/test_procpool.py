@@ -241,17 +241,21 @@ class TestSyncRobustness:
         with RetrievalService.from_base(build_base(workload),
                                         config) as service:
             pool = service.procpool
-            original = ProcessWorkerPool._call_worker
+            original = ProcessWorkerPool._send
 
-            def failing(self, worker, message, timeout):
-                if message[0] in ("attach", "delta") \
-                        and worker.index == 0:
-                    raise WorkerOperationError(
-                        "worker 0: FileNotFoundError: snapshot gone")
-                return original(self, worker, message, timeout)
+            # Worker 0 receives a sync it cannot apply and replies
+            # ``err``: an attach to a snapshot that is gone, or a
+            # delta for a shard it never attached.
+            def failing(self, worker, message):
+                if worker.index == 0 and message[0] == "attach":
+                    spec = message[2][0]
+                    gone = dict(spec, path=spec["path"] + ".gone")
+                    message = ("attach", None, [gone])
+                elif worker.index == 0 and message[0] == "delta":
+                    message = ("delta", None, [(-1, b"")])
+                return original(self, worker, message)
 
-            monkeypatch.setattr(ProcessWorkerPool, "_call_worker",
-                                failing)
+            monkeypatch.setattr(ProcessWorkerPool, "_send", failing)
             extra = workload.images[0].shapes[0].translated(0.2, 0.2)
             service.ingest([extra])     # bump version -> lazy resync
             result = service.retrieve(queries[0], k=3)
@@ -366,6 +370,76 @@ class TestPublicationRounds:
                      for i in range(6)]
             assert kinds == ["delta", "delta", "full"] * 2
             assert self.rounds(service) == (3, 4)
+
+
+class TestSyncBroadcast:
+    """A sync round sends to every live worker before it awaits any
+    reply; each worker's outcome stays its own."""
+
+    @staticmethod
+    def record(monkeypatch):
+        events = []
+        send = ProcessWorkerPool._send
+        await_reply = ProcessWorkerPool._await_reply
+
+        def sending(self, worker, message):
+            events.append(("send", message[0], worker.index))
+            return send(self, worker, message)
+
+        def awaiting(self, worker, req_id, deadline, timeout):
+            events.append(("await", worker.index))
+            return await_reply(self, worker, req_id, deadline, timeout)
+
+        monkeypatch.setattr(ProcessWorkerPool, "_send", sending)
+        monkeypatch.setattr(ProcessWorkerPool, "_await_reply", awaiting)
+        return events
+
+    def test_attach_and_delta_reach_both_workers_in_one_broadcast(
+            self, corpus, monkeypatch):
+        workload, queries = corpus
+        with RetrievalService.from_base(build_base(workload),
+                                        process_config()) as service:
+            pool = service.procpool
+            events = self.record(monkeypatch)
+            assert pool.sync(service.shards, force=True)
+            assert events == [("send", "attach", 0), ("send", "attach", 1),
+                              ("await", 0), ("await", 1)]
+            del events[:]
+            service.ingest([workload.images[0].shapes[0]
+                            .translated(0.3, 0.1)])
+            assert pool.sync(service.shards)
+            assert events == [("send", "delta", 0), ("send", "delta", 1),
+                              ("await", 0), ("await", 1)]
+            monkeypatch.undo()
+            assert pool.alive_workers() == [0, 1]
+            assert pool.info()["sync"]["full_rounds"] == 2
+            assert pool.info()["sync"]["delta_rounds"] == 1
+            result = service.retrieve(queries[0], k=3)
+            assert result.status == "ok" and not result.failed_shards
+
+    def test_a_worker_killed_before_a_sync_is_dead_while_the_other_syncs(
+            self, corpus, monkeypatch):
+        workload, queries = corpus
+        with RetrievalService.from_base(build_base(workload),
+                                        process_config()) as service:
+            pool = service.procpool
+            send = ProcessWorkerPool._send
+
+            def killing(self, worker, message):
+                if worker.index == 1 and message[0] == "attach":
+                    worker.kill()
+                return send(self, worker, message)
+
+            monkeypatch.setattr(ProcessWorkerPool, "_send", killing)
+            assert pool.sync(service.shards, force=True)
+            monkeypatch.undo()
+            assert pool.alive_workers() == [0]
+            assert pool.info()["synced_version"] == service.shards.version
+            assert pool.info()["sync"]["full_rounds"] == 2
+            result = service.retrieve(queries[0], k=3)
+            assert result.status == "degraded"
+            # Worker 0 took the attach: its shards still answer exactly.
+            assert 0 not in result.failed_shards
 
 
 # ----------------------------------------------------------------------
